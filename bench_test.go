@@ -139,22 +139,21 @@ func BenchmarkAllocFree(b *testing.B) {
 }
 
 // BenchmarkHarnessPoint measures one full experiment point through the pool
-// path: clone a populated template, reseed, and run a short measurement.
+// path: fork a warm template, reseed, and run a short measurement.
 func BenchmarkHarnessPoint(b *testing.B) {
 	cfg := tsx.DefaultConfig(4)
 	cfg.Seed = 1
-	tmpl := tsx.NewMachine(cfg)
-	var w harness.Workload
-	tmpl.RunOne(func(t *tsx.Thread) {
-		w = harness.NewRBTree(t, 128, harness.MixModerate)
-		w.Populate(t)
-	})
 	spec := harness.PointSpec{
-		Template: tmpl,
-		Workload: w,
-		Scheme:   harness.SchemeSpec{Scheme: "HLE", Lock: "MCS"},
-		Cfg:      harness.Config{Threads: 4, CycleBudget: 100_000},
+		Warm: &harness.WarmTemplate{
+			Machine: cfg,
+			MkWorkload: func(t *tsx.Thread) harness.Workload {
+				return harness.NewRBTree(t, 128, harness.MixModerate)
+			},
+		},
+		Scheme: harness.SchemeSpec{Scheme: "HLE", Lock: "MCS"},
+		Cfg:    harness.Config{Threads: 4, CycleBudget: 100_000},
 	}
+	spec.Warm.Fork() // pay the one-time populate outside the measured loop
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		spec.Seed = harness.DeriveSeed(1, i)

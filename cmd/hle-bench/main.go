@@ -5,23 +5,9 @@
 //
 //	hle-bench -list
 //	hle-bench -fig 3.1 [-quick] [-threads 8] [-budget 2000000] [-seed 1] [-parallel 4]
-//	hle-bench -all [-quick] [-timing bench.json]
+//	hle-bench -all [-quick]
 //	hle-bench -fig 3.1 -profile json -profile-out profiles.json
-//	hle-bench -explore [-quick] [-parallel 4]
-//	hle-bench -shard-bench shard.json [-quick] [-shard-guard BENCH_shard.json]
-//	hle-bench -place-bench place.json [-quick] [-place-guard BENCH_place.json]
-//
-// -shard-bench runs the sharded-store sweep (figure ext-shard) and writes
-// its benchmark record — every point's throughput, the two regimes, the
-// skew crossover, and the wall clock — to the given file; -shard-guard
-// compares the wall clock against the quick-tier time recorded in
-// BENCH_shard.json and fails on a >2x regression.
-//
-// -place-bench runs the allocator-placement sweep (figure ext-place) and
-// writes its benchmark record — every (workload, policy, scheme) point,
-// the auto-pad trajectory (plan lines, packed vs auto-pad data-conflict
-// aborts), and the wall clock — to the given file; -place-guard is the
-// matching >2x wall-clock gate against BENCH_place.json.
+//	hle-bench -explore [-quick] [-parallel 4] [-chain -1]
 //
 // -explore replaces figure generation with the bounded model-checking
 // sweep (internal/explore): every scheme crossed with every sweep lock,
@@ -34,6 +20,9 @@
 // text, after the tables (or to -profile-out). Profiling is passive: the
 // tables are byte-identical with it on or off, and profile output is
 // deterministic for a fixed seed at any -parallel.
+//
+// The host time these runs cost is measured by the benchmark in bench/
+// (bash bench/run.sh -workload W; see bench/README.md).
 package main
 
 import (
@@ -45,82 +34,56 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"hle/internal/explore"
 	"hle/internal/figures"
-	"hle/internal/harness"
 	"hle/internal/obs"
-	"hle/internal/sim"
 	"hle/internal/stats"
 )
 
-// figTiming is one per-figure record of the -timing report.
-type figTiming struct {
-	ID           string  `json:"id"`
-	Seconds      float64 `json:"seconds"`
-	Points       uint64  `json:"points"`
-	Grants       uint64  `json:"grants"`
-	GrantsPerSec float64 `json:"grants_per_sec"`
-}
+func main() { os.Exit(run(os.Args[1:])) }
 
-// timingReport is the -timing output: the run's configuration and the
-// wall-clock cost of each figure generated.
-type timingReport struct {
-	Parallel int         `json:"parallel"`
-	HostCPUs int         `json:"host_cpus"`
-	Threads  int         `json:"threads"`
-	Quick    bool        `json:"quick"`
-	Seed     int64       `json:"seed"`
-	Figures  []figTiming `json:"figures"`
-	Total    float64     `json:"total_seconds"`
-}
-
-func main() {
+// run is the command body. It returns the exit status rather than exiting,
+// so the deferred profile writers run on every path, failures included.
+func run(args []string) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		figID     = flag.String("fig", "", "figure id to run (see -list)")
-		all       = flag.Bool("all", false, "run every figure")
-		list      = flag.Bool("list", false, "list available figures")
-		doExplore = flag.Bool("explore", false,
+		figID     = fs.String("fig", "", "figure id to run (see -list)")
+		all       = fs.Bool("all", false, "run every figure")
+		list      = fs.Bool("list", false, "list available figures")
+		doExplore = fs.Bool("explore", false,
 			"run the bounded model-checking sweep (every scheme x sweep lock) instead of figures; -quick selects the CI tier")
-		quick    = flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
-		csv      = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
-		threads  = flag.Int("threads", 8, "simulated hardware threads")
-		budget   = flag.Uint64("budget", 0, "virtual-cycle budget per measurement (0 = default)")
-		seed     = flag.Int64("seed", 1, "random seed (runs are deterministic per seed)")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
+		quick    = fs.Bool("quick", false, "smaller sweeps for a fast smoke run")
+		csv      = fs.Bool("csv", false, "emit tables as CSV instead of aligned text")
+		threads  = fs.Int("threads", 8, "simulated hardware threads")
+		budget   = fs.Uint64("budget", 0, "virtual-cycle budget per measurement (0 = default)")
+		seed     = fs.Int64("seed", 1, "random seed (runs are deterministic per seed)")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0),
 			"host workers experiment points fan out across (output is identical for any value)")
-		timing     = flag.String("timing", "", "write per-figure (or, with -explore, per-configuration) wall-clock JSON to this file and print a timing summary to stderr")
-		chain      = flag.Int("chain", 0, "explore: frontiers one replay may bank past its own node (0 = default 2, negative = none)")
-		cacheMB    = flag.Int("cache-mb", 0, "explore: banked-outcome cache budget in MiB (0 = default 64, negative = unlimited)")
-		scratch    = flag.Bool("scratch", false, "explore: replay every node from scratch (same as -chain -1; the differential baseline)")
-		validate   = flag.Bool("validate-forks", false, "explore: cross-check every forked node against a scratch replay (slow; audits bit-identity)")
-		guard      = flag.String("explore-guard", "", "explore: fail if the sweep runs over 2x the quick-tier wall clock recorded in this BENCH_explore.json")
-		shardBench = flag.String("shard-bench", "", "run the sharded-store sweep (ext-shard) and write its benchmark record (points, regimes, crossover, wall clock) to this JSON file")
-		shardGuard = flag.String("shard-guard", "", "with -shard-bench: fail if the sweep runs over 2x the quick-tier wall clock recorded in this BENCH_shard.json")
-		placeBench = flag.String("place-bench", "", "run the placement-policy sweep (ext-place) and write its benchmark record (points, auto-pad trajectory, wall clock) to this JSON file")
-		placeGuard = flag.String("place-guard", "", "with -place-bench: fail if the sweep runs over 2x the quick-tier wall clock recorded in this BENCH_place.json")
-		profile    = flag.String("profile", "", "collect per-point abort-attribution profiles: json or text")
-		profileOut = flag.String("profile-out", "", "write -profile output to this file instead of stdout")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		chain      = fs.Int("chain", 0, "explore: frontiers one replay may bank past its own node (0 = default 2, negative = none: every node replays from scratch)")
+		cacheMB    = fs.Int("cache-mb", 0, "explore: banked-outcome cache budget in MiB (0 = default 64, negative = unlimited)")
+		validate   = fs.Bool("validate-forks", false, "explore: cross-check every forked node against a scratch replay (slow; audits bit-identity)")
+		profile    = fs.String("profile", "", "collect per-point abort-attribution profiles: json or text")
+		profileOut = fs.String("profile-out", "", "write -profile output to this file instead of stdout")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if *profile != "" && *profile != "json" && *profile != "text" {
 		fmt.Fprintf(os.Stderr, "hle-bench: -profile must be json or text, got %q\n", *profile)
-		os.Exit(2)
+		return 2
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hle-bench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "hle-bench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -164,88 +127,30 @@ func main() {
 			profiles = append(profiles, namedProfile{Figure: curFig, Point: name, Profile: p})
 		}
 	}
-
-	report := timingReport{
-		Parallel: *parallel,
-		HostCPUs: runtime.NumCPU(),
-		Threads:  *threads,
-		Quick:    *quick,
-		Seed:     *seed,
-	}
-	// timeFigure runs one generator, records its wall clock, how many
-	// experiment points it executed, and its scheduler-grant throughput
-	// (grants/sec is the simulator's unit of useful work — each grant is
-	// one token handoff plus the simulated execution it admits), and
-	// returns its tables.
-	timeFigure := func(f figures.Figure) []*stats.Table {
+	runFigure := func(f figures.Figure) []*stats.Table {
 		curFig = f.ID
-		beforePoints := harness.PointsRun()
-		beforeGrants := sim.Grants()
-		start := time.Now()
-		tables := f.Run(opts)
-		secs := time.Since(start).Seconds()
-		ft := figTiming{
-			ID:      f.ID,
-			Seconds: secs,
-			Points:  harness.PointsRun() - beforePoints,
-			Grants:  sim.Grants() - beforeGrants,
-		}
-		if secs > 0 {
-			ft.GrantsPerSec = float64(ft.Grants) / secs
-		}
-		report.Figures = append(report.Figures, ft)
-		return tables
+		return f.Run(opts)
 	}
 
 	switch {
 	case *doExplore:
-		ch := *chain
-		if *scratch {
-			ch = -1
+		if !runExplore(exploreOpts{
+			quick:    *quick,
+			parallel: *parallel,
+			chain:    *chain,
+			cacheMB:  *cacheMB,
+			validate: *validate,
+		}) {
+			return 1
 		}
-		runExplore(exploreOpts{
-			quick:      *quick,
-			parallel:   *parallel,
-			chain:      ch,
-			cacheMB:    *cacheMB,
-			validate:   *validate,
-			timingFile: *timing,
-			guardFile:  *guard,
-		})
 	case *list:
 		for _, f := range figures.All() {
 			fmt.Printf("%-8s %s\n", f.ID, f.Title)
 		}
-	case *shardBench != "":
-		curFig = "ext-shard"
-		start := time.Now()
-		bench, tables := figures.ShardSweep(opts)
-		bench.Seconds = time.Since(start).Seconds()
-		printTables(tables, *csv)
-		if err := os.WriteFile(*shardBench, bench.JSON(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "hle-bench: writing shard bench: %v\n", err)
-			os.Exit(1)
-		}
-		if *shardGuard != "" {
-			guardShardTime(*shardGuard, bench.Seconds)
-		}
-	case *placeBench != "":
-		curFig = "ext-place"
-		start := time.Now()
-		bench, tables := figures.PlaceSweep(opts)
-		bench.Seconds = time.Since(start).Seconds()
-		printTables(tables, *csv)
-		if err := os.WriteFile(*placeBench, bench.JSON(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "hle-bench: writing place bench: %v\n", err)
-			os.Exit(1)
-		}
-		if *placeGuard != "" {
-			guardPlaceTime(*placeGuard, bench.Seconds)
-		}
 	case *all:
 		for _, f := range figures.All() {
 			fmt.Printf("\n### Figure %s — %s\n\n", f.ID, f.Title)
-			printTables(timeFigure(f), *csv)
+			printTables(runFigure(f), *csv)
 		}
 	case *figID != "":
 		f := figures.ByID(*figID)
@@ -262,13 +167,13 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "hle-bench: unknown figure %q; valid ids:\n  core: %s\n  extensions: %s\n",
 				*figID, strings.Join(core, ", "), strings.Join(ext, ", "))
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("### Figure %s — %s\n\n", f.ID, f.Title)
-		printTables(timeFigure(*f), *csv)
+		printTables(runFigure(*f), *csv)
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
 	if *profile != "" {
@@ -277,7 +182,7 @@ func main() {
 			out, err := json.MarshalIndent(profiles, "", "  ")
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "hle-bench: marshaling profiles: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 			buf.Write(out)
 			buf.WriteByte('\n')
@@ -289,153 +194,44 @@ func main() {
 		if *profileOut != "" {
 			if err := os.WriteFile(*profileOut, buf.Bytes(), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "hle-bench: writing profiles: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 		} else {
 			os.Stdout.Write(buf.Bytes())
 		}
 	}
-
-	if *timing != "" && len(report.Figures) > 0 {
-		for _, ft := range report.Figures {
-			report.Total += ft.Seconds
-		}
-		out, err := json.MarshalIndent(report, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*timing, append(out, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hle-bench: writing timing report: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	return 0
 }
 
 // exploreOpts carries the -explore mode's flags.
 type exploreOpts struct {
-	quick      bool
-	parallel   int
-	chain      int
-	cacheMB    int
-	validate   bool
-	timingFile string
-	guardFile  string
-}
-
-// exploreCfgTiming is one configuration's record in the -explore -timing
-// report: wall clock, state throughput, and the fork-vs-replay breakdown
-// that makes the checkpoint-fork speedup observable rather than asserted.
-type exploreCfgTiming struct {
-	Config         string            `json:"config"`
-	Seconds        float64           `json:"seconds"`
-	States         uint64            `json:"states"`
-	StatesPerSec   float64           `json:"states_per_sec"`
-	Replays        uint64            `json:"replays"`
-	Forks          uint64            `json:"forks"`
-	ScratchReplays uint64            `json:"scratch_replays"`
-	ForkRate       float64           `json:"fork_rate"`
-	SpecWasted     uint64            `json:"spec_wasted"`
-	CacheDropped   uint64            `json:"cache_dropped"`
-	CachePeakBytes uint64            `json:"cache_peak_bytes"`
-	SuffixHist     map[string]uint64 `json:"suffix_hist"`
-}
-
-// exploreTimingReport is the -explore -timing JSON: per-configuration
-// records plus sweep totals. BENCH_explore.json embeds these reports.
-type exploreTimingReport struct {
-	Parallel   int                `json:"parallel"`
-	HostCPUs   int                `json:"host_cpus"`
-	Quick      bool               `json:"quick"`
-	ChainDepth int                `json:"chain_depth"`
-	CacheMB    int                `json:"cache_mb"`
-	Configs    []exploreCfgTiming `json:"configs"`
-	Totals     exploreCfgTiming   `json:"totals"`
-}
-
-// benchExploreFile mirrors BENCH_explore.json for the -explore-guard
-// regression check.
-type benchExploreFile struct {
-	Recorded struct {
-		Quick exploreTimingReport `json:"quick"`
-	} `json:"recorded"`
-}
-
-func suffixHistMap(r *explore.Result) map[string]uint64 {
-	m := make(map[string]uint64, len(r.SuffixHist))
-	for i, n := range r.SuffixHist {
-		if n > 0 {
-			m[explore.SuffixHistLabels[i]] = n
-		}
-	}
-	return m
+	quick    bool
+	parallel int
+	chain    int
+	cacheMB  int
+	validate bool
 }
 
 // runExplore runs the bounded model-checking sweep and prints one report
 // line per configuration, then a totals line. The output is deterministic
 // at any -parallel, -chain and -cache-mb (banked outcomes are bit-identical
-// to the replays they replace), so stdout diffs cleanly across modes; all
-// timing output goes to stderr or the -timing file. Any violation prints
-// its counterexample schedule and diagnostic dump and exits nonzero.
-func runExplore(o exploreOpts) {
-	var total exploreCfgTiming
-	report := exploreTimingReport{
-		Parallel:   o.parallel,
-		HostCPUs:   runtime.NumCPU(),
-		Quick:      o.quick,
-		ChainDepth: o.chain,
-		CacheMB:    o.cacheMB,
-	}
+// to the replays they replace), so stdout diffs cleanly across modes. Any
+// violation prints its counterexample schedule and diagnostic dump; the
+// result reports whether the sweep was clean.
+func runExplore(o exploreOpts) bool {
+	var states, schedules, replays, truncated uint64
 	violations := 0
-	var schedules, truncated uint64
-	totalHist := make(map[string]uint64)
-	start := time.Now()
 	for _, cfg := range explore.Battery(o.quick) {
 		cfg.Parallel = o.parallel
 		cfg.ChainDepth = o.chain
 		cfg.CacheMB = o.cacheMB
 		cfg.ValidateForks = o.validate
-		cfgStart := time.Now()
 		r := explore.Run(cfg)
-		secs := time.Since(cfgStart).Seconds()
 		fmt.Println(r.Line())
-		ct := exploreCfgTiming{
-			Config:         cfg.Label(),
-			Seconds:        secs,
-			States:         r.States,
-			Replays:        r.Replays,
-			Forks:          r.Forks,
-			ScratchReplays: r.ScratchReplays,
-			SpecWasted:     r.SpecWasted,
-			CacheDropped:   r.CacheDropped,
-			CachePeakBytes: r.CachePeakBytes,
-			SuffixHist:     suffixHistMap(r),
-		}
-		if secs > 0 {
-			ct.StatesPerSec = float64(r.States) / secs
-		}
-		if r.Replays > 0 {
-			ct.ForkRate = float64(r.Forks) / float64(r.Replays)
-		}
-		report.Configs = append(report.Configs, ct)
-		total.States += r.States
-		total.Replays += r.Replays
+		states += r.States
 		schedules += r.Schedules
+		replays += r.Replays
 		truncated += r.Truncated
-		total.Forks += r.Forks
-		total.ScratchReplays += r.ScratchReplays
-		total.SpecWasted += r.SpecWasted
-		total.CacheDropped += r.CacheDropped
-		if r.CachePeakBytes > total.CachePeakBytes {
-			total.CachePeakBytes = r.CachePeakBytes
-		}
-		for k, v := range ct.SuffixHist {
-			totalHist[k] += v
-		}
-		if o.timingFile != "" {
-			fmt.Fprintf(os.Stderr, "%-28s %6.2fs %9.0f states/s forks=%-7d scratch=%-7d hit=%5.1f%% wasted=%-6d peak=%.1fMB\n",
-				cfg.Label(), secs, ct.StatesPerSec, r.Forks, r.ScratchReplays,
-				100*ct.ForkRate, r.SpecWasted, float64(r.CachePeakBytes)/(1<<20))
-		}
 		if r.ForkMismatches > 0 {
 			violations++
 			fmt.Printf("\n%s: %d forked outcomes disagreed with scratch replay\n", cfg.Label(), r.ForkMismatches)
@@ -445,129 +241,9 @@ func runExplore(o exploreOpts) {
 			fmt.Printf("\n%s: %s\n%s\n", cfg.Label(), r.Violation.Error(), r.Violation.Failure.Dump())
 		}
 	}
-	// Totals on stdout keep the original fields only, so the line is
-	// byte-identical across chain/scratch modes and any -parallel — the
-	// determinism check diffs stdout directly.
 	fmt.Printf("total: states=%d schedules=%d replays=%d truncated=%d violations=%d\n",
-		total.States, schedules, total.Replays, truncated, violations)
-	total.Seconds = time.Since(start).Seconds()
-	total.Config = "total"
-	total.SuffixHist = totalHist
-	if total.Seconds > 0 {
-		total.StatesPerSec = float64(total.States) / total.Seconds
-	}
-	if total.Replays > 0 {
-		total.ForkRate = float64(total.Forks) / float64(total.Replays)
-	}
-	report.Totals = total
-	fmt.Fprintf(os.Stderr, "explore: %.1fs forks=%d scratch=%d hit=%.1f%%\n",
-		total.Seconds, total.Forks, total.ScratchReplays, 100*total.ForkRate)
-	if o.timingFile != "" {
-		out, err := json.MarshalIndent(report, "", "  ")
-		if err == nil {
-			err = os.WriteFile(o.timingFile, append(out, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hle-bench: writing explore timing report: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if o.guardFile != "" {
-		guardExploreTime(o.guardFile, total.Seconds)
-	}
-	if violations > 0 {
-		os.Exit(1)
-	}
-}
-
-// guardExploreTime is the CI wall-clock regression gate: the measured
-// sweep time must stay within 2x the quick-tier time recorded in
-// BENCH_explore.json (generous enough for CI-runner noise, tight enough
-// to catch an accidental return to scratch-replay cost).
-func guardExploreTime(file string, measured float64) {
-	raw, err := os.ReadFile(file)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hle-bench: -explore-guard: %v\n", err)
-		os.Exit(1)
-	}
-	var bench benchExploreFile
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		fmt.Fprintf(os.Stderr, "hle-bench: -explore-guard: %v\n", err)
-		os.Exit(1)
-	}
-	recorded := bench.Recorded.Quick.Totals.Seconds
-	if recorded <= 0 {
-		fmt.Fprintf(os.Stderr, "hle-bench: -explore-guard: %s records no quick-tier wall clock\n", file)
-		os.Exit(1)
-	}
-	if measured > 2*recorded {
-		fmt.Fprintf(os.Stderr, "hle-bench: -explore-guard: sweep took %.1fs, over 2x the recorded %.1fs — explore performance regressed\n",
-			measured, recorded)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "explore-guard: %.1fs within 2x of recorded %.1fs\n", measured, recorded)
-}
-
-// guardShardTime is the sharded sweep's CI wall-clock gate, mirroring
-// guardExploreTime: the measured quick sweep must stay within 2x the
-// quick-tier time recorded in BENCH_shard.json.
-func guardShardTime(file string, measured float64) {
-	raw, err := os.ReadFile(file)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hle-bench: -shard-guard: %v\n", err)
-		os.Exit(1)
-	}
-	var bench struct {
-		Recorded struct {
-			Quick figures.ShardBench `json:"quick"`
-		} `json:"recorded"`
-	}
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		fmt.Fprintf(os.Stderr, "hle-bench: -shard-guard: %v\n", err)
-		os.Exit(1)
-	}
-	recorded := bench.Recorded.Quick.Seconds
-	if recorded <= 0 {
-		fmt.Fprintf(os.Stderr, "hle-bench: -shard-guard: %s records no quick-tier wall clock\n", file)
-		os.Exit(1)
-	}
-	if measured > 2*recorded {
-		fmt.Fprintf(os.Stderr, "hle-bench: -shard-guard: sweep took %.1fs, over 2x the recorded %.1fs — sharded-store performance regressed\n",
-			measured, recorded)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "shard-guard: %.1fs within 2x of recorded %.1fs\n", measured, recorded)
-}
-
-// guardPlaceTime is the placement sweep's CI wall-clock gate, mirroring
-// guardShardTime: the measured quick sweep must stay within 2x the
-// quick-tier time recorded in BENCH_place.json.
-func guardPlaceTime(file string, measured float64) {
-	raw, err := os.ReadFile(file)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hle-bench: -place-guard: %v\n", err)
-		os.Exit(1)
-	}
-	var bench struct {
-		Recorded struct {
-			Quick figures.PlaceBench `json:"quick"`
-		} `json:"recorded"`
-	}
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		fmt.Fprintf(os.Stderr, "hle-bench: -place-guard: %v\n", err)
-		os.Exit(1)
-	}
-	recorded := bench.Recorded.Quick.Seconds
-	if recorded <= 0 {
-		fmt.Fprintf(os.Stderr, "hle-bench: -place-guard: %s records no quick-tier wall clock\n", file)
-		os.Exit(1)
-	}
-	if measured > 2*recorded {
-		fmt.Fprintf(os.Stderr, "hle-bench: -place-guard: sweep took %.1fs, over 2x the recorded %.1fs — placement-sweep performance regressed\n",
-			measured, recorded)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "place-guard: %.1fs within 2x of recorded %.1fs\n", measured, recorded)
+		states, schedules, replays, truncated, violations)
+	return violations == 0
 }
 
 func printTables(tables []*stats.Table, csv bool) {

@@ -1,0 +1,27 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// TestProfilesSurviveFailingRun: an erroring run still stops the CPU
+// profile and writes the heap profile, because run returns its exit status
+// to main instead of exiting past its deferred calls.
+func TestProfilesSurviveFailingRun(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.pb"), filepath.Join(dir, "mem.pb")
+	if code := run([]string{"-fig", "no-such-figure", "-cpuprofile", cpu, "-memprofile", heap}); code != 1 {
+		t.Fatalf("exit status %d, want 1", code)
+	}
+	for _, f := range []string{cpu, heap} {
+		st, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() == 0 {
+			t.Errorf("%s is empty", f)
+		}
+	}
+}

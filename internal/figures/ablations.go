@@ -167,7 +167,6 @@ func AblationMultiAux(o Options) []*stats.Table {
 		}
 		res.Ops = s.TotalStats()
 		rows[vi] = row{float64(res.Ops.Ops) * 1e6 / float64(res.MaxClock), res}
-		harness.NotePoint()
 	})
 	for vi, variant := range variants {
 		tb.AddRow(variant, stats.F2(rows[vi].tput),

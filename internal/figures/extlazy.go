@@ -35,24 +35,23 @@ const (
 
 // LazyPoint is one measured point of the subscription sweep.
 type LazyPoint struct {
-	Mode       string  `json:"mode"`
-	ReadCap    int     `json:"read_cap"`
-	WriteCap   int     `json:"write_cap"`
-	Throughput float64 `json:"ops_per_mcycle"`
-	SpecFrac   float64 `json:"spec_frac"`
-	Aborts     uint64  `json:"aborts"`
-	LockLine   uint64  `json:"lock_line"`
-	Subscr     uint64  `json:"subscription"`
-	CapRead    uint64  `json:"cap_read"`
-	CapWrite   uint64  `json:"cap_write"`
-	Lost       int64   `json:"lost"`
+	Mode       string
+	ReadCap    int
+	WriteCap   int
+	Throughput float64
+	SpecFrac   float64
+	Aborts     uint64
+	LockLine   uint64
+	Subscr     uint64
+	CapRead    uint64
+	CapWrite   uint64
+	Lost       int64
 }
 
-// LazyBench is the recorded result of one subscription sweep.
+// LazyBench is the structured result of one subscription sweep, for
+// callers that assert on the numbers rather than parse the rendered table.
 type LazyBench struct {
-	Threads int         `json:"threads"`
-	Quick   bool        `json:"quick"`
-	Points  []LazyPoint `json:"points"`
+	Points []LazyPoint
 }
 
 // ExtLazy sweeps eager vs naive-lazy vs fixed-lazy subscription across a
@@ -193,10 +192,9 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 			lost:       lost,
 			col:        col,
 		}
-		harness.NotePoint()
 	})
 
-	bench := &LazyBench{Threads: o.Threads, Quick: o.Quick}
+	bench := &LazyBench{}
 	tb := &stats.Table{
 		Title: fmt.Sprintf("Extension — lock subscription mode × read/write-set capacity (TTAS, %d threads, CS reads %d lines / writes %d)",
 			o.Threads, lazyReadLines, lazyWriteLines),

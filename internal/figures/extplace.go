@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"hle/internal/core"
@@ -29,45 +28,32 @@ var placeSchemes = []string{"Standard", "HLE"}
 // PlacePoint is one measured point of the placement sweep. Service
 // workloads report throughput; STAMP apps report fixed-work runtime.
 type PlacePoint struct {
-	Workload      string  `json:"workload"`
-	Policy        string  `json:"policy"`
-	Scheme        string  `json:"scheme"`
-	Throughput    float64 `json:"ops_per_mcycle,omitempty"`
-	Runtime       uint64  `json:"runtime_cycles,omitempty"`
-	Aborts        uint64  `json:"aborts"`
-	DataConflicts uint64  `json:"data_conflicts"`
+	Workload      string
+	Policy        string
+	Scheme        string
+	Throughput    float64
+	Runtime       uint64
+	Aborts        uint64
+	DataConflicts uint64
 }
 
 // PlaceAutoPad records one workload's profile→layout trajectory: what the
 // burst planned and how far the plan moved the measured run's data-line
 // conflict aborts relative to packed.
 type PlaceAutoPad struct {
-	Workload     string  `json:"workload"`
-	PlanLines    []int   `json:"plan_lines"`
-	PackedData   uint64  `json:"packed_data_conflicts"`
-	AutoPadData  uint64  `json:"autopad_data_conflicts"`
-	ReductionPct float64 `json:"reduction_pct"`
+	Workload     string
+	PlanLines    []int
+	PackedData   uint64
+	AutoPadData  uint64
+	ReductionPct float64
 }
 
-// PlaceBench is the recorded result of one placement sweep, written to
-// BENCH_place.json by hle-bench -place-bench and checked by -place-guard.
+// PlaceBench is the structured result of one placement sweep: every
+// point and the auto-pad trajectories, for callers that assert on the
+// numbers rather than parse the rendered tables.
 type PlaceBench struct {
-	Threads int            `json:"threads"`
-	Budget  uint64         `json:"budget"`
-	Runs    int            `json:"runs"`
-	Quick   bool           `json:"quick"`
-	Seconds float64        `json:"seconds"`
-	Points  []PlacePoint   `json:"points"`
-	AutoPad []PlaceAutoPad `json:"autopad"`
-}
-
-// JSON renders the benchmark record.
-func (b *PlaceBench) JSON() []byte {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		panic("figures: marshal place bench: " + err.Error())
-	}
-	return append(out, '\n')
+	Points  []PlacePoint
+	AutoPad []PlaceAutoPad
 }
 
 // placeAxes returns the workloads at the requested scale. The store's
@@ -111,10 +97,8 @@ func ExtPlace(o Options) []*stats.Table {
 	return tables
 }
 
-// PlaceSweep runs the placement sweep and returns both the benchmark
-// record (for BENCH_place.json) and the rendered tables. The Seconds field
-// is zero; the caller stamps wall-clock time (tables never include it, so
-// figure output stays byte-identical across hosts and -parallel).
+// PlaceSweep runs the placement sweep and returns both the structured
+// result and the rendered tables.
 func PlaceSweep(o Options) (*PlaceBench, []*stats.Table) {
 	o = o.withDefaults()
 	workloads, stampApps := placeAxes(o)
@@ -171,7 +155,7 @@ func PlaceSweep(o Options) (*PlaceBench, []*stats.Table) {
 		}
 	}
 
-	bench := &PlaceBench{Threads: o.Threads, Budget: o.Budget, Runs: o.Runs, Quick: o.Quick}
+	bench := &PlaceBench{}
 	cells := make(map[[2]int]cell)
 	for wi, w := range workloads {
 		for pi := range placeRegimes[:4] {
@@ -311,7 +295,6 @@ func PlaceSweep(o Options) (*PlaceBench, []*stats.Table) {
 				c.plan = append(c.plan, l.Line)
 			}
 		}
-		harness.NotePoint()
 	})
 	// Phase 2: the remaining regimes, fanned out over (app, regime).
 	harness.ParallelFor(o.Parallel, len(stampApps)*(len(placeRegimes)-1), func(i int) {
@@ -327,7 +310,6 @@ func PlaceSweep(o Options) (*PlaceBench, []*stats.Table) {
 		c := at(si, pi)
 		c.res, c.prof = stampRun(stampApps[si], l,
 			"stamp/"+stampApps[si]+"/"+placeRegimes[pi])
-		harness.NotePoint()
 	})
 
 	// Assembly, all in declaration order.

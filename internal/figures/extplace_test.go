@@ -6,10 +6,9 @@ import (
 	"hle/internal/figures"
 )
 
-// TestPlaceSweepBench checks the recorded benchmark's shape and the
-// sweep's headline claim: the auto-pad pass reduces data-line conflict
-// aborts vs packed on at least one workload (the acceptance criterion the
-// checked-in BENCH_place.json reports).
+// TestPlaceSweepBench checks the sweep result's shape and its headline
+// claim: the auto-pad pass reduces data-line conflict aborts vs packed on
+// at least one workload.
 func TestPlaceSweepBench(t *testing.T) {
 	o := tinyOpts()
 	o.Parallel = 4

@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"hle/internal/core"
@@ -18,11 +17,11 @@ var shardSchemes = []string{"Standard", "HLE", "HLE-SCM", "Adaptive"}
 
 // ShardPoint is one measured point of the sharded sweep.
 type ShardPoint struct {
-	Shards     int     `json:"shards"`
-	Scheme     string  `json:"scheme"`
-	Skew       float64 `json:"skew"`
-	Mix        string  `json:"mix"`
-	Throughput float64 `json:"ops_per_mcycle"`
+	Shards     int
+	Scheme     string
+	Skew       float64
+	Mix        string
+	Throughput float64
 }
 
 // ShardRegimes summarizes the two regimes the sweep demonstrates, both at
@@ -33,39 +32,25 @@ type ShardPoint struct {
 // shard count. CrossoverSkew is the lowest swept skew where an eliding
 // scheme overtakes the plain-lock sharded store.
 type ShardRegimes struct {
-	UniformGlobalElision float64 `json:"uniform_global_elision"`
-	UniformShardedPlain  float64 `json:"uniform_sharded_plain"`
-	ShardingGain         float64 `json:"sharding_gain"`
+	UniformGlobalElision float64
+	UniformShardedPlain  float64
+	ShardingGain         float64
 
-	SkewShardedPlain float64 `json:"skew_sharded_plain"`
-	SkewBestElided   float64 `json:"skew_best_elided"`
-	SkewBestScheme   string  `json:"skew_best_scheme"`
-	ElisionGain      float64 `json:"elision_gain"`
+	SkewShardedPlain float64
+	SkewBestElided   float64
+	SkewBestScheme   string
+	ElisionGain      float64
 
 	// CrossoverSkew is -1 when no swept skew let elision win.
-	CrossoverSkew float64 `json:"crossover_skew"`
+	CrossoverSkew float64
 }
 
-// ShardBench is the recorded result of one sharded sweep, written to
-// BENCH_shard.json by hle-bench -shard-bench and checked by -shard-guard.
+// ShardBench is the structured result of one sharded sweep: every point's
+// throughput and the regime summary, for callers that assert on the
+// numbers rather than parse the rendered tables.
 type ShardBench struct {
-	Threads int          `json:"threads"`
-	Budget  uint64       `json:"budget"`
-	Runs    int          `json:"runs"`
-	Quick   bool         `json:"quick"`
-	Keys    int          `json:"keys"`
-	Seconds float64      `json:"seconds"`
-	Points  []ShardPoint `json:"points"`
-	Regimes ShardRegimes `json:"regimes"`
-}
-
-// JSON renders the benchmark record.
-func (b *ShardBench) JSON() []byte {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		panic("figures: marshal shard bench: " + err.Error())
-	}
-	return append(out, '\n')
+	Points  []ShardPoint
+	Regimes ShardRegimes
 }
 
 // shardAxes returns the sweep axes at the requested scale. The moderate
@@ -91,10 +76,8 @@ func ExtShard(o Options) []*stats.Table {
 	return tables
 }
 
-// ShardSweep runs the sharded sweep and returns both the benchmark record
-// (for BENCH_shard.json) and the rendered tables. The Seconds field is
-// zero; the caller stamps wall-clock time (tables never include it, so
-// figure output stays byte-identical across hosts and -parallel).
+// ShardSweep runs the sharded sweep and returns both the structured result
+// and the rendered tables.
 func ShardSweep(o Options) (*ShardBench, []*stats.Table) {
 	o = o.withDefaults()
 	shardCounts, skews, mixes := shardAxes(o)
@@ -193,7 +176,7 @@ func ShardSweep(o Options) (*ShardBench, []*stats.Table) {
 		return best, name
 	}
 
-	bench := &ShardBench{Threads: o.Threads, Budget: o.Budget, Runs: o.Runs, Quick: o.Quick, Keys: keys}
+	bench := &ShardBench{}
 
 	// Main sweep table.
 	sweep := &stats.Table{

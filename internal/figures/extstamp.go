@@ -55,7 +55,6 @@ func ExtStamp(o Options) []*stats.Table {
 			panic(fmt.Sprintf("figures: %s under %v: %v", app.Name, spec, err))
 		}
 		results[i] = res
-		harness.NotePoint()
 	})
 	for i := range cols {
 		o.emitProfile(fmt.Sprintf("%s/%s", apps[i/len(specs)].Name, specs[i%len(specs)].Scheme), cols[i])

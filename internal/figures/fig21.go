@@ -53,7 +53,6 @@ func Fig21(o Options) []*stats.Table {
 			}
 		}
 		fails[i], cols[i] = setScan(o, lines, r, i%2 == 1)
-		harness.NotePoint()
 	})
 	for si, bytes := range sizesBytes {
 		table.AddRow(stats.SizeLabel(bytes), stats.E2(fails[2*si]), stats.E2(fails[2*si+1]))

@@ -58,7 +58,6 @@ func Fig54(o Options) []*stats.Table {
 			panic(fmt.Sprintf("figures: %s under %v failed validation: %v", apps[p.app].Name, p.spec, err))
 		}
 		results[i] = res
-		harness.NotePoint()
 	})
 	for i, p := range pts {
 		o.emitProfile(fmt.Sprintf("%s/%s/%s", locks[p.lock], apps[p.app].Name, p.spec.Scheme), cols[i])

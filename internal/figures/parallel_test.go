@@ -26,9 +26,9 @@ func renderFigure(t *testing.T, id string, o figures.Options) string {
 // TestParallelismDoesNotChangeOutput is the determinism regression test for
 // the host-parallel runner: with a fixed seed, rendered figure tables must
 // be byte-identical whether points run on one worker or eight. Figure 3.1
-// exercises the template-clone path (many groups × schemes); abl-spur
-// exercises the fresh-machine path; ext-chaos exercises the chaos soak
-// path, where every point carries its own injector, watchdog, and trace
+// exercises the warm-template fork path (many groups × schemes); abl-spur
+// exercises one template per machine config; ext-chaos exercises the chaos
+// soak path, where every point carries its own injector, watchdog, and trace
 // ring — the table doubles as the assertion that the injection hooks are
 // zero-cost when no fault fires: any hook overhead or cross-point state
 // leak would shift a soak's interleaving and change the counted columns

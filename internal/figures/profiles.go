@@ -37,7 +37,6 @@ func FigProfiles(o Options) []*stats.Table {
 			panic(err)
 		}
 		stampRes[ai] = res
-		harness.NotePoint()
 	})
 	for ai, app := range apps {
 		o.emitProfile("stamp/"+app.Name, cols[ai])

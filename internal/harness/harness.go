@@ -45,9 +45,9 @@ type Op struct {
 // structure in simulated memory.
 //
 // A Workload's Go-side state must be immutable after Populate: the
-// structure lives at simulated addresses, which stay valid in every clone
+// structure lives at simulated addresses, which stay valid in every fork
 // of the populated machine, so one Workload value serves many concurrent
-// experiment points over cloned machines (see PointSpec).
+// experiment points over forked machines (see WarmTemplate).
 type Workload interface {
 	// Name identifies the workload in reports.
 	Name() string

@@ -45,40 +45,25 @@ func (wt *WarmTemplate) Fork() (*tsx.Machine, Workload) {
 	return tsx.FromCheckpoint(wt.cp), wt.w
 }
 
-// PointSpec declares one experiment point: a machine, a workload, a scheme,
-// and a run configuration. Points are independent simulations, so a figure
+// PointSpec declares one experiment point: a warm template, a scheme, and a
+// run configuration. Points are independent simulations, so a figure
 // declares its points as a flat list and RunPoints fans them out across host
 // workers; results come back by declaration index, so output built from them
 // is identical whatever the worker count.
 type PointSpec struct {
-	// Warm, when non-nil, supplies the point's machine and workload by
-	// forking a shared warm template; it takes precedence over the other
-	// machine modes.
+	// Warm supplies the point's machine and workload: each run forks the
+	// shared warm template.
 	Warm *WarmTemplate
-
-	// Template, when non-nil, is a populated machine that is cloned for
-	// this point; Workload must then be the workload living in it. Many
-	// points may share one Template — Clone takes a memory snapshot, and
-	// workload Go-side state is immutable after Populate, so sharing is
-	// safe even across concurrent workers.
-	Template *tsx.Machine
-	Workload Workload
-
-	// Machine and MkWorkload describe the fresh-machine mode, used when
-	// Template is nil: a machine is built from Machine, and MkWorkload
-	// creates and the point populates the workload on it.
-	Machine    tsx.Config
-	MkWorkload func(t *tsx.Thread) Workload
 
 	// Scheme selects the scheme by name; MkScheme, when non-nil, overrides
 	// it for schemes that need custom construction (ablation variants).
 	Scheme   SchemeSpec
 	MkScheme func(t *tsx.Thread) core.Scheme
 
-	// Seed, when non-zero, reseeds the machine after clone/populate so the
-	// measurement streams are the point's own regardless of which template
-	// it shares. Derive it from the figure's base seed and the point's
-	// coordinates (DeriveSeed).
+	// Seed, when non-zero, reseeds the forked machine so the measurement
+	// streams are the point's own regardless of which template it shares.
+	// Derive it from the figure's base seed and the point's coordinates
+	// (DeriveSeed).
 	Seed int64
 
 	// Runs repeats the measurement, averaging results; memory state
@@ -92,19 +77,7 @@ type PointSpec struct {
 
 // Run executes the point and returns its (possibly averaged) result.
 func (p PointSpec) Run() Result {
-	var m *tsx.Machine
-	w := p.Workload
-	if p.Warm != nil {
-		m, w = p.Warm.Fork()
-	} else if p.Template != nil {
-		m = p.Template.Clone()
-	} else {
-		m = tsx.NewMachine(p.Machine)
-		m.RunOne(func(t *tsx.Thread) {
-			w = p.MkWorkload(t)
-			w.Populate(t)
-		})
-	}
+	m, w := p.Warm.Fork()
 	if p.Seed != 0 {
 		m.Reseed(p.Seed)
 	}
@@ -232,14 +205,10 @@ func DeriveSeed(base int64, coords ...int) int64 {
 	return int64(z)
 }
 
-// pointsRun counts completed experiment points process-wide, for timing
-// reports.
+// pointsRun counts completed PointSpec runs process-wide.
 var pointsRun atomic.Uint64
 
-// PointsRun returns the number of experiment points completed so far.
+// PointsRun returns the number of PointSpec runs completed so far in this
+// process. The host-time benchmark (bench/) reports it as its
+// harness.points counter.
 func PointsRun() uint64 { return pointsRun.Load() }
-
-// NotePoint counts an experiment point executed outside PointSpec (figures
-// that drive a machine directly, such as STAMP runs), so timing reports see
-// every point.
-func NotePoint() { pointsRun.Add(1) }

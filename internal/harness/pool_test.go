@@ -9,17 +9,15 @@ import (
 	"hle/internal/tsx"
 )
 
-// poolPoints builds a template machine with a populated tree and a set of
+// poolPoints builds a warm template holding a populated tree and a set of
 // points over it, mimicking how a figure generator declares work.
-func poolPoints(t *testing.T) []harness.PointSpec {
-	t.Helper()
-	mcfg := machineCfg(4, 11)
-	tmpl := tsx.NewMachine(mcfg)
-	var w harness.Workload
-	tmpl.RunOne(func(th *tsx.Thread) {
-		w = harness.NewRBTree(th, 64, harness.MixModerate)
-		w.Populate(th)
-	})
+func poolPoints() []harness.PointSpec {
+	warm := &harness.WarmTemplate{
+		Machine: machineCfg(4, 11),
+		MkWorkload: func(th *tsx.Thread) harness.Workload {
+			return harness.NewRBTree(th, 64, harness.MixModerate)
+		},
+	}
 	specs := []harness.SchemeSpec{
 		{Scheme: "Standard", Lock: "TTAS"},
 		{Scheme: "HLE", Lock: "TTAS"},
@@ -29,12 +27,11 @@ func poolPoints(t *testing.T) []harness.PointSpec {
 	var points []harness.PointSpec
 	for si, spec := range specs {
 		points = append(points, harness.PointSpec{
-			Template: tmpl,
-			Workload: w,
-			Scheme:   spec,
-			Seed:     harness.DeriveSeed(11, 0, si),
-			Runs:     2,
-			Cfg:      harness.Config{Threads: 4, CycleBudget: 30_000, Warmup: 5_000},
+			Warm:   warm,
+			Scheme: spec,
+			Seed:   harness.DeriveSeed(11, 0, si),
+			Runs:   2,
+			Cfg:    harness.Config{Threads: 4, CycleBudget: 30_000, Warmup: 5_000},
 		})
 	}
 	return points
@@ -43,8 +40,8 @@ func poolPoints(t *testing.T) []harness.PointSpec {
 // TestRunPointsParallelMatchesSequential: the pool's defining property —
 // results are independent of the worker count.
 func TestRunPointsParallelMatchesSequential(t *testing.T) {
-	seq := harness.RunPoints(1, poolPoints(t))
-	par := harness.RunPoints(4, poolPoints(t))
+	seq := harness.RunPoints(1, poolPoints())
+	par := harness.RunPoints(4, poolPoints())
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallel results differ from sequential:\nseq=%+v\npar=%+v", seq, par)
 	}
@@ -55,36 +52,18 @@ func TestRunPointsParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPointSpecFreshMachine: the Template-less mode builds, populates, and
-// measures a machine of its own, deterministically.
-func TestPointSpecFreshMachine(t *testing.T) {
-	p := harness.PointSpec{
-		Machine: machineCfg(2, 7),
-		MkWorkload: func(th *tsx.Thread) harness.Workload {
-			return harness.NewRBTree(th, 32, harness.MixExtensive)
-		},
-		Scheme: harness.SchemeSpec{Scheme: "HLE", Lock: "TTAS"},
-		Cfg:    harness.Config{Threads: 2, CycleBudget: 20_000},
-	}
-	r1, r2 := p.Run(), p.Run()
-	if r1.Ops.Ops == 0 {
-		t.Fatal("fresh-machine point completed no operations")
-	}
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("fresh-machine point not deterministic: %+v vs %+v", r1, r2)
-	}
-}
-
-// TestTemplateSurvivesPoints: running points over clones must leave the
-// template untouched, so it can be reused for another batch.
+// TestTemplateSurvivesPoints: forks never write back to their warm
+// template, so a second batch over the same template reproduces the first
+// exactly, and a point run again on its own is deterministic.
 func TestTemplateSurvivesPoints(t *testing.T) {
-	pts := poolPoints(t)
-	tmpl := pts[0].Template
-	before := tmpl.Mem.Snapshot()
-	harness.RunPoints(4, pts)
-	after := tmpl.Mem.Snapshot()
-	if !reflect.DeepEqual(before.Words(), after.Words()) {
-		t.Fatal("running cloned points mutated the template's memory")
+	pts := poolPoints()
+	first := harness.RunPoints(4, pts)
+	second := harness.RunPoints(4, pts)
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("second batch over the template differs:\nfirst=%+v\nsecond=%+v", first, second)
+	}
+	if again := pts[0].Run(); !reflect.DeepEqual(again, first[0]) {
+		t.Fatalf("point not deterministic: %+v vs %+v", again, first[0])
 	}
 }
 

@@ -29,7 +29,7 @@ func BenchmarkPointSetupCold(b *testing.B) {
 	}
 }
 
-// BenchmarkPointSetupClone measures the old template mode: one populated
+// BenchmarkPointSetupClone is fork's comparison point: one populated live
 // machine cloned per point (a clone re-snapshots its source, so it costs
 // two memory copies).
 func BenchmarkPointSetupClone(b *testing.B) {
