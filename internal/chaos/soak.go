@@ -130,23 +130,27 @@ type SoakImage struct {
 	tree      *rbtree.Tree
 	rec       *check.Recorder
 	populated map[uint64]uint64
-	seed      int64
-	threads   int
-	keys      int
-	hwExt     bool
-	nestHLE   bool
+	key       imageKey
 }
 
-// soakFlags maps a scheme name to the machine flags it needs; images are
+// imageKey is an image's fill coordinates. The machine flags are those
+// the scheme's table entry sets (harness.SchemeSpec.Machine); images are
 // only shareable between specs with equal flags.
-func soakFlags(scheme string) (hwExt, nestHLE bool) {
-	switch scheme {
-	case "HLE-HWExt":
-		return true, false
-	case "HLE-SCM-ideal":
-		return false, true
-	}
-	return false, false
+type imageKey struct {
+	seed           int64
+	threads, keys  int
+	hwExt, nestHLE bool
+}
+
+// soakMachine returns the soak machine configuration for spec (defaults
+// applied) and the image coordinates it fills.
+func soakMachine(spec SoakSpec) (tsx.Config, imageKey) {
+	cfg := tsx.DefaultConfig(spec.Threads)
+	cfg.Seed = spec.Seed
+	cfg.MemWords = 1 << 18
+	cfg.TraceRing = 256
+	cfg = spec.Scheme.Machine(cfg)
+	return cfg, imageKey{spec.Seed, spec.Threads, spec.Keys, cfg.HWExt, cfg.NestHLEInRTM}
 }
 
 // BuildSoakImage fills a soak machine for the spec's coordinates and
@@ -155,20 +159,8 @@ func soakFlags(scheme string) (hwExt, nestHLE bool) {
 // scheme/lock/schedule combination with matching coordinates.
 func BuildSoakImage(spec SoakSpec) *SoakImage {
 	spec.defaults()
-	cfg := tsx.DefaultConfig(spec.Threads)
-	cfg.Seed = spec.Seed
-	cfg.MemWords = 1 << 18
-	cfg.TraceRing = 256
-	cfg.HWExt, cfg.NestHLEInRTM = soakFlags(spec.Scheme.Scheme)
-
-	img := &SoakImage{
-		populated: map[uint64]uint64{},
-		seed:      spec.Seed,
-		threads:   spec.Threads,
-		keys:      spec.Keys,
-		hwExt:     cfg.HWExt,
-		nestHLE:   cfg.NestHLEInRTM,
-	}
+	cfg, key := soakMachine(spec)
+	img := &SoakImage{populated: map[uint64]uint64{}, key: key}
 	m := tsx.NewMachine(cfg)
 	m.RunOne(func(th *tsx.Thread) {
 		img.tree = rbtree.New(th)
@@ -194,12 +186,6 @@ type ImageCache struct {
 	m  map[imageKey]*imageSlot
 }
 
-type imageKey struct {
-	seed           int64
-	threads, keys  int
-	hwExt, nestHLE bool
-}
-
 type imageSlot struct {
 	once sync.Once
 	img  *SoakImage
@@ -209,8 +195,7 @@ type imageSlot struct {
 // first request.
 func (c *ImageCache) For(spec SoakSpec) *SoakImage {
 	spec.defaults()
-	hwExt, nestHLE := soakFlags(spec.Scheme.Scheme)
-	k := imageKey{spec.Seed, spec.Threads, spec.Keys, hwExt, nestHLE}
+	_, k := soakMachine(spec)
 	c.mu.Lock()
 	if c.m == nil {
 		c.m = map[imageKey]*imageSlot{}
@@ -243,9 +228,7 @@ func RunSoak(spec SoakSpec) SoakResult {
 // match the spec's.
 func RunSoakFrom(img *SoakImage, spec SoakSpec) SoakResult {
 	spec.defaults()
-	hwExt, nestHLE := soakFlags(spec.Scheme.Scheme)
-	if img.seed != spec.Seed || img.threads != spec.Threads || img.keys != spec.Keys ||
-		img.hwExt != hwExt || img.nestHLE != nestHLE {
+	if _, k := soakMachine(spec); img.key != k {
 		panic("chaos: soak image coordinates do not match spec")
 	}
 	m := tsx.FromCheckpoint(img.cp)

@@ -131,6 +131,10 @@ type chainOut struct {
 
 type explorer struct {
 	cfg *Config
+	// spec is the configuration's scheme and mcfg its exploration
+	// machine (flight recorder off), both resolved once per search.
+	spec harness.SchemeSpec
+	mcfg tsx.Config
 	// tmpl is the config's constructed-machine image, captured once and
 	// forked by every flight-recorder-off replay. nil when the config's
 	// lock isn't value-clonable (mutant locks): those construct per replay.
@@ -138,14 +142,17 @@ type explorer struct {
 }
 
 func newExplorer(cfg *Config, _ *Result) *explorer {
-	return &explorer{cfg: cfg, tmpl: buildTemplate(cfg)}
+	e := &explorer{cfg: cfg, spec: harness.SchemeSpec{Scheme: cfg.Scheme, Lock: cfg.Lock}}
+	e.mcfg = machineConfig(cfg, e.spec)
+	e.tmpl = e.buildTemplate()
+	return e
 }
 
 // replayTemplate is a config's post-construction machine image. The
 // simulated-memory half — lock cells, scheme state, the recorder's ticket
 // cell, the counter lines — lives in the checkpoint; the Go-side driver
 // objects are value-cloned per fork (cloneLock, Recorder.Fresh,
-// assembleScheme), so a fork costs a memory copy instead of re-executing
+// assemble), so a fork costs a memory copy instead of re-executing
 // every constructor through the engine.
 type replayTemplate struct {
 	cp        *tsx.Checkpoint
@@ -161,12 +168,12 @@ type replayTemplate struct {
 // It returns nil when the lock can't be value-cloned; the per-replay
 // construction path remains as fallback (and stays the only path for
 // flight-recorder-on diagnosis machines, whose config differs).
-func buildTemplate(c *Config) *replayTemplate {
+func (e *explorer) buildTemplate() *replayTemplate {
 	tp := &replayTemplate{}
-	m := tsx.NewMachine(machineConfig(c, false))
+	m := tsx.NewMachine(e.mcfg)
 	m.RunOne(func(t *tsx.Thread) {
-		tp.main = buildLock(c, t)
-		tp.aux = buildAuxLocks(c, t)
+		tp.main = buildLock(e.cfg, t)
+		tp.aux = e.auxLocks(t)
 		tp.rec = check.NewRecorder(t)
 		tp.x = t.AllocLines(1)
 		tp.y = t.AllocLines(1)
@@ -209,10 +216,12 @@ func (h *fpHash) mix(v uint64) {
 // machineConfig builds the deterministic exploration machine: no cost
 // jitter, no spurious aborts, no randomness consumed anywhere, so a state
 // is exactly a function of the schedule that reached it. The flight
-// recorder is normally off — it taxes every replay but only matters on the
-// one violating schedule, which the search re-replays ring-enabled
-// (rediagnose) to regenerate the dump with trace events.
-func machineConfig(c *Config, ring bool) tsx.Config {
+// recorder is off — it taxes every replay but only matters on the one
+// violating schedule, which the search re-replays ring-enabled
+// (rediagnose) to regenerate the dump with trace events. The scheme's own
+// hardware comes from the harness scheme table; the mutants then seed
+// their faults.
+func machineConfig(c *Config, spec harness.SchemeSpec) tsx.Config {
 	mcfg := tsx.Config{
 		Procs:         c.Threads,
 		Seed:          1,
@@ -226,26 +235,7 @@ func machineConfig(c *Config, ring bool) tsx.Config {
 		CostJitter:    -1, // negative: disabled (zero would select the default)
 		Costs:         tsx.DefaultCosts(),
 	}
-	if ring {
-		mcfg.TraceRing = 64
-	}
-	if c.Scheme == "HLE-HWExt" {
-		mcfg = hwext.EnableOn(mcfg)
-	}
-	if c.Scheme == "HLE-SCM-ideal" {
-		mcfg.NestHLEInRTM = true
-	}
-	switch c.Scheme {
-	case "HLE-lazy", "RTM-LE-lazy":
-		// Fixed lazy subscription: both Dice et al. fixes on. The scheme's
-		// Setup also selects the mode per thread; setting it machine-wide
-		// keeps the config self-describing.
-		mcfg = hwext.EnableLazyFixed(mcfg)
-	case "HLE-lazy-naive", "RTM-LE-lazy-naive":
-		// Naive lazy subscription: both fixes off — the hazard-reproduction
-		// configurations. Never part of the zero-violation battery.
-		mcfg = hwext.EnableLazyNaive(mcfg)
-	}
+	mcfg = spec.Machine(mcfg)
 	switch c.Mutant {
 	case MutantHWExtNoSuspend:
 		mcfg = hwext.EnableOn(mcfg)
@@ -355,18 +345,21 @@ func (e *explorer) newReplayer(prefix []uint8, ring bool) *replayer {
 			}
 		}
 		r.lock = main
-		r.scheme = assembleScheme(c, main, aux)
+		r.scheme = e.assemble(main, aux)
 		r.rec = tp.rec.Fresh()
 		r.x, r.y = tp.x, tp.y
 		r.lockWords, r.preLock = tp.lockWords, tp.preLock
 		return r
 	}
-	m := tsx.NewMachine(machineConfig(c, ring))
+	mcfg := e.mcfg
+	if ring {
+		mcfg.TraceRing = 64
+	}
+	m := tsx.NewMachine(mcfg)
 	r.m = m
 	m.RunOne(func(t *tsx.Thread) {
 		r.lock = buildLock(c, t)
-		aux := buildAuxLocks(c, t)
-		r.scheme = assembleScheme(c, r.lock, aux)
+		r.scheme = e.assemble(r.lock, e.auxLocks(t))
 		r.rec = check.NewRecorder(t)
 		r.x = t.AllocLines(1)
 		r.y = t.AllocLines(1)
@@ -458,8 +451,8 @@ func (e *explorer) rediagnose(v *Violation) *Violation {
 	return r.vio
 }
 
-// buildLock and buildScheme construct the configuration's lock and scheme
-// in simulated memory, substituting the seeded mutant variants when asked.
+// buildLock constructs the configuration's main lock in simulated memory,
+// substituting the MutantCLHBlindRelease lock when asked.
 func buildLock(c *Config, t *tsx.Thread) locks.Lock {
 	if c.Mutant == MutantCLHBlindRelease {
 		return newBrokenCLH(t)
@@ -471,60 +464,22 @@ func buildLock(c *Config, t *tsx.Thread) locks.Lock {
 	return mk(t)
 }
 
-// buildAuxLocks allocates the auxiliary locks c's scheme needs, in the
-// order assembleScheme consumes them. Splitting allocation from assembly
-// keeps scheme construction replayable from a checkpoint: the allocations
-// (simulated-memory effects) are captured once in the template image,
-// while assembly is pure Go and runs per fork.
-func buildAuxLocks(c *Config, t *tsx.Thread) []locks.Lock {
-	if c.Mutant == MutantSCMLazy {
+// auxLocks and assemble split scheme construction as harness.SchemeSpec
+// does — allocation in simulated memory, then pure-Go assembly — so the
+// allocations are captured once in the template image while assembly runs
+// per fork. MutantSCMLazy substitutes its broken scheme.
+func (e *explorer) auxLocks(t *tsx.Thread) []locks.Lock {
+	if e.cfg.Mutant == MutantSCMLazy {
 		return nil
 	}
-	switch c.Scheme {
-	case "HLE-SCM", "HLE-SCM-ideal", "Opt-SLR-SCM":
-		return []locks.Lock{locks.NewMCS(t)}
-	case "HLE-SCM-multi":
-		return []locks.Lock{locks.NewMCS(t), locks.NewMCS(t), locks.NewMCS(t), locks.NewMCS(t)}
-	}
-	return nil
+	return e.spec.AuxLocks(t)
 }
 
-// assembleScheme wraps already-constructed locks in c's scheme. It performs
-// no simulated-memory accesses, so it is safe to call outside RunOne — in
-// particular on locks cloned from a checkpointed template.
-func assembleScheme(c *Config, main locks.Lock, aux []locks.Lock) core.Scheme {
-	if c.Mutant == MutantSCMLazy {
+func (e *explorer) assemble(main locks.Lock, aux []locks.Lock) core.Scheme {
+	if e.cfg.Mutant == MutantSCMLazy {
 		return newLazySCM(main)
 	}
-	switch c.Scheme {
-	case "Standard":
-		return core.NewStandard(main)
-	case "HLE":
-		return core.NewHLE(main)
-	case "HLE-HWExt":
-		return hwext.New(main)
-	case "RTM-LE":
-		return core.NewRTMLE(main)
-	case "HLE-lazy", "HLE-lazy-naive":
-		// The naive variant is the same scheme code on a machine whose
-		// LazyNo* flags disable the commit-pipeline fixes (machineConfig).
-		return core.NewHLELazy(main)
-	case "RTM-LE-lazy", "RTM-LE-lazy-naive":
-		return core.NewRTMLELazy(main)
-	case "HLE-SCM":
-		return core.NewHLESCM(main, aux[0], core.SCMConfig{})
-	case "HLE-SCM-ideal":
-		return core.NewHLESCM(main, aux[0], core.SCMConfig{Ideal: true})
-	case "HLE-SCM-multi":
-		return core.NewHLESCMMulti(main, aux, core.SCMConfig{})
-	case "Pes-SLR":
-		return core.NewPessimisticSLR(main)
-	case "Opt-SLR":
-		return core.NewSLR(main, 0)
-	case "Opt-SLR-SCM":
-		return core.NewSLRSCM(main, aux[0], core.SCMConfig{})
-	}
-	panic("explore: unknown scheme " + c.Scheme)
+	return e.spec.Assemble(main, aux)
 }
 
 // cloneLock value-copies a constructed lock. Every stock lock is a plain

@@ -90,11 +90,11 @@ func FigCh7(o Options) []*stats.Table {
 					{Scheme: "HLE-SCM", Lock: lock},
 				},
 			})
-			extCfg := machineCfg(o, size)
-			extCfg.HWExt = true
+			ext := harness.SchemeSpec{Scheme: "HLE-HWExt", Lock: lock}
+			extCfg := ext.Machine(machineCfg(o, size))
 			groups = append(groups, dsGroup{
 				size: size, mix: harness.MixModerate, mk: mkRBTree, threads: o.Threads,
-				specs: []harness.SchemeSpec{{Scheme: "HLE-HWExt", Lock: lock}},
+				specs: []harness.SchemeSpec{ext},
 				mcfg:  &extCfg,
 				rcfg:  &harness.Config{Threads: o.Threads, CycleBudget: o.Budget},
 				runs:  1,

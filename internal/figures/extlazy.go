@@ -13,13 +13,16 @@ import (
 	"hle/internal/tsx"
 )
 
-// lazyModes are the subscription modes the sweep compares. Eager is real
-// Haswell HLE (the lock line joins the read set at XACQUIRE). Lazy-naive
-// defers the subscription and applies neither of the Dice et al. fixes —
-// it is unsafe, and the "lost" column is allowed to show it. Lazy-fixed
-// is the full pipeline: commit-time lock check ordered before the
-// write-set drain, plus the commit-window abort.
-var lazyModes = []string{"eager", "lazy-naive", "lazy-fixed"}
+// lazyModes are the subscription modes the sweep compares, each with the
+// harness scheme that runs it. Eager is real Haswell HLE (the lock line
+// joins the read set at XACQUIRE). Lazy-naive defers the subscription and
+// applies neither of the Dice et al. fixes — it is unsafe, and the "lost"
+// column is allowed to show it. Lazy-fixed is the full pipeline:
+// commit-time lock check ordered before the write-set drain, plus the
+// commit-window abort.
+var lazyModes = []struct{ name, scheme string }{
+	{"eager", "HLE"}, {"lazy-naive", "HLE-lazy-naive"}, {"lazy-fixed", "HLE-lazy"},
+}
 
 // lazyWorkload is the FORTH-style footprint of each critical section:
 // a large shared read scan, a small private write burst, and one shared
@@ -104,17 +107,13 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 
 	harness.ParallelFor(o.Parallel, len(coords), func(i int) {
 		c := coords[i]
-		mode := lazyModes[c.mi]
+		mode := lazyModes[c.mi].name
+		spec := harness.SchemeSpec{Scheme: lazyModes[c.mi].scheme}
 		cfg := tsx.DefaultConfig(o.Threads)
 		cfg.Seed = harness.DeriveSeed(o.Seed, c.mi, c.ri, c.wi)
 		cfg.MemWords = 1 << 16
 		cfg = hwext.LimitSets(cfg, readCaps[c.ri], writeCaps[c.wi])
-		switch mode {
-		case "lazy-naive":
-			cfg = hwext.EnableLazyNaive(cfg)
-		case "lazy-fixed":
-			cfg = hwext.EnableLazyFixed(cfg)
-		}
+		cfg = spec.Machine(cfg)
 		popts := obs.Options{}
 		if o.Profile != nil {
 			popts = *o.Profile
@@ -134,11 +133,7 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 				priv[id] = th.AllocLines(lazyWriteLines * mem.LineWords)
 			}
 			counter = th.AllocLines(1)
-			if mode == "eager" {
-				scheme = core.NewHLE(lock)
-			} else {
-				scheme = core.NewHLELazy(lock)
-			}
+			scheme = spec.Assemble(lock, nil)
 		})
 		threads := m.Run(o.Threads, func(th *tsx.Thread) {
 			scheme.Setup(th)
@@ -204,12 +199,12 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 	for i, c := range coords {
 		p := points[i]
 		bench.Points = append(bench.Points, LazyPoint{
-			Mode: lazyModes[c.mi], ReadCap: readCaps[c.ri], WriteCap: writeCaps[c.wi],
+			Mode: lazyModes[c.mi].name, ReadCap: readCaps[c.ri], WriteCap: writeCaps[c.wi],
 			Throughput: p.throughput, SpecFrac: p.spec,
 			Aborts: p.aborts, LockLine: p.lockLine, Subscr: p.subscr,
 			CapRead: p.capRead, CapWrite: p.capWrite, Lost: p.lost,
 		})
-		tb.AddRow(lazyModes[c.mi],
+		tb.AddRow(lazyModes[c.mi].name,
 			stats.I(readCaps[c.ri]), stats.I(writeCaps[c.wi]),
 			stats.F2(p.throughput), stats.F3(p.spec),
 			stats.I(int(p.aborts)), stats.I(int(p.lockLine)), stats.I(int(p.subscr)),
@@ -219,7 +214,7 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 	if o.Profile != nil {
 		for i, c := range coords {
 			o.emitProfile(fmt.Sprintf("%s/r%d/w%d",
-				lazyModes[c.mi], readCaps[c.ri], writeCaps[c.wi]), points[i].col)
+				lazyModes[c.mi].name, readCaps[c.ri], writeCaps[c.wi]), points[i].col)
 		}
 	}
 	return bench, []*stats.Table{tb}

@@ -10,8 +10,6 @@ import (
 
 	"hle/internal/adapt"
 	"hle/internal/core"
-	"hle/internal/hwext"
-	"hle/internal/locks"
 	"hle/internal/obs"
 	"hle/internal/stats"
 	"hle/internal/tsx"
@@ -232,92 +230,11 @@ func ControllerEvents(trs []adapt.Transition) []obs.ControllerEvent {
 	return out
 }
 
-// SchemeSpec names a scheme and, where applicable, how to build it.
-type SchemeSpec struct {
-	// Scheme is one of: Standard, NoLock, HLE, HLE-HWExt, RTM-LE,
-	// HLE-SCM, HLE-SCM-ideal, HLE-SCM-multi, Pes-SLR, Opt-SLR,
-	// Opt-SLR-SCM, Adaptive.
-	Scheme string
-	// Lock is a locks.MakerByName name: TTAS, MCS, Ticket, AdjTicket,
-	// CLH, AdjCLH. Ignored by NoLock.
-	Lock string
-	// Adapt tunes the Adaptive scheme's controller; nil selects the
-	// adapt defaults. Ignored by every other scheme.
-	Adapt *adapt.Config
-	// Monitor, when non-nil, wraps the scheme's locks (main and
-	// auxiliary) with locks.Monitored so their non-speculative
-	// transitions feed a waits-for graph — pair it with
-	// WatchdogConfig.Monitor for deadlock detection. Wrapping performs
-	// no simulated accesses, so it never changes the simulated run.
-	Monitor *locks.Monitor
-}
-
-// String renders "Scheme/Lock".
-func (s SchemeSpec) String() string {
-	if s.Scheme == "NoLock" {
-		return s.Scheme
-	}
-	return s.Scheme + " " + s.Lock
-}
-
-// Build constructs the scheme (and its locks) in t's simulated memory.
-// SCM variants always use an MCS auxiliary lock, the starvation-free lock
-// the paper requires.
-func (s SchemeSpec) Build(t *tsx.Thread) core.Scheme {
-	if s.Scheme == "NoLock" {
-		return core.NewNoLock()
-	}
-	mk := locks.MakerByName(s.Lock)
-	if mk == nil {
-		panic("harness: unknown lock " + s.Lock)
-	}
-	main := mk(t)
-	aux := func() locks.Lock { return locks.NewMCS(t) }
-	if s.Monitor != nil {
-		main = locks.Monitored(main, s.Monitor)
-		inner := aux
-		aux = func() locks.Lock { return locks.Monitored(inner(), s.Monitor) }
-	}
-	switch s.Scheme {
-	case "Standard":
-		return core.NewStandard(main)
-	case "HLE":
-		return core.NewHLE(main)
-	case "HLE-HWExt":
-		return hwext.New(main)
-	case "RTM-LE":
-		return core.NewRTMLE(main)
-	case "HLE-lazy":
-		return core.NewHLELazy(main)
-	case "RTM-LE-lazy":
-		return core.NewRTMLELazy(main)
-	case "HLE-SCM":
-		return core.NewHLESCM(main, aux(), core.SCMConfig{})
-	case "HLE-SCM-ideal":
-		return core.NewHLESCM(main, aux(), core.SCMConfig{Ideal: true})
-	case "HLE-SCM-multi":
-		return core.NewHLESCMMulti(main, []locks.Lock{aux(), aux(), aux(), aux()}, core.SCMConfig{})
-	case "Pes-SLR":
-		return core.NewPessimisticSLR(main)
-	case "Opt-SLR":
-		return core.NewSLR(main, 0)
-	case "Opt-SLR-SCM":
-		return core.NewSLRSCM(main, aux(), core.SCMConfig{})
-	case "Adaptive":
-		var acfg core.AdaptiveConfig
-		if s.Adapt != nil {
-			acfg.Controller = *s.Adapt
-		}
-		return core.NewAdaptive(main, aux(), acfg)
-	}
-	panic("harness: unknown scheme " + s.Scheme)
-}
-
 // Point runs one full experiment point: a fresh machine is built from
-// mcfg, the workload is created and populated, the scheme is built, and
-// the measurement runs.
+// mcfg (adjusted to the scheme's hardware, spec.Machine), the workload is
+// created and populated, the scheme is built, and the measurement runs.
 func Point(mcfg tsx.Config, spec SchemeSpec, mkWorkload func(t *tsx.Thread) Workload, cfg Config) Result {
-	m := tsx.NewMachine(mcfg)
+	m := tsx.NewMachine(spec.Machine(mcfg))
 	var scheme core.Scheme
 	var w Workload
 	m.RunOne(func(t *tsx.Thread) {

@@ -72,29 +72,38 @@ func TestTimelineCollection(t *testing.T) {
 	}
 }
 
-// TestAllSchemeSpecsBuild ensures the factory covers the full matrix.
+// TestAllSchemeSpecsBuild builds every scheme table entry on every lock,
+// each on the machine its entry asks for.
 func TestAllSchemeSpecsBuild(t *testing.T) {
-	for _, scheme := range []string{
-		"Standard", "HLE", "HLE-HWExt", "RTM-LE", "HLE-SCM",
-		"HLE-SCM-ideal", "HLE-SCM-multi", "Pes-SLR", "Opt-SLR", "Opt-SLR-SCM",
-	} {
+	for _, scheme := range harness.SchemeNames() {
 		for _, lock := range []string{"TTAS", "MCS", "Ticket", "AdjTicket", "CLH", "AdjCLH"} {
 			spec := harness.SchemeSpec{Scheme: scheme, Lock: lock}
-			m := tsx.NewMachine(machineCfg(1, 1))
+			m := tsx.NewMachine(spec.Machine(machineCfg(1, 1)))
 			m.RunOne(func(th *tsx.Thread) {
-				s := spec.Build(th)
-				if s == nil {
+				if s := spec.Build(th); s == nil {
 					t.Errorf("%v built nil", spec)
 				}
 			})
 		}
 	}
-	m := tsx.NewMachine(machineCfg(1, 1))
-	m.RunOne(func(th *tsx.Thread) {
-		if (harness.SchemeSpec{Scheme: "NoLock"}).Build(th) == nil {
-			t.Error("NoLock build failed")
-		}
-	})
+}
+
+// TestBuildRejectsMissingHardware: a scheme that needs machine hardware
+// refuses to build on a machine without it, instead of silently running
+// as a different scheme under its label.
+func TestBuildRejectsMissingHardware(t *testing.T) {
+	for _, scheme := range []string{"HLE-HWExt", "HLE-SCM-ideal"} {
+		spec := harness.SchemeSpec{Scheme: scheme, Lock: "TTAS"}
+		m := tsx.NewMachine(machineCfg(1, 1))
+		m.RunOne(func(th *tsx.Thread) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v built on a machine without its hardware", spec)
+				}
+			}()
+			spec.Build(th)
+		})
+	}
 }
 
 func TestHashTableWorkload(t *testing.T) {

@@ -179,6 +179,13 @@ func TestSchemeMakerByName(t *testing.T) {
 	if shard.SchemeMakerByName("nope") != nil {
 		t.Error("unknown scheme name should return nil")
 	}
+	// A store cannot select machine hardware, so schemes that need it
+	// have no maker.
+	for _, name := range []string{"HLE-HWExt", "HLE-SCM-ideal", "HLE-lazy-naive"} {
+		if shard.SchemeMakerByName(name) != nil {
+			t.Errorf("SchemeMakerByName(%q) != nil", name)
+		}
+	}
 	m := testMachine(1, 256)
 	m.RunOne(func(th *tsx.Thread) {
 		d := shard.NewData(th, shard.DataConfig{Shards: 2})

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"hle/internal/core"
+	"hle/internal/harness"
 	"hle/internal/locks"
 	"hle/internal/tsx"
 )
@@ -14,34 +16,20 @@ import (
 // controller and feed — and shards never share synchronization state.
 type SchemeMaker func(t *tsx.Thread, main locks.Lock, si int) core.Scheme
 
-// SchemeMakerByName returns a maker for the harness scheme names the
-// sharded experiments sweep (Standard, HLE, RTM-LE, HLE-SCM, Adaptive),
-// or nil for an unknown name. SCM variants and the adaptive scheme use an
-// MCS auxiliary lock, as the paper requires.
+// SchemeMakerByName returns a maker for a harness scheme name, built
+// from the harness scheme table: each shard's auxiliary locks are
+// allocated after its main lock, as harness.SchemeSpec.Build does. It
+// returns nil for an unknown name and for schemes that need machine
+// hardware (HLE-HWExt, HLE-SCM-ideal, the naive lazy variants), which a
+// store cannot select.
 func SchemeMakerByName(name string) SchemeMaker {
-	switch name {
-	case "Standard":
-		return func(t *tsx.Thread, main locks.Lock, si int) core.Scheme {
-			return core.NewStandard(main)
-		}
-	case "HLE":
-		return func(t *tsx.Thread, main locks.Lock, si int) core.Scheme {
-			return core.NewHLE(main)
-		}
-	case "RTM-LE":
-		return func(t *tsx.Thread, main locks.Lock, si int) core.Scheme {
-			return core.NewRTMLE(main)
-		}
-	case "HLE-SCM":
-		return func(t *tsx.Thread, main locks.Lock, si int) core.Scheme {
-			return core.NewHLESCM(main, locks.NewMCS(t), core.SCMConfig{})
-		}
-	case "Adaptive":
-		return func(t *tsx.Thread, main locks.Lock, si int) core.Scheme {
-			return core.NewAdaptive(main, locks.NewMCS(t), core.AdaptiveConfig{})
-		}
+	spec := harness.SchemeSpec{Scheme: name}
+	if !slices.Contains(harness.SchemeNames(), name) || !spec.RunsOn(tsx.Config{}) {
+		return nil
 	}
-	return nil
+	return func(t *tsx.Thread, main locks.Lock, si int) core.Scheme {
+		return spec.Assemble(main, spec.AuxLocks(t))
+	}
 }
 
 // StoreConfig configures the synchronization half of a sharded store.
