@@ -47,9 +47,9 @@ func AblationSCMRetries(o Options) []*stats.Table {
 			Cfg: harness.Config{Threads: o.Threads, CycleBudget: o.Budget},
 		})
 	}
-	results := o.runPoints(points, func(i int) string {
+	results := measureSpecs(o, points, func(i int) string {
 		return fmt.Sprintf("retries%d", retriesSweep[i])
-	})
+	}, nil)
 	for i, r := range retriesSweep {
 		res := results[i]
 		tb.AddRow(stats.I(r), stats.F2(res.Throughput),
@@ -95,9 +95,9 @@ func AblationSpurious(o Options) []*stats.Table {
 			})
 		}
 	}
-	results := o.runPoints(points, func(i int) string {
+	results := measureSpecs(o, points, func(i int) string {
 		return fmt.Sprintf("rate%s/%s", stats.E2(rates[i/len(schemes)]), schemes[i%len(schemes)])
-	})
+	}, nil)
 	for ri, rate := range rates {
 		row := []string{stats.E2(rate)}
 		for si := range schemes {
@@ -120,58 +120,55 @@ func AblationMultiAux(o Options) []*stats.Table {
 		Header: []string{"scheme", "throughput", "attempts/op", "non-spec frac"},
 	}
 	variants := []string{"HLE-SCM", "HLE-SCM-multi"}
-	type row struct {
-		tput float64
-		res  harness.Result
-	}
-	rows := make([]row, len(variants))
-	cols := make([]*obs.Collector, len(variants))
-	harness.ParallelFor(o.Parallel, len(variants), func(vi int) {
-		cfg := machineCfg(o, 64)
-		cols[vi] = o.attachProfile(&cfg, variants[vi])
-		m := tsx.NewMachine(cfg)
-		var s core.Scheme
-		var cells []mem.Addr
-		m.RunOne(func(t *tsx.Thread) {
-			s = harness.SchemeSpec{Scheme: variants[vi], Lock: "TTAS"}.Build(t)
-			// Independent hot counters, each fought over by a pair
-			// of threads with long critical sections: conflicts
-			// within a pair are frequent but pairs never conflict
-			// with each other — exactly the case where one global
-			// conflict group over-serializes.
-			for i := 0; i < 4; i++ {
-				cells = append(cells, t.AllocLines(1))
+	results, _ := measure(o, len(variants), func(vi int) string { return "hotpairs/" + variants[vi] }, nil,
+		func(vi int, prof *obs.Options) (harness.Result, *obs.Profile) {
+			cfg := machineCfg(o, 64)
+			var profile func() *obs.Profile
+			cfg.Observer, profile = observe(prof, variants[vi])
+			m := tsx.NewMachine(cfg)
+			var s core.Scheme
+			var cells []mem.Addr
+			m.RunOne(func(t *tsx.Thread) {
+				s = harness.SchemeSpec{Scheme: variants[vi], Lock: "TTAS"}.Build(t)
+				// Independent hot counters, each fought over by a pair
+				// of threads with long critical sections: conflicts
+				// within a pair are frequent but pairs never conflict
+				// with each other — exactly the case where one global
+				// conflict group over-serializes.
+				for i := 0; i < 4; i++ {
+					cells = append(cells, t.AllocLines(1))
+				}
+			})
+			var res harness.Result
+			threads := m.Run(o.Threads, func(t *tsx.Thread) {
+				s.Setup(t)
+				cell := cells[t.ID%len(cells)]
+				for t.Clock() < o.Budget {
+					s.Run(t, func() {
+						v := t.Load(cell)
+						t.Work(120)
+						t.Store(cell, v+1)
+					})
+					// Randomized think time keeps the pair phases
+					// colliding instead of settling into polite
+					// alternation.
+					t.Work(uint64(t.Rand().Intn(200)))
+				}
+			})
+			for _, t := range threads {
+				res.TSX.Add(t.Stats)
+				if t.Clock() > res.MaxClock {
+					res.MaxClock = t.Clock()
+				}
 			}
+			res.Ops = s.TotalStats()
+			res.Throughput = float64(res.Ops.Ops) * 1e6 / float64(res.MaxClock)
+			return res, profile()
 		})
-		var res harness.Result
-		threads := m.Run(o.Threads, func(t *tsx.Thread) {
-			s.Setup(t)
-			cell := cells[t.ID%len(cells)]
-			for t.Clock() < o.Budget {
-				s.Run(t, func() {
-					v := t.Load(cell)
-					t.Work(120)
-					t.Store(cell, v+1)
-				})
-				// Randomized think time keeps the pair phases
-				// colliding instead of settling into polite
-				// alternation.
-				t.Work(uint64(t.Rand().Intn(200)))
-			}
-		})
-		for _, t := range threads {
-			res.TSX.Add(t.Stats)
-			if t.Clock() > res.MaxClock {
-				res.MaxClock = t.Clock()
-			}
-		}
-		res.Ops = s.TotalStats()
-		rows[vi] = row{float64(res.Ops.Ops) * 1e6 / float64(res.MaxClock), res}
-	})
 	for vi, variant := range variants {
-		tb.AddRow(variant, stats.F2(rows[vi].tput),
-			stats.F2(rows[vi].res.Ops.AttemptsPerOp()), stats.F3(rows[vi].res.Ops.NonSpecFraction()))
-		o.emitProfile("hotpairs/"+variant, cols[vi])
+		res := results[vi]
+		tb.AddRow(variant, stats.F2(res.Throughput),
+			stats.F2(res.Ops.AttemptsPerOp()), stats.F3(res.Ops.NonSpecFraction()))
 	}
 	return []*stats.Table{tb}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hle/internal/harness"
-	"hle/internal/obs"
 	"hle/internal/stats"
 )
 
@@ -49,35 +48,23 @@ func ExtAdapt(o Options) []*stats.Table {
 	for si := range sizes {
 		for li, lock := range locks {
 			for ki, scheme := range schemes {
-				cfg := harness.Config{Threads: o.Threads, CycleBudget: o.Budget, Warmup: o.Budget}
-				cfg.Profile = o.Profile
-				if scheme == "Adaptive" && cfg.Profile == nil {
-					// The transition count comes from the profile's
-					// controller log; attach a collector even when the
-					// figure run is not profiling. Collection is passive,
-					// so the measured numbers are unchanged.
-					cfg.Profile = &obs.Options{}
-				}
 				points = append(points, harness.PointSpec{
 					Warm:   templates[si],
 					Scheme: harness.SchemeSpec{Scheme: scheme, Lock: lock},
 					Seed:   harness.DeriveSeed(o.Seed, si, li, ki),
 					Runs:   o.Runs,
-					Cfg:    cfg,
+					Cfg:    harness.Config{Threads: o.Threads, CycleBudget: o.Budget, Warmup: o.Budget},
 				})
 				coords = append(coords, coord{si, li, ki})
 			}
 		}
 	}
-	results := harness.RunPoints(o.Parallel, points)
-	if o.Profile != nil && o.ProfileSink != nil {
-		for pi, r := range results {
-			if r.Profile != nil {
-				c := coords[pi]
-				o.ProfileSink(fmt.Sprintf("size%d/%s %s", sizes[c.si], schemes[c.ki], locks[c.li]), r.Profile)
-			}
-		}
-	}
+	// The transition count comes from the profile's controller log, so the
+	// Adaptive points collect even when the figure run is not profiling.
+	results := measureSpecs(o, points, func(pi int) string {
+		c := coords[pi]
+		return fmt.Sprintf("size%d/%s %s", sizes[c.si], schemes[c.ki], locks[c.li])
+	}, func(pi int) bool { return schemes[coords[pi].ki] == "Adaptive" })
 
 	byPoint := make(map[coord]harness.Result, len(results))
 	for pi, r := range results {

@@ -46,24 +46,18 @@ func ExtChaos(o Options) []*stats.Table {
 			}
 		}
 	}
-	results := make([]chaos.SoakResult, len(pts))
-	cols := make([]*obs.Collector, len(pts))
-	harness.ParallelFor(o.Parallel, len(pts), func(i int) {
+	results, _ := measure(o, len(pts), func(i int) string {
+		p := pts[i]
+		return fmt.Sprintf("%s/%s/rep%d", schemes[p.si], locks[p.li], p.rep)
+	}, nil, func(i int, prof *obs.Options) (chaos.SoakResult, *obs.Profile) {
 		p := pts[i]
 		s := spec
 		s.Scheme = harness.SchemeSpec{Scheme: schemes[p.si], Lock: locks[p.li]}
 		s.Seed = harness.DeriveSeed(o.Seed, p.si, p.li, p.rep)
-		if o.Profile != nil {
-			col := obs.New(*o.Profile)
-			col.SetLabel(s.Scheme.String())
-			cols[i] = col
-			s.Observer = col
-		}
-		results[i] = chaos.RunSoak(s)
+		var profile func() *obs.Profile
+		s.Observer, profile = observe(prof, s.Scheme.String())
+		return chaos.RunSoak(s), profile()
 	})
-	for i, p := range pts {
-		o.emitProfile(fmt.Sprintf("%s/%s/rep%d", schemes[p.si], locks[p.li], p.rep), cols[i])
-	}
 
 	tb := &stats.Table{
 		Title: fmt.Sprintf("Extension — chaos soak: %d randomized fault schedules per point, serializability-checked, watchdogs armed", schedules),

@@ -92,7 +92,6 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 		capRead    uint64
 		capWrite   uint64
 		lost       int64
-		col        *obs.Collector
 	}
 	type coord struct{ mi, ri, wi int }
 	var coords []coord
@@ -103,9 +102,11 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 			}
 		}
 	}
-	points := make([]point, len(coords))
-
-	harness.ParallelFor(o.Parallel, len(coords), func(i int) {
+	// Every point profiles: the attribution columns read the profile.
+	points, _ := measure(o, len(coords), func(i int) string {
+		c := coords[i]
+		return fmt.Sprintf("%s/r%d/w%d", lazyModes[c.mi].name, readCaps[c.ri], writeCaps[c.wi])
+	}, everyPoint, func(i int, popts *obs.Options) (point, *obs.Profile) {
 		c := coords[i]
 		mode := lazyModes[c.mi].name
 		spec := harness.SchemeSpec{Scheme: lazyModes[c.mi].scheme}
@@ -114,13 +115,8 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 		cfg.MemWords = 1 << 16
 		cfg = hwext.LimitSets(cfg, readCaps[c.ri], writeCaps[c.wi])
 		cfg = spec.Machine(cfg)
-		popts := obs.Options{}
-		if o.Profile != nil {
-			popts = *o.Profile
-		}
-		col := obs.New(popts)
-		col.SetLabel(fmt.Sprintf("%s r%d w%d", mode, readCaps[c.ri], writeCaps[c.wi]))
-		cfg.Observer = col
+		var profile func() *obs.Profile
+		cfg.Observer, profile = observe(popts, fmt.Sprintf("%s r%d w%d", mode, readCaps[c.ri], writeCaps[c.wi]))
 		m := tsx.NewMachine(cfg)
 
 		var scheme core.Scheme
@@ -171,12 +167,11 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 				mode, readCaps[c.ri], writeCaps[c.wi], lost))
 		}
 
-		prof := col.Profile()
+		prof := profile()
 		prof.EngineAborts = engineAborts
-		checkAttribution(fmt.Sprintf("ext-lazy %s r%d w%d", mode, readCaps[c.ri], writeCaps[c.wi]), prof)
 
 		st := scheme.TotalStats()
-		points[i] = point{
+		return point{
 			throughput: float64(expected) / (float64(maxClock) / 1e6),
 			spec:       float64(st.Spec) / float64(st.Ops),
 			aborts:     prof.TotalAborts,
@@ -185,8 +180,7 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 			capRead:    prof.Cause(obs.ClassCapacityRead),
 			capWrite:   prof.Cause(obs.ClassCapacityWrite),
 			lost:       lost,
-			col:        col,
-		}
+		}, prof
 	})
 
 	bench := &LazyBench{}
@@ -210,12 +204,6 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 			stats.I(int(p.aborts)), stats.I(int(p.lockLine)), stats.I(int(p.subscr)),
 			stats.I(int(p.capRead)), stats.I(int(p.capWrite)),
 			stats.I(int(p.lost)))
-	}
-	if o.Profile != nil {
-		for i, c := range coords {
-			o.emitProfile(fmt.Sprintf("%s/r%d/w%d",
-				lazyModes[c.mi].name, readCaps[c.ri], writeCaps[c.wi]), points[i].col)
-		}
 	}
 	return bench, []*stats.Table{tb}
 }

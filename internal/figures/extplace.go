@@ -11,7 +11,6 @@ import (
 	"hle/internal/stamp"
 	"hle/internal/stats"
 	"hle/internal/traffic"
-	"hle/internal/tsx"
 )
 
 // placeRegimes are the placement regimes the sweep ablates: the four
@@ -74,19 +73,6 @@ func placeAxes(o Options) (workloads []string, stampApps []string) {
 // (auto-pad's layout is derived at run time from the burst instead).
 func placeLayout(pi int) mem.Layout {
 	return mem.Layout{Placement: mem.Placement(pi)}
-}
-
-// checkAttribution enforces the abort-attribution invariant on a profiled
-// point: every abort classified exactly once, under every placement
-// policy. A violation is a simulator bug, not a measurement.
-func checkAttribution(where string, p *obs.Profile) {
-	if p == nil {
-		return
-	}
-	if p.CauseSum() != p.TotalAborts || p.TotalAborts != p.EngineAborts {
-		panic(fmt.Sprintf("figures: %s: abort attribution broken: causes %d, observed %d, engine %d",
-			where, p.CauseSum(), p.TotalAborts, p.EngineAborts))
-	}
 }
 
 // ExtPlace ablates memory placement: STAMP + service workloads × placement
@@ -202,16 +188,11 @@ func PlaceSweep(o Options) (*PlaceBench, []*stats.Table) {
 		for pi := range placeRegimes {
 			c := cells[[2]int{wi, pi}]
 			for ki, scheme := range placeSchemes {
-				cfg := harness.Config{Threads: o.Threads, CycleBudget: o.Budget, Warmup: o.Budget}
-				cfg.Profile = o.Profile
-				if cfg.Profile == nil {
-					cfg.Profile = &obs.Options{}
-				}
 				p := harness.PointSpec{
 					Warm: c.tmpl,
 					Seed: harness.DeriveSeed(o.Seed, wi, pi, ki),
 					Runs: o.Runs,
-					Cfg:  cfg,
+					Cfg:  harness.Config{Threads: o.Threads, CycleBudget: o.Budget, Warmup: o.Budget},
 				}
 				if w == "store" {
 					p.MkScheme = storeScheme(c.data, scheme)
@@ -223,94 +204,74 @@ func PlaceSweep(o Options) (*PlaceBench, []*stats.Table) {
 			}
 		}
 	}
-	results := harness.RunPoints(o.Parallel, points)
-	if o.Profile != nil && o.ProfileSink != nil {
-		for pi, r := range results {
-			if r.Profile != nil {
-				c := coords[pi]
-				o.ProfileSink(fmt.Sprintf("%s/%s/%s",
-					workloads[c.wi], placeRegimes[c.pi], placeSchemes[c.ki]), r.Profile)
-			}
-		}
-	}
+	results := measureSpecs(o, points, func(pi int) string {
+		c := coords[pi]
+		return fmt.Sprintf("%s/%s/%s", workloads[c.wi], placeRegimes[c.pi], placeSchemes[c.ki])
+	}, everyPoint)
 	byPoint := make(map[coord]harness.Result, len(results))
 	for pi, r := range results {
-		c := coords[pi]
-		byPoint[c] = r
-		checkAttribution(fmt.Sprintf("%s/%s/%s",
-			workloads[c.wi], placeRegimes[c.pi], placeSchemes[c.ki]), r.Profile)
+		byPoint[coords[pi]] = r
 	}
 
 	// STAMP under placement: each app runs the fixed workload to
-	// completion under HLE/MCS per regime. The packed run doubles as the
-	// auto-pad burst: its full-heatmap profile plans the padding.
+	// completion under HLE/MCS per regime, always profiled with the full
+	// heatmap. The packed runs go first: their heatmaps double as the
+	// auto-pad bursts that plan each app's padding.
 	stampSpec := harness.SchemeSpec{Scheme: "HLE", Lock: "MCS"}
-	apps := stamp.Apps()
-	appMaker := func(name string) func(t *tsxThread) stamp.App {
-		for _, a := range apps {
+	apps := make([]stampApp, len(stampApps))
+	for si, name := range stampApps {
+		for _, a := range stamp.Apps() {
 			if a.Name == name {
-				return a.Make
+				apps[si] = a
 			}
 		}
-		panic("figures: unknown STAMP app " + name)
 	}
-	stampRun := func(name string, l mem.Layout, label string) (stamp.Result, *obs.Profile) {
-		cfg := tsx.DefaultConfig(o.Threads)
-		cfg.Seed = o.Seed
-		cfg.MemWords = 1 << 19
-		cfg.Layout = l
-		col := obs.New(obs.Options{TopLines: -1})
-		col.SetLabel(label)
-		cfg.Observer = col
-		res, err := stamp.Run(cfg, stampSpec, appMaker(name), o.Threads)
-		if err != nil {
-			panic(fmt.Sprintf("figures: ext-place %s: %v", label, err))
-		}
-		prof := col.Profile()
-		prof.EngineAborts = res.TSX.TotalAborts()
-		checkAttribution(label, prof)
-		if o.Profile != nil && o.ProfileSink != nil {
-			o.ProfileSink(label, prof)
-		}
-		return res, prof
+	stampName := func(si, pi int) string { return "stamp/" + stampApps[si] + "/" + placeRegimes[pi] }
+	stampRun := func(si, pi int, l mem.Layout, prof *obs.Options) (stamp.Result, *obs.Profile) {
+		full := *prof
+		full.TopLines = -1
+		return stampPoint(o, apps[si], stampSpec, l, &full, stampName(si, pi))
 	}
-
-	type stampCell struct {
-		res  stamp.Result
-		prof *obs.Profile
-		plan []int
-	}
-	grid := make([]stampCell, len(stampApps)*len(placeRegimes))
-	at := func(si, pi int) *stampCell { return &grid[si*len(placeRegimes)+pi] }
-	// Phase 1: packed runs, whose heatmaps seed the auto-pad plans.
-	harness.ParallelFor(o.Parallel, len(stampApps), func(si int) {
-		c := at(si, 0)
-		c.res, c.prof = stampRun(stampApps[si], placeLayout(0),
-			"stamp/"+stampApps[si]+"/packed")
-		for _, l := range c.prof.Lines {
-			if len(c.plan) >= harness.DefaultAutoPadTopK {
+	packedRes, packedProf := measure(o, len(stampApps), func(si int) string { return stampName(si, 0) }, everyPoint,
+		func(si int, prof *obs.Options) (stamp.Result, *obs.Profile) {
+			return stampRun(si, 0, placeLayout(0), prof)
+		})
+	plans := make([][]int, len(stampApps))
+	for si, p := range packedProf {
+		for _, l := range p.Lines {
+			if len(plans[si]) >= harness.DefaultAutoPadTopK {
 				break
 			}
 			if !l.LockLine && l.Count > 0 {
-				c.plan = append(c.plan, l.Line)
+				plans[si] = append(plans[si], l.Line)
 			}
 		}
-	})
-	// Phase 2: the remaining regimes, fanned out over (app, regime).
-	harness.ParallelFor(o.Parallel, len(stampApps)*(len(placeRegimes)-1), func(i int) {
-		si, pi := i/(len(placeRegimes)-1), i%(len(placeRegimes)-1)+1
-		l := placeLayout(pi)
-		if placeRegimes[pi] == "auto-pad" {
-			plan := make(map[int]bool)
-			for _, line := range at(si, 0).plan {
-				plan[line] = true
+	}
+	// The remaining regimes, fanned out over (app, regime).
+	rest := len(placeRegimes) - 1
+	restRes, restProf := measure(o, len(stampApps)*rest, func(i int) string { return stampName(i/rest, i%rest+1) }, everyPoint,
+		func(i int, prof *obs.Options) (stamp.Result, *obs.Profile) {
+			si, pi := i/rest, i%rest+1
+			l := placeLayout(pi)
+			if placeRegimes[pi] == "auto-pad" {
+				plan := make(map[int]bool)
+				for _, line := range plans[si] {
+					plan[line] = true
+				}
+				l = mem.Layout{}.WithPadLines(plan)
 			}
-			l = mem.Layout{}.WithPadLines(plan)
+			return stampRun(si, pi, l, prof)
+		})
+	type stampCell struct {
+		res  stamp.Result
+		prof *obs.Profile
+	}
+	at := func(si, pi int) stampCell {
+		if pi == 0 {
+			return stampCell{packedRes[si], packedProf[si]}
 		}
-		c := at(si, pi)
-		c.res, c.prof = stampRun(stampApps[si], l,
-			"stamp/"+stampApps[si]+"/"+placeRegimes[pi])
-	})
+		return stampCell{restRes[si*rest+pi-1], restProf[si*rest+pi-1]}
+	}
 
 	// Assembly, all in declaration order.
 	dataConf := func(p *obs.Profile) uint64 { return p.Cause(obs.ClassConflictDataLine) }
@@ -391,7 +352,7 @@ func PlaceSweep(o Options) (*PlaceBench, []*stats.Table) {
 	for si, app := range stampApps {
 		bench.AutoPad = append(bench.AutoPad, PlaceAutoPad{
 			Workload:    "stamp/" + app,
-			PlanLines:   at(si, 0).plan,
+			PlanLines:   plans[si],
 			PackedData:  dataConf(at(si, 0).prof),
 			AutoPadData: dataConf(at(si, len(placeRegimes)-1).prof),
 		})

@@ -118,19 +118,10 @@ func ShardSweep(o Options) (*ShardBench, []*stats.Table) {
 	var points []harness.PointSpec
 	var coords []coord
 	for mi := range mixes {
-		for zi, skew := range skews {
-			for hi, shards := range shardCounts {
+		for zi := range skews {
+			for hi := range shardCounts {
 				c := cells[[3]int{mi, zi, hi}]
 				for ki, scheme := range shardSchemes {
-					cfg := harness.Config{Threads: o.Threads, CycleBudget: o.Budget, Warmup: o.Budget}
-					cfg.Profile = o.Profile
-					if cfg.Profile == nil && mi == 0 && skew == maxSkew && shards == maxShards {
-						// The hot-shard heatmap reads these points' profiles
-						// even when the figure run is not profiling;
-						// collection is passive, so measurements are
-						// unchanged.
-						cfg.Profile = &obs.Options{}
-					}
 					data, maker := c.data, shard.SchemeMakerByName(scheme)
 					points = append(points, harness.PointSpec{
 						Warm: c.tmpl,
@@ -139,24 +130,22 @@ func ShardSweep(o Options) (*ShardBench, []*stats.Table) {
 						},
 						Seed: harness.DeriveSeed(o.Seed, mi, zi, hi, ki),
 						Runs: o.Runs,
-						Cfg:  cfg,
+						Cfg:  harness.Config{Threads: o.Threads, CycleBudget: o.Budget, Warmup: o.Budget},
 					})
 					coords = append(coords, coord{mi, zi, hi, ki})
 				}
 			}
 		}
 	}
-	results := harness.RunPoints(o.Parallel, points)
-	pointName := func(c coord) string {
+	// The hot-shard heatmap reads the hottest configuration's profiles, so
+	// those points collect even when the figure run is not profiling.
+	results := measureSpecs(o, points, func(pi int) string {
+		c := coords[pi]
 		return fmt.Sprintf("%s/z%.1f/s%d/%s", mixes[c.mi], skews[c.zi], shardCounts[c.hi], shardSchemes[c.ki])
-	}
-	if o.Profile != nil && o.ProfileSink != nil {
-		for pi, r := range results {
-			if r.Profile != nil {
-				o.ProfileSink(pointName(coords[pi]), r.Profile)
-			}
-		}
-	}
+	}, func(pi int) bool {
+		c := coords[pi]
+		return c.mi == 0 && c.zi == len(skews)-1 && c.hi == len(shardCounts)-1
+	})
 
 	byPoint := make(map[coord]harness.Result, len(results))
 	for pi, r := range results {

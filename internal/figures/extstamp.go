@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hle/internal/harness"
+	"hle/internal/mem"
 	"hle/internal/obs"
 	"hle/internal/stamp"
 	"hle/internal/stats"
@@ -23,10 +24,7 @@ import (
 func ExtStamp(o Options) []*stats.Table {
 	o = o.withDefaults()
 	var tables []*stats.Table
-	apps := []struct {
-		Name string
-		Make func(t *tsx.Thread) stamp.App
-	}{
+	apps := []stampApp{
 		// 40x40 = 200 write-set lines: fits the 512-line L1, speculates.
 		{"labyrinth-small", func(t *tsx.Thread) stamp.App { return stamp.NewLabyrinth(40, 40, 16) }},
 		// 72x72 = 648 write-set lines: overflows, every speculative
@@ -42,23 +40,12 @@ func ExtStamp(o Options) []*stats.Table {
 		{Scheme: "HLE-SCM", Lock: "TTAS"},
 		{Scheme: "Opt-SLR", Lock: "TTAS"},
 	}
-	results := make([]stamp.Result, len(apps)*len(specs))
-	cols := make([]*obs.Collector, len(results))
-	harness.ParallelFor(o.Parallel, len(results), func(i int) {
-		app, spec := apps[i/len(specs)], specs[i%len(specs)]
-		cfg := tsx.DefaultConfig(o.Threads)
-		cfg.Seed = o.Seed
-		cfg.MemWords = 1 << 19
-		cols[i] = o.attachProfile(&cfg, spec.String())
-		res, err := stamp.Run(cfg, spec, app.Make, o.Threads)
-		if err != nil {
-			panic(fmt.Sprintf("figures: %s under %v: %v", app.Name, spec, err))
-		}
-		results[i] = res
+	results, _ := measure(o, len(apps)*len(specs), func(i int) string {
+		return fmt.Sprintf("%s/%s", apps[i/len(specs)].Name, specs[i%len(specs)].Scheme)
+	}, nil, func(i int, prof *obs.Options) (stamp.Result, *obs.Profile) {
+		spec := specs[i%len(specs)]
+		return stampPoint(o, apps[i/len(specs)], spec, mem.Layout{}, prof, spec.String())
 	})
-	for i := range cols {
-		o.emitProfile(fmt.Sprintf("%s/%s", apps[i/len(specs)].Name, specs[i%len(specs)].Scheme), cols[i])
-	}
 	for ai, app := range apps {
 		tb := &stats.Table{
 			Title: fmt.Sprintf("Extension — STAMP %s, %d threads",

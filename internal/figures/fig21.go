@@ -3,7 +3,6 @@ package figures
 import (
 	"fmt"
 
-	"hle/internal/harness"
 	"hle/internal/mem"
 	"hle/internal/obs"
 	"hle/internal/stats"
@@ -32,9 +31,15 @@ func Fig21(o Options) []*stats.Table {
 	}
 	// Flatten to one point per (size, read|write) and fan out; each point
 	// builds its own single-thread machine, so results are order-free.
-	fails := make([]float64, 2*len(sizesBytes))
-	cols := make([]*obs.Collector, len(fails))
-	harness.ParallelFor(o.Parallel, len(fails), func(i int) {
+	mode := func(i int) string {
+		if i%2 == 1 {
+			return "write"
+		}
+		return "read"
+	}
+	fails, _ := measure(o, 2*len(sizesBytes), func(i int) string {
+		return fmt.Sprintf("%s-%s", stats.SizeLabel(sizesBytes[i/2]), mode(i))
+	}, nil, func(i int, prof *obs.Options) (float64, *obs.Profile) {
 		lines := sizesBytes[i/2] / 64
 		if lines == 0 {
 			lines = 1
@@ -52,32 +57,23 @@ func Fig21(o Options) []*stats.Table {
 				r = 30
 			}
 		}
-		fails[i], cols[i] = setScan(o, lines, r, i%2 == 1)
+		return setScan(o, lines, r, i%2 == 1, prof, "RTM-scan-"+mode(i))
 	})
 	for si, bytes := range sizesBytes {
 		table.AddRow(stats.SizeLabel(bytes), stats.E2(fails[2*si]), stats.E2(fails[2*si+1]))
-	}
-	for i, col := range cols {
-		mode := "read"
-		if i%2 == 1 {
-			mode = "write"
-		}
-		o.emitProfile(fmt.Sprintf("%s-%s", stats.SizeLabel(sizesBytes[i/2]), mode), col)
 	}
 	return []*stats.Table{table}
 }
 
 // setScan runs reps transactions touching n distinct lines and returns the
-// failure fraction (plus the point's collector when profiling is on).
-func setScan(o Options, n, reps int, write bool) (float64, *obs.Collector) {
+// failure fraction (plus the point's profile, labelled label, when prof is
+// non-nil).
+func setScan(o Options, n, reps int, write bool, prof *obs.Options, label string) (float64, *obs.Profile) {
 	cfg := tsx.DefaultConfig(1)
 	cfg.Seed = o.Seed
 	cfg.MemWords = (n + 8) * mem.LineWords
-	mode := "read"
-	if write {
-		mode = "write"
-	}
-	col := o.attachProfile(&cfg, "RTM-scan-"+mode)
+	var profile func() *obs.Profile
+	cfg.Observer, profile = observe(prof, label)
 	m := tsx.NewMachine(cfg)
 	failures := 0
 	m.RunOne(func(t *tsx.Thread) {
@@ -98,5 +94,5 @@ func setScan(o Options, n, reps int, write bool) (float64, *obs.Collector) {
 			}
 		}
 	})
-	return float64(failures) / float64(reps), col
+	return float64(failures) / float64(reps), profile()
 }

@@ -88,7 +88,7 @@ func Fig33(o Options) []*stats.Table {
 			},
 		})
 	}
-	results := o.runPoints(points, func(i int) string { return "HLE " + locks[i] })
+	results := measureSpecs(o, points, func(i int) string { return "HLE " + locks[i] }, nil)
 
 	var tables []*stats.Table
 	for li, lock := range locks {

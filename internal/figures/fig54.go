@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"hle/internal/harness"
+	"hle/internal/mem"
 	"hle/internal/obs"
 	"hle/internal/stamp"
 	"hle/internal/stats"
-	"hle/internal/tsx"
 )
 
 // stampSchemes is the §5.3 matrix for one lock, in Figure 5.4's order.
@@ -31,37 +31,27 @@ func Fig54(o Options) []*stats.Table {
 	locks := []string{"TTAS", "MCS"}
 	apps := stamp.Apps()
 
-	// Flatten (lock × app × scheme) into independent points: stamp.Run
-	// builds a fresh machine per call, so each point is self-contained.
-	type stampPoint struct {
+	// Flatten (lock × app × scheme) into independent points: each STAMP
+	// point builds a fresh machine, so it is self-contained.
+	type stampCoord struct {
 		lock, app int
 		spec      harness.SchemeSpec
 	}
-	var pts []stampPoint
+	var pts []stampCoord
 	for li := range locks {
 		for ai := range apps {
 			for _, spec := range stampSchemes(locks[li]) {
-				pts = append(pts, stampPoint{li, ai, spec})
+				pts = append(pts, stampCoord{li, ai, spec})
 			}
 		}
 	}
-	results := make([]stamp.Result, len(pts))
-	cols := make([]*obs.Collector, len(pts))
-	harness.ParallelFor(o.Parallel, len(pts), func(i int) {
+	results, _ := measure(o, len(pts), func(i int) string {
 		p := pts[i]
-		cfg := tsx.DefaultConfig(o.Threads)
-		cfg.Seed = o.Seed
-		cfg.MemWords = 1 << 19
-		cols[i] = o.attachProfile(&cfg, p.spec.String())
-		res, err := stamp.Run(cfg, p.spec, apps[p.app].Make, o.Threads)
-		if err != nil {
-			panic(fmt.Sprintf("figures: %s under %v failed validation: %v", apps[p.app].Name, p.spec, err))
-		}
-		results[i] = res
+		return fmt.Sprintf("%s/%s/%s", locks[p.lock], apps[p.app].Name, p.spec.Scheme)
+	}, nil, func(i int, prof *obs.Options) (stamp.Result, *obs.Profile) {
+		p := pts[i]
+		return stampPoint(o, apps[p.app], p.spec, mem.Layout{}, prof, p.spec.String())
 	})
-	for i, p := range pts {
-		o.emitProfile(fmt.Sprintf("%s/%s/%s", locks[p.lock], apps[p.app].Name, p.spec.Scheme), cols[i])
-	}
 	byKey := map[[2]int]map[string]stamp.Result{}
 	for i, p := range pts {
 		key := [2]int{p.lock, p.app}

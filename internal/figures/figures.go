@@ -13,7 +13,9 @@ import (
 	"runtime"
 
 	"hle/internal/harness"
+	"hle/internal/mem"
 	"hle/internal/obs"
+	"hle/internal/stamp"
 	"hle/internal/stats"
 	"hle/internal/tsx"
 )
@@ -76,43 +78,105 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// attachProfile installs a fresh collector on cfg when profiling is on,
-// for figures that build machines directly instead of going through the
-// harness pool. Returns nil when profiling is off.
-func (o Options) attachProfile(cfg *tsx.Config, label string) *obs.Collector {
-	if o.Profile == nil {
-		return nil
-	}
-	col := obs.New(*o.Profile)
-	col.SetLabel(label)
-	cfg.Observer = col
-	return col
-}
-
-// emitProfile delivers one directly-collected profile to the sink.
-func (o Options) emitProfile(name string, col *obs.Collector) {
-	if col == nil || o.ProfileSink == nil {
-		return
-	}
-	o.ProfileSink(name, col.Profile())
-}
-
-// runPoints is harness.RunPoints with the figure's profiling wired in:
-// each point collects under o.Profile, and profiles reach the sink in
-// declaration order (named by name(i)) regardless of Parallel.
-func (o Options) runPoints(points []harness.PointSpec, name func(i int) string) []harness.Result {
-	for i := range points {
-		points[i].Cfg.Profile = o.Profile
-	}
-	results := harness.RunPoints(o.Parallel, points)
-	if o.ProfileSink != nil {
-		for i, r := range results {
-			if r.Profile != nil {
-				o.ProfileSink(name(i), r.Profile)
-			}
+// measure is the one way a figure runs its experiment points. It fans
+// points 0..n-1 out across o.Parallel host workers and hands each point
+// its collector options: o.Profile when the figure run is profiling,
+// otherwise a default collector for the points reads marks (their tables
+// read the profile; collection is passive, so measurements are unchanged),
+// and nil for the rest. point runs point i collecting under the options it
+// is given and returns its result and profile (nil when given nil).
+//
+// After the fan-out, on the caller's goroutine and in declaration order,
+// every profile is checked for the abort-attribution invariant and, when
+// o.Profile is set, delivered to o.ProfileSink as name(i). Results, the
+// first violation reported and the profile stream are therefore all
+// independent of o.Parallel. reads may be nil.
+func measure[R any](o Options, n int, name func(i int) string, reads func(i int) bool,
+	point func(i int, prof *obs.Options) (R, *obs.Profile)) ([]R, []*obs.Profile) {
+	results := make([]R, n)
+	profiles := make([]*obs.Profile, n)
+	harness.ParallelFor(o.Parallel, n, func(i int) {
+		prof := o.Profile
+		if prof == nil && reads != nil && reads(i) {
+			prof = &obs.Options{}
+		}
+		results[i], profiles[i] = point(i, prof)
+	})
+	for i, p := range profiles {
+		if p == nil {
+			continue
+		}
+		// Every abort is classified exactly once: the per-cause counts sum
+		// to the observed total, which matches the engine's own counters
+		// wherever the point stamped them. A violation is a simulator bug,
+		// not a measurement.
+		if p.CauseSum() != p.TotalAborts || (p.EngineAborts != 0 && p.EngineAborts != p.TotalAborts) {
+			panic(fmt.Sprintf("figures: %s: abort attribution broken: causes %d, observed %d, engine %d",
+				name(i), p.CauseSum(), p.TotalAborts, p.EngineAborts))
+		}
+		if o.Profile != nil && o.ProfileSink != nil {
+			o.ProfileSink(name(i), p)
 		}
 	}
+	return results, profiles
+}
+
+// everyPoint is measure's reads for figures whose tables read every
+// point's profile.
+func everyPoint(int) bool { return true }
+
+// measureSpecs runs harness points through measure; each result carries
+// its own profile.
+func measureSpecs(o Options, points []harness.PointSpec, name func(i int) string, reads func(i int) bool) []harness.Result {
+	results, _ := measure(o, len(points), name, reads, func(i int, prof *obs.Options) (harness.Result, *obs.Profile) {
+		p := points[i]
+		p.Cfg.Profile = prof
+		r := p.Run()
+		return r, r.Profile
+	})
 	return results
+}
+
+// observe returns what a point that drives its own machine installs as its
+// observer and a function that exports the collected profile: a collector
+// labelled label, or a nil observer and nil profile when prof is nil.
+func observe(prof *obs.Options, label string) (tsx.Observer, func() *obs.Profile) {
+	if prof == nil {
+		return nil, func() *obs.Profile { return nil }
+	}
+	col := obs.New(*prof)
+	col.SetLabel(label)
+	return col, col.Profile
+}
+
+// stampApp is one STAMP application, as stamp.Apps lists them.
+type stampApp = struct {
+	Name string
+	Make func(t *tsx.Thread) stamp.App
+}
+
+// stampPoint is the one STAMP point recipe: app runs to completion under
+// spec on a fresh o.Threads machine with a 4 MB heap laid out by layout,
+// and its output is validated (a failure is a simulator or scheme bug, so
+// it panics). When prof is non-nil the run is profiled under label, with
+// the engine's abort total stamped for the attribution check.
+func stampPoint(o Options, app stampApp, spec harness.SchemeSpec, layout mem.Layout,
+	prof *obs.Options, label string) (stamp.Result, *obs.Profile) {
+	cfg := tsx.DefaultConfig(o.Threads)
+	cfg.Seed = o.Seed
+	cfg.MemWords = 1 << 19
+	cfg.Layout = layout
+	var profile func() *obs.Profile
+	cfg.Observer, profile = observe(prof, label)
+	res, err := stamp.Run(cfg, spec, app.Make, o.Threads)
+	if err != nil {
+		panic(fmt.Sprintf("figures: STAMP %s under %v failed validation: %v", app.Name, spec, err))
+	}
+	p := profile()
+	if p != nil {
+		p.EngineAborts = res.TSX.TotalAborts()
+	}
+	return res, p
 }
 
 // Figure is one reproducible experiment.
@@ -265,10 +329,10 @@ func dsRunGroups(o Options, groups []dsGroup) []map[string]harness.Result {
 			coords = append(coords, [2]int{gi, si})
 		}
 	}
-	results := o.runPoints(points, func(pi int) string {
+	results := measureSpecs(o, points, func(pi int) string {
 		gi, si := coords[pi][0], coords[pi][1]
 		return fmt.Sprintf("g%d/%s", gi, groups[gi].specs[si].String())
-	})
+	}, nil)
 
 	out := make([]map[string]harness.Result, len(groups))
 	for gi, g := range groups {

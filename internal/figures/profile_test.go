@@ -47,7 +47,10 @@ func TestAbortAttributionAcrossFigures(t *testing.T) {
 // must be identical whether points run on one host worker or eight.
 // Figure 3.1 exercises the harness-pool path (collectors attached per
 // cloned point); ext-chaos exercises the direct-drive path (collectors
-// riding tsx.Config.Observer on fresh machines under fault injection).
+// riding tsx.Config.Observer on fresh machines under fault injection);
+// ext-shard mixes profiled and default-collected points; profiles runs
+// STAMP points beside harness points; ext-place runs both, with STAMP
+// grids whose profiles feed later points.
 func TestProfileOutputParallelDeterminism(t *testing.T) {
 	collect := func(id string, parallel int) []byte {
 		o := tinyOpts()
@@ -65,7 +68,7 @@ func TestProfileOutputParallelDeterminism(t *testing.T) {
 		fig.Run(o)
 		return buf.Bytes()
 	}
-	for _, id := range []string{"3.1", "ext-chaos", "ext-shard"} {
+	for _, id := range []string{"3.1", "ext-chaos", "ext-shard", "profiles", "ext-place"} {
 		seq := collect(id, 1)
 		par := collect(id, 8)
 		if len(seq) == 0 {

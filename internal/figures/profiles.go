@@ -2,10 +2,10 @@ package figures
 
 import (
 	"hle/internal/harness"
+	"hle/internal/mem"
 	"hle/internal/obs"
 	"hle/internal/stamp"
 	"hle/internal/stats"
-	"hle/internal/tsx"
 )
 
 // FigProfiles characterizes every workload's committed transactions — mean
@@ -25,22 +25,10 @@ func FigProfiles(o Options) []*stats.Table {
 
 	// STAMP applications, one independent point each.
 	apps := stamp.Apps()
-	stampRes := make([]stamp.Result, len(apps))
-	cols := make([]*obs.Collector, len(apps))
-	harness.ParallelFor(o.Parallel, len(apps), func(ai int) {
-		cfg := tsx.DefaultConfig(o.Threads)
-		cfg.Seed = o.Seed
-		cfg.MemWords = 1 << 19
-		cols[ai] = o.attachProfile(&cfg, spec.String())
-		res, err := stamp.Run(cfg, spec, apps[ai].Make, o.Threads)
-		if err != nil {
-			panic(err)
-		}
-		stampRes[ai] = res
-	})
-	for ai, app := range apps {
-		o.emitProfile("stamp/"+app.Name, cols[ai])
-	}
+	stampRes, _ := measure(o, len(apps), func(ai int) string { return "stamp/" + apps[ai].Name }, nil,
+		func(ai int, prof *obs.Options) (stamp.Result, *obs.Profile) {
+			return stampPoint(o, apps[ai], spec, mem.Layout{}, prof, spec.String())
+		})
 	for ai, app := range apps {
 		res := stampRes[ai]
 		tb.AddRow(app.Name,
