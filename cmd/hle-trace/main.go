@@ -1,8 +1,9 @@
 // Command hle-trace shows what a lock-elision scheme does on the simulated
 // machine. Its default mode prints an annotated engine-event trace of a
 // small two-thread scenario — the avalanche in microcosm. It is a
-// teaching and debugging aid: every simulated coherence event (loads,
-// stores, elisions, dooms, publishes) is shown in token order.
+// teaching and debugging aid: every engine event (transaction begins,
+// commits and aborts, loads, stores, elisions, dooms, publishes) is shown
+// in token order, read from the machine's trace ring.
 //
 // The point modes run N threads over a red-black tree protected by one
 // global lock, under any harness scheme/lock combination, with the
@@ -105,12 +106,18 @@ func run(args []string, stdout io.Writer) int {
 	return 0
 }
 
-// runTrace prints the annotated event trace of two threads incrementing
-// one counter under spec's scheme on a TTAS main lock.
+// traceRing sizes the trace scenario's ring so that it never wraps: the
+// scenario records about two hundred events under every scheme (at most
+// 217 over seeds 1-40), far below the ring's 4096.
+const traceRing = 1 << 12
+
+// runTrace prints the first limit engine events of two threads
+// incrementing one counter under spec's scheme on a TTAS main lock.
 func runTrace(stdout io.Writer, spec harness.SchemeSpec, seed int64, limit int) {
 	cfg := tsx.DefaultConfig(2)
 	cfg.Seed = seed
 	cfg.SpuriousPerAccess = 0
+	cfg.TraceRing = traceRing
 	m := tsx.NewMachine(spec.Machine(cfg))
 
 	var s core.Scheme
@@ -122,8 +129,14 @@ func runTrace(stdout io.Writer, spec harness.SchemeSpec, seed int64, limit int) 
 		hot = t.AllocLines(1)
 	})
 
+	// The events the single-threaded setup recorded are not shown.
+	setup := len(m.TraceEvents())
+
 	names := map[mem.Addr]string{hot: "counter", lockAddr: "lock"}
 	annotate := func(a mem.Addr) string {
+		if a == mem.Nil {
+			return "-"
+		}
 		if n, ok := names[a]; ok {
 			return n
 		}
@@ -132,20 +145,6 @@ func runTrace(stdout io.Writer, spec harness.SchemeSpec, seed int64, limit int) 
 		}
 		return fmt.Sprintf("@%d", a)
 	}
-
-	count := 0
-	tsx.Trace = func(id int, event string, a mem.Addr, v uint64) {
-		if count >= limit {
-			return
-		}
-		count++
-		indent := ""
-		if id == 1 {
-			indent = "                                      "
-		}
-		fmt.Fprintf(stdout, "%s[T%d] %-10s %-12s = %d\n", indent, id, event, annotate(a), v)
-	}
-	defer func() { tsx.Trace = nil }()
 
 	fmt.Fprintf(stdout, "two threads increment one counter under %s (TTAS main lock)\n", s.Name())
 	fmt.Fprintln(stdout, "left column: thread 0; right column: thread 1")
@@ -160,9 +159,20 @@ func runTrace(stdout io.Writer, spec harness.SchemeSpec, seed int64, limit int) 
 			})
 		}
 	})
+	events := m.TraceEvents()[setup:]
+	for _, ev := range events[:min(limit, len(events))] {
+		indent := ""
+		if ev.Thread == 1 {
+			indent = "                                      "
+		}
+		val := fmt.Sprint(ev.Val)
+		if ev.Kind == tsx.EvAbort {
+			val = tsx.Cause(ev.Val).String()
+		}
+		fmt.Fprintf(stdout, "%s[T%d] %-10s %-12s = %s\n", indent, ev.Thread, ev.Kind, annotate(ev.Addr), val)
+	}
 
 	var final uint64
-	tsx.Trace = nil
 	m.RunOne(func(t *tsx.Thread) { final = t.Load(hot) })
 	fmt.Fprintf(stdout, "\nfinal counter = %d (12 expected)\n", final)
 	st := s.TotalStats()
@@ -181,17 +191,22 @@ func runPoint(stdout io.Writer, mode string, spec harness.SchemeSpec, threads, s
 	// terminal-sized.
 	window := max(budget/40, 1)
 	var w harness.Workload
-	res := harness.Point(cfg, spec,
-		func(th *tsx.Thread) harness.Workload {
-			w = harness.NewRBTree(th, size, mix)
-			return w
+	res := harness.PointSpec{
+		Warm: &harness.WarmTemplate{
+			Machine: spec.Machine(cfg),
+			MkWorkload: func(th *tsx.Thread) harness.Workload {
+				w = harness.NewRBTree(th, size, mix)
+				return w
+			},
 		},
-		harness.Config{
+		Scheme: spec,
+		Cfg: harness.Config{
 			Threads:     threads,
 			CycleBudget: budget,
 			SliceCycles: window,
 			Profile:     &obs.Options{WindowCycles: window},
-		})
+		},
+	}.Run()
 
 	if mode != "summary" {
 		p := res.Profile

@@ -41,3 +41,25 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceShowsLifecycle: the trace reads every engine event from the
+// machine's ring, so transaction commits and the aborts the two threads'
+// conflicts cause appear next to the memory traffic.
+func TestTraceShowsLifecycle(t *testing.T) {
+	for _, scheme := range []string{"HLE", "RTM-LE"} {
+		var out bytes.Buffer
+		if code := run([]string{"-scheme", scheme, "-events", "1000000"}, &out); code != 0 {
+			t.Fatalf("%s: exit status %d", scheme, code)
+		}
+		kinds := map[string]int{}
+		for _, l := range strings.Split(out.String(), "\n") {
+			if f := strings.Fields(l); len(f) > 1 && strings.HasPrefix(f[0], "[T") {
+				kinds[f[1]]++
+			}
+		}
+		if kinds["abort"] == 0 || kinds["commit"] == 0 {
+			t.Errorf("%s: trace has %d abort and %d commit lines, want at least one of each:\n%s",
+				scheme, kinds["abort"], kinds["commit"], out.String())
+		}
+	}
+}

@@ -174,6 +174,7 @@ type Option struct {
 	name    string
 	targets target
 	sys     func(*tsx.Config)
+	hook    func(*tsx.Machine) // installs an engine hook on the built machine
 	sch     func(*schemeCfg)
 	shd     func(*shardCfg)
 }
@@ -200,6 +201,10 @@ func (o Option) use(constructor string, bit target) {
 
 func sysOption(name string, fn func(*tsx.Config)) Option {
 	return Option{name: name, targets: tSystem, sys: fn}
+}
+
+func hookOption(name string, fn func(*tsx.Machine)) Option {
+	return Option{name: name, targets: tSystem, hook: fn}
 }
 
 func schemeOption(name string, targets target, fn func(*schemeCfg)) Option {
@@ -269,14 +274,14 @@ func WithConfig(fn func(*MachineConfig)) SystemOption {
 // schedule is byte-identical with profiling on or off. Applies to
 // NewSystem.
 func WithProfiling(opt ProfileOptions) SystemOption {
-	return sysOption("WithProfiling", func(c *tsx.Config) { c.Observer = obs.New(opt) })
+	return hookOption("WithProfiling", func(m *tsx.Machine) { obs.Attach(m, opt) })
 }
 
 // WithFaultInjection installs a fault injector — typically a chaos
 // Engine — consulted by the simulator's hot paths. See NewChaosEngine.
 // Applies to NewSystem.
 func WithFaultInjection(inj Injector) SystemOption {
-	return sysOption("WithFaultInjection", func(c *tsx.Config) { c.Injector = inj })
+	return hookOption("WithFaultInjection", func(m *tsx.Machine) { m.SetInjector(inj) })
 }
 
 // NewSystem creates a simulated machine with the given number of hardware
@@ -285,9 +290,17 @@ func NewSystem(threads int, opts ...SystemOption) *System {
 	cfg := tsx.DefaultConfig(threads)
 	for _, o := range opts {
 		o.use("NewSystem", tSystem)
-		o.sys(&cfg)
+		if o.sys != nil {
+			o.sys(&cfg)
+		}
 	}
-	return &System{m: tsx.NewMachine(cfg)}
+	m := tsx.NewMachine(cfg)
+	for _, o := range opts {
+		if o.hook != nil {
+			o.hook(m)
+		}
+	}
+	return &System{m: m}
 }
 
 // Machine exposes the underlying simulated machine.

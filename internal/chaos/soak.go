@@ -46,7 +46,7 @@ type SoakSpec struct {
 	LivelockWindow   uint64
 	StarvationWindow uint64
 	// Observer, when non-nil, is installed on the soak machine
-	// (tsx.Config.Observer) so a profiling collector can attribute the
+	// (tsx.Machine.SetObserver) so a profiling collector can attribute the
 	// aborts the fault schedule provokes. Observation is passive: the
 	// soak runs byte-identically with or without it.
 	Observer tsx.Observer
@@ -101,7 +101,7 @@ func (s *SoakSpec) defaults() {
 	}
 	if s.LivelockWindow == 0 {
 		s.LivelockWindow = 2_000_000
-		if s.Scheme.Scheme == "HLE-HWExt" {
+		if s.Scheme.Machine(tsx.Config{}).HWExt {
 			// A liveness window must exceed the scheme's longest
 			// legitimate progress gap. The Chapter 7 extension
 			// suspends a speculative thread for up to maxWaitIters

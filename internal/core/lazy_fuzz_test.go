@@ -37,10 +37,10 @@ func FuzzLazySubscription(f *testing.F) {
 	f.Add(int64(6), uint8(2), uint8(1), uint8(0), uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, mode, rcap, wcap, footprint uint8) {
 		const threads, ops = 3, 6
-		scan := int(footprint % 8)        // shared lines read per CS
-		burst := int(footprint / 8 % 4)   // private lines written per CS
-		readCap := 1 + int(rcap)%64       // precise read-set lines
-		writeCap := 1 + int(wcap)%32      // write-set lines
+		scan := int(footprint % 8)      // shared lines read per CS
+		burst := int(footprint / 8 % 4) // private lines written per CS
+		readCap := 1 + int(rcap)%64     // precise read-set lines
+		writeCap := 1 + int(wcap)%32    // write-set lines
 		modeName := []string{"eager", "lazy-fixed", "lazy-naive"}[mode%3]
 
 		run := func() (got uint64, st core.OpStats, aborted uint64) {
@@ -48,10 +48,7 @@ func FuzzLazySubscription(f *testing.F) {
 			cfg.Seed = seed
 			cfg.MemWords = 1 << 12
 			cfg = hwext.LimitSets(cfg, readCap, writeCap)
-			switch modeName {
-			case "lazy-fixed":
-				cfg = hwext.EnableLazyFixed(cfg)
-			case "lazy-naive":
+			if modeName == "lazy-naive" {
 				cfg = hwext.EnableLazyNaive(cfg)
 			}
 			m := tsx.NewMachine(cfg)

@@ -24,22 +24,22 @@ const (
 	// lock (lazy subscription), so a transaction can run — and commit —
 	// in the middle of a non-speculative critical section.
 	MutantSCMLazy = "scm-lazy-subscription"
-	// MutantHWExtNoSuspend (tsx.Config.HWExtNoSuspend) removes the
+	// MutantHWExtNoSuspend (tsx.UnsoundHWExtNoSuspend) removes the
 	// Chapter 7 extension's suspend-on-miss: an elided reader expands
 	// its footprint mid-critical-section of a real lock holder and can
 	// commit an inconsistent snapshot — exactly the Lemma 1 property.
 	MutantHWExtNoSuspend = "hwext-no-suspend"
-	// MutantLazySkipCheck (tsx.Config.LazyNoCommitCheck) removes the
+	// MutantLazySkipCheck (tsx.UnsoundLazySkipCheck) removes the
 	// fixed lazy-subscription pipeline's commit-time lock check entirely:
 	// the transaction never subscribes, so it can commit in the middle of
 	// a pessimistic holder's critical section.
 	MutantLazySkipCheck = "lazy-skip-commit-check"
-	// MutantLazyDrainFirst (tsx.Config.LazyNoCheckFirst) breaks the
+	// MutantLazyDrainFirst (tsx.UnsoundLazyDrainFirst) breaks the
 	// check's ordering against the write-set drain: validation runs after
 	// publication, so a failed check fires its abort too late — the
 	// published writes stand and the retry re-applies them.
 	MutantLazyDrainFirst = "lazy-drain-before-check"
-	// MutantLazyNoWindowAbort (tsx.Config.LazyNoWindowAbort) removes the
+	// MutantLazyNoWindowAbort (tsx.UnsoundLazyNoWindowAbort) removes the
 	// commit-window abort: a pessimistic acquirer taking the lock between
 	// the (passed) check and the drain no longer aborts the commit.
 	MutantLazyNoWindowAbort = "lazy-no-window-abort"
@@ -58,6 +58,17 @@ func Mutants() []Config {
 		{Scheme: "RTM-LE-lazy", Lock: "TTAS", Threads: 2, Ops: 1, Mutant: MutantLazyDrainFirst},
 		{Scheme: "RTM-LE-lazy", Lock: "TTAS", Threads: 2, Ops: 1, Mutant: MutantLazyNoWindowAbort},
 	}
+}
+
+// mutantHardware maps the hardware mutants to the unsound machine variant
+// that seeds their fault (the scheme's table entry supplies the rest of
+// the machine); every other configuration keeps the machine its scheme's
+// table entry asks for.
+var mutantHardware = map[string]tsx.Unsound{
+	MutantHWExtNoSuspend:    tsx.UnsoundHWExtNoSuspend,
+	MutantLazySkipCheck:     tsx.UnsoundLazySkipCheck,
+	MutantLazyDrainFirst:    tsx.UnsoundLazyDrainFirst,
+	MutantLazyNoWindowAbort: tsx.UnsoundLazyNoWindowAbort,
 }
 
 // brokenCLH is the adjusted CLH lock of Algorithm 7 with the

@@ -7,7 +7,6 @@ import (
 	"hle/internal/check"
 	"hle/internal/core"
 	"hle/internal/harness"
-	"hle/internal/hwext"
 	"hle/internal/locks"
 	"hle/internal/mem"
 	"hle/internal/sim"
@@ -236,19 +235,8 @@ func machineConfig(c *Config, spec harness.SchemeSpec) tsx.Config {
 		Costs:         tsx.DefaultCosts(),
 	}
 	mcfg = spec.Machine(mcfg)
-	switch c.Mutant {
-	case MutantHWExtNoSuspend:
-		mcfg = hwext.EnableOn(mcfg)
-		mcfg.HWExtNoSuspend = true
-	case MutantLazySkipCheck:
-		mcfg = hwext.EnableLazyFixed(mcfg)
-		mcfg.LazyNoCommitCheck = true
-	case MutantLazyDrainFirst:
-		mcfg = hwext.EnableLazyFixed(mcfg)
-		mcfg.LazyNoCheckFirst = true
-	case MutantLazyNoWindowAbort:
-		mcfg = hwext.EnableLazyFixed(mcfg)
-		mcfg.LazyNoWindowAbort = true
+	if u, ok := mutantHardware[c.Mutant]; ok {
+		mcfg.Unsound = u
 	}
 	return mcfg
 }

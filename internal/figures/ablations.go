@@ -123,9 +123,9 @@ func AblationMultiAux(o Options) []*stats.Table {
 	results, _ := measure(o, len(variants), func(vi int) string { return "hotpairs/" + variants[vi] }, nil,
 		func(vi int, prof *obs.Options) (harness.Result, *obs.Profile) {
 			cfg := machineCfg(o, 64)
-			var profile func() *obs.Profile
-			cfg.Observer, profile = observe(prof, variants[vi])
 			m := tsx.NewMachine(cfg)
+			col, profile := observe(prof, variants[vi])
+			m.SetObserver(col)
 			var s core.Scheme
 			var cells []mem.Addr
 			m.RunOne(func(t *tsx.Thread) {

@@ -115,9 +115,9 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 		cfg.MemWords = 1 << 16
 		cfg = hwext.LimitSets(cfg, readCaps[c.ri], writeCaps[c.wi])
 		cfg = spec.Machine(cfg)
-		var profile func() *obs.Profile
-		cfg.Observer, profile = observe(popts, fmt.Sprintf("%s r%d w%d", mode, readCaps[c.ri], writeCaps[c.wi]))
 		m := tsx.NewMachine(cfg)
+		col, profile := observe(popts, fmt.Sprintf("%s r%d w%d", mode, readCaps[c.ri], writeCaps[c.wi]))
+		m.SetObserver(col)
 
 		var scheme core.Scheme
 		var shared, counter mem.Addr

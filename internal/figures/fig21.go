@@ -72,9 +72,9 @@ func setScan(o Options, n, reps int, write bool, prof *obs.Options, label string
 	cfg := tsx.DefaultConfig(1)
 	cfg.Seed = o.Seed
 	cfg.MemWords = (n + 8) * mem.LineWords
-	var profile func() *obs.Profile
-	cfg.Observer, profile = observe(prof, label)
 	m := tsx.NewMachine(cfg)
+	col, profile := observe(prof, label)
+	m.SetObserver(col)
 	failures := 0
 	m.RunOne(func(t *tsx.Thread) {
 		arr := t.AllocLines(n * mem.LineWords)

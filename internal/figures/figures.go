@@ -166,9 +166,10 @@ func stampPoint(o Options, app stampApp, spec harness.SchemeSpec, layout mem.Lay
 	cfg.Seed = o.Seed
 	cfg.MemWords = 1 << 19
 	cfg.Layout = layout
-	var profile func() *obs.Profile
-	cfg.Observer, profile = observe(prof, label)
-	res, err := stamp.Run(cfg, spec, app.Make, o.Threads)
+	m := tsx.NewMachine(cfg)
+	col, profile := observe(prof, label)
+	m.SetObserver(col)
+	res, err := stamp.Run(m, spec, app.Make, o.Threads)
 	if err != nil {
 		panic(fmt.Sprintf("figures: STAMP %s under %v failed validation: %v", app.Name, spec, err))
 	}

@@ -47,7 +47,7 @@ func TestAbortAttributionAcrossFigures(t *testing.T) {
 // must be identical whether points run on one host worker or eight.
 // Figure 3.1 exercises the harness-pool path (collectors attached per
 // cloned point); ext-chaos exercises the direct-drive path (collectors
-// riding tsx.Config.Observer on fresh machines under fault injection);
+// installed with SetObserver on fresh machines under fault injection);
 // ext-shard mixes profiled and default-collected points; profiles runs
 // STAMP points beside harness points; ext-place runs both, with STAMP
 // grids whose profiles feed later points.

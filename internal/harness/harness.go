@@ -229,18 +229,3 @@ func ControllerEvents(trs []adapt.Transition) []obs.ControllerEvent {
 	}
 	return out
 }
-
-// Point runs one full experiment point: a fresh machine is built from
-// mcfg (adjusted to the scheme's hardware, spec.Machine), the workload is
-// created and populated, the scheme is built, and the measurement runs.
-func Point(mcfg tsx.Config, spec SchemeSpec, mkWorkload func(t *tsx.Thread) Workload, cfg Config) Result {
-	m := tsx.NewMachine(spec.Machine(mcfg))
-	var scheme core.Scheme
-	var w Workload
-	m.RunOne(func(t *tsx.Thread) {
-		w = mkWorkload(t)
-		w.Populate(t)
-		scheme = spec.Build(t)
-	})
-	return Run(m, scheme, w, cfg)
-}

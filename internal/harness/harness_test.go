@@ -14,8 +14,18 @@ func machineCfg(n int, seed int64) tsx.Config {
 	return cfg
 }
 
+// runPoint runs one point on a fresh warm template: spec's machine built
+// from mcfg, the workload populated, then the scheme built and measured.
+func runPoint(mcfg tsx.Config, spec harness.SchemeSpec, mk func(*tsx.Thread) harness.Workload, cfg harness.Config) harness.Result {
+	return harness.PointSpec{
+		Warm:   &harness.WarmTemplate{Machine: spec.Machine(mcfg), MkWorkload: mk},
+		Scheme: spec,
+		Cfg:    cfg,
+	}.Run()
+}
+
 func TestPointBasic(t *testing.T) {
-	res := harness.Point(machineCfg(4, 1),
+	res := runPoint(machineCfg(4, 1),
 		harness.SchemeSpec{Scheme: "HLE", Lock: "TTAS"},
 		func(th *tsx.Thread) harness.Workload {
 			return harness.NewRBTree(th, 128, harness.MixModerate)
@@ -37,7 +47,7 @@ func TestPointBasic(t *testing.T) {
 
 func TestDeterministicResults(t *testing.T) {
 	point := func() harness.Result {
-		return harness.Point(machineCfg(4, 7),
+		return runPoint(machineCfg(4, 7),
 			harness.SchemeSpec{Scheme: "HLE-SCM", Lock: "MCS"},
 			func(th *tsx.Thread) harness.Workload {
 				return harness.NewRBTree(th, 64, harness.MixExtensive)
@@ -51,7 +61,7 @@ func TestDeterministicResults(t *testing.T) {
 }
 
 func TestTimelineCollection(t *testing.T) {
-	res := harness.Point(machineCfg(4, 3),
+	res := runPoint(machineCfg(4, 3),
 		harness.SchemeSpec{Scheme: "HLE", Lock: "TTAS"},
 		func(th *tsx.Thread) harness.Workload {
 			return harness.NewRBTree(th, 64, harness.MixModerate)
@@ -107,7 +117,7 @@ func TestBuildRejectsMissingHardware(t *testing.T) {
 }
 
 func TestHashTableWorkload(t *testing.T) {
-	res := harness.Point(machineCfg(4, 5),
+	res := runPoint(machineCfg(4, 5),
 		harness.SchemeSpec{Scheme: "Opt-SLR", Lock: "TTAS"},
 		func(th *tsx.Thread) harness.Workload {
 			return harness.NewHashTable(th, 256, harness.MixModerate)
@@ -125,8 +135,8 @@ func TestHLEBeatsStandardOnReadOnly(t *testing.T) {
 		return harness.NewRBTree(th, 4096, harness.MixLookupOnly)
 	}
 	cfg := harness.Config{Threads: 8, CycleBudget: 400_000}
-	std := harness.Point(machineCfg(8, 9), harness.SchemeSpec{Scheme: "Standard", Lock: "TTAS"}, mk, cfg)
-	hle := harness.Point(machineCfg(8, 9), harness.SchemeSpec{Scheme: "HLE", Lock: "TTAS"}, mk, cfg)
+	std := runPoint(machineCfg(8, 9), harness.SchemeSpec{Scheme: "Standard", Lock: "TTAS"}, mk, cfg)
+	hle := runPoint(machineCfg(8, 9), harness.SchemeSpec{Scheme: "HLE", Lock: "TTAS"}, mk, cfg)
 	speedup := hle.Throughput / std.Throughput
 	if speedup < 2 {
 		t.Fatalf("HLE speedup over standard lock on read-only workload = %.2fx; expected clear scaling", speedup)
@@ -137,13 +147,13 @@ func TestHLEBeatsStandardOnReadOnly(t *testing.T) {
 // boundary are excluded from stats, and throughput normalizes to the
 // measured window.
 func TestWarmupExcludesTransient(t *testing.T) {
-	full := harness.Point(machineCfg(4, 13),
+	full := runPoint(machineCfg(4, 13),
 		harness.SchemeSpec{Scheme: "Standard", Lock: "TTAS"},
 		func(th *tsx.Thread) harness.Workload {
 			return harness.NewRBTree(th, 128, harness.MixModerate)
 		},
 		harness.Config{Threads: 4, CycleBudget: 200_000})
-	warmed := harness.Point(machineCfg(4, 13),
+	warmed := runPoint(machineCfg(4, 13),
 		harness.SchemeSpec{Scheme: "Standard", Lock: "TTAS"},
 		func(th *tsx.Thread) harness.Workload {
 			return harness.NewRBTree(th, 128, harness.MixModerate)

@@ -14,7 +14,8 @@ import (
 // checkpoint of the warm state; every later Fork only copies the
 // checkpoint. Compared to cloning a live template machine per point, a
 // fork skips the fill phase entirely and costs one memory copy instead of
-// two (a clone re-snapshots its source every time). Forks are
+// two (a clone re-snapshots its source every time), made into the arrays
+// released by the template and by ended points (mem.Memory.Release). Forks are
 // deterministic: every forked machine starts from the identical image, so
 // results do not depend on how many points shared the template or in what
 // order workers claimed them.
@@ -41,6 +42,7 @@ func (wt *WarmTemplate) Fork() (*tsx.Machine, Workload) {
 			wt.w.Populate(t)
 		})
 		wt.cp = m.Checkpoint()
+		m.Mem.Release()
 	})
 	return tsx.FromCheckpoint(wt.cp), wt.w
 }
@@ -118,6 +120,7 @@ func (p PointSpec) Run() Result {
 			break
 		}
 	}
+	m.Mem.Release()
 	acc.MaxClock /= uint64(runs)
 	acc.Throughput /= float64(runs)
 	pointsRun.Add(1)

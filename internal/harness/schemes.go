@@ -52,9 +52,9 @@ var schemes = map[string]schemeEntry{
 	// so they run on any machine.
 	"HLE-lazy":    {assemble: mainOnly(core.NewHLELazy)},
 	"RTM-LE-lazy": {assemble: mainOnly(core.NewRTMLELazy)},
-	// The naive variants are the same scheme code on a machine whose
-	// LazyNo* flags disable both Dice et al. fixes: the model checker's
-	// hazard reproductions, never experiments.
+	// The naive variants are the same scheme code on unsound hardware
+	// with both Dice et al. fixes off: the model checker's hazard
+	// reproductions, never experiments.
 	"HLE-lazy-naive":    {assemble: mainOnly(core.NewHLELazy), machine: hwext.EnableLazyNaive},
 	"RTM-LE-lazy-naive": {assemble: mainOnly(core.NewRTMLELazy), machine: hwext.EnableLazyNaive},
 	"HLE-SCM":           {aux: 1, assemble: scmAssembler(core.NewHLESCM, core.SCMConfig{})},
@@ -158,9 +158,6 @@ func (s SchemeSpec) RunsOn(cfg tsx.Config) bool {
 	if e.machine == nil {
 		return true
 	}
-	// Observer and Injector may hold func values, which DeepEqual never
-	// reports equal; no adjustment touches them.
-	cfg.Observer, cfg.Injector = nil, nil
 	return reflect.DeepEqual(e.machine(cfg), cfg)
 }
 

@@ -110,9 +110,13 @@ func TestArmedWatchdogIsInvisible(t *testing.T) {
 				Context:          "inert",
 			}
 		}
-		return Point(mcfg, spec, func(th *tsx.Thread) Workload {
-			return NewRBTree(th, 64, MixExtensive)
-		}, cfg)
+		return PointSpec{
+			Warm: &WarmTemplate{Machine: mcfg, MkWorkload: func(th *tsx.Thread) Workload {
+				return NewRBTree(th, 64, MixExtensive)
+			}},
+			Scheme: spec,
+			Cfg:    cfg,
+		}.Run()
 	}
 	plain := run(false)
 	armed := run(true)

@@ -5,22 +5,11 @@ import "hle/internal/tsx"
 // This file packages the simulator variants for the two lazy-subscription
 // papers referenced from PAPERS.md alongside the Chapter 7 extension:
 // Dice et al.'s "Hardware extensions to make lazy subscription safe"
-// (the fixed and deliberately-naive commit pipelines) and the FORTH
-// limited read/write-set HTM design (asymmetric set capacities). As with
-// HWExt itself, the mechanisms live in internal/tsx; these helpers select
-// them on a machine configuration.
-
-// EnableLazyFixed returns cfg with lazy lock subscription in its FIXED
-// form: commit-time lock check ordered before the write-set drain, and
-// abort on a doom arriving during the commit window. This is the variant
-// the model checker proves clean and the only one experiments should use.
-func EnableLazyFixed(cfg tsx.Config) tsx.Config {
-	cfg.Subscription = tsx.SubLazy
-	cfg.LazyNoCheckFirst = false
-	cfg.LazyNoWindowAbort = false
-	cfg.LazyNoCommitCheck = false
-	return cfg
-}
+// (the deliberately-naive commit pipeline) and the FORTH limited
+// read/write-set HTM design (asymmetric set capacities). As with HWExt
+// itself, the mechanisms live in internal/tsx; these helpers select them
+// on a machine configuration. The FIXED lazy pipeline needs no helper: it
+// is the sound hardware, selected per thread by the lazy schemes' Setup.
 
 // EnableLazyNaive returns cfg with NAIVE lazy subscription: the lock
 // check runs after the drain and dooms arriving during the commit window
@@ -28,10 +17,7 @@ func EnableLazyFixed(cfg tsx.Config) tsx.Config {
 // exists so internal/explore can reproduce the hazard counterexamples.
 // Never use it in experiments.
 func EnableLazyNaive(cfg tsx.Config) tsx.Config {
-	cfg.Subscription = tsx.SubLazy
-	cfg.LazyNoCheckFirst = true
-	cfg.LazyNoWindowAbort = true
-	cfg.LazyNoCommitCheck = false
+	cfg.Unsound = tsx.UnsoundLazyNaive
 	return cfg
 }
 

@@ -12,7 +12,9 @@ package mem
 import (
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
+	"sync"
 )
 
 // LineWords is the number of 64-bit words per cache line (64-byte lines).
@@ -437,8 +439,8 @@ func (m *Memory) Snapshot() *Snapshot {
 // Restore resets m to a previously captured snapshot. The snapshot is not
 // consumed: it can seed any number of memories.
 func (m *Memory) Restore(s *Snapshot) {
-	m.words = slices.Clone(s.words)
-	m.lines = slices.Clone(s.lines)
+	m.words = append(m.words[:0], s.words...)
+	m.lines = append(m.lines[:0], s.lines...)
 	m.next = s.next
 	m.maxWords = s.maxWords
 	m.free = s.free.clone()
@@ -449,9 +451,44 @@ func (m *Memory) Restore(s *Snapshot) {
 	m.shadow = s.shadow
 }
 
-// FromSnapshot builds a new independent Memory from a snapshot.
+// FromSnapshot builds a new independent Memory from a snapshot, in the
+// arrays of a released memory of the same size when one is spare.
 func FromSnapshot(s *Snapshot) *Memory {
-	m := &Memory{}
+	m := takeSpare(len(s.words))
 	m.Restore(s)
 	return m
+}
+
+// Release hands m's arrays to a later FromSnapshot of an image of the same
+// size and empties m, which must not be used again. A sweep releasing each
+// point's fork allocates arrays per host worker, not per point, so its peak
+// heap does not depend on when the garbage collector runs.
+func (m *Memory) Release() {
+	spares.Lock()
+	defer spares.Unlock()
+	if over := len(spares.list) + 1 - runtime.GOMAXPROCS(0); over > 0 {
+		spares.list = slices.Delete(spares.list, 0, over)
+	}
+	spares.list = append(spares.list, &Memory{words: m.words, lines: m.lines})
+	*m = Memory{}
+}
+
+// spares holds released memories' arrays, oldest first, one per host worker.
+var spares struct {
+	sync.Mutex
+	list []*Memory
+}
+
+// takeSpare removes and returns the newest released memory of n words, or
+// a new empty Memory when there is none.
+func takeSpare(n int) *Memory {
+	spares.Lock()
+	defer spares.Unlock()
+	for i := len(spares.list) - 1; i >= 0; i-- {
+		if m := spares.list[i]; len(m.words) == n {
+			spares.list = slices.Delete(spares.list, i, i+1)
+			return m
+		}
+	}
+	return &Memory{}
 }

@@ -98,7 +98,7 @@ type Collector struct {
 }
 
 // New returns a collector with opt's defaults applied. Install it with
-// tsx.Machine.SetObserver or tsx.Config.Observer.
+// tsx.Machine.SetObserver (or build and install it in one step with Attach).
 func New(opt Options) *Collector {
 	return &Collector{opt: opt.withDefaults(), lineHeat: make(map[int]uint64)}
 }

@@ -18,16 +18,21 @@ func machineCfg(n int, seed int64) tsx.Config {
 
 // profiledPoint runs one contended experiment point with profiling on.
 func profiledPoint(scheme, lock string, seed int64) harness.Result {
-	return harness.Point(machineCfg(4, seed),
-		harness.SchemeSpec{Scheme: scheme, Lock: lock},
-		func(th *tsx.Thread) harness.Workload {
-			return harness.NewRBTree(th, 64, harness.MixExtensive)
+	spec := harness.SchemeSpec{Scheme: scheme, Lock: lock}
+	return harness.PointSpec{
+		Warm: &harness.WarmTemplate{
+			Machine: spec.Machine(machineCfg(4, seed)),
+			MkWorkload: func(th *tsx.Thread) harness.Workload {
+				return harness.NewRBTree(th, 64, harness.MixExtensive)
+			},
 		},
-		harness.Config{
+		Scheme: spec,
+		Cfg: harness.Config{
 			Threads:     4,
 			CycleBudget: 300_000,
 			Profile:     &obs.Options{WindowCycles: 30_000},
-		})
+		},
+	}.Run()
 }
 
 // checkInvariants asserts the attribution invariant and internal
@@ -226,8 +231,8 @@ func (s *stormInjector) Grant(procID int, clock, slice uint64) uint64       { re
 func TestInjectedAttribution(t *testing.T) {
 	cfg := machineCfg(2, 9)
 	cfg.SpuriousPerAccess = 0
-	cfg.Injector = &stormInjector{every: 50}
 	m := tsx.NewMachine(cfg)
+	m.SetInjector(&stormInjector{every: 50})
 	col := obs.Attach(m, obs.Options{})
 	m.Run(2, func(th *tsx.Thread) {
 		ctr := th.AllocLines(1)

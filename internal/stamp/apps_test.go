@@ -13,7 +13,7 @@ import (
 func runApp(t *testing.T, mk func(th *tsx.Thread) stamp.App, scheme, lock string, threads int, seed int64) stamp.Result {
 	t.Helper()
 	cfg := machineCfg(threads, seed)
-	res, err := stamp.Run(cfg, harness.SchemeSpec{Scheme: scheme, Lock: lock}, mk, threads)
+	res, err := stamp.Run(tsx.NewMachine(cfg), harness.SchemeSpec{Scheme: scheme, Lock: lock}, mk, threads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestAppNames(t *testing.T) {
 // evidence the validators have teeth.
 func TestValidationCatchesRaces(t *testing.T) {
 	cfg := machineCfg(8, 23)
-	_, err := stamp.Run(cfg, harness.SchemeSpec{Scheme: "NoLock"},
+	_, err := stamp.Run(tsx.NewMachine(cfg), harness.SchemeSpec{Scheme: "NoLock"},
 		func(th *tsx.Thread) stamp.App { return stamp.NewVacation(16, 300, 8, true) }, 8)
 	if err == nil {
 		t.Fatal("vacation under NoLock validated cleanly; validator is too weak")
@@ -177,7 +177,7 @@ func TestLabyrinthCapacityAborts(t *testing.T) {
 	cfg := machineCfg(4, 33)
 	cfg.L1ReadLines = 32
 	cfg.ReadSetLines = 64
-	res, err := stamp.Run(cfg, harness.SchemeSpec{Scheme: "Opt-SLR", Lock: "TTAS"},
+	res, err := stamp.Run(tsx.NewMachine(cfg), harness.SchemeSpec{Scheme: "Opt-SLR", Lock: "TTAS"},
 		func(th *tsx.Thread) stamp.App { return stamp.NewLabyrinth(40, 40, 24) }, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -57,9 +57,10 @@ type Result struct {
 }
 
 // Run executes one application under one scheme with the given thread
-// count and validates the output.
-func Run(mcfg tsx.Config, spec harness.SchemeSpec, mk func(t *tsx.Thread) App, threads int) (Result, error) {
-	m := tsx.NewMachine(mcfg)
+// count on m, a fresh machine with the hardware the scheme needs (see
+// harness.SchemeSpec.Machine) and any engine hooks already installed, and
+// validates the output.
+func Run(m *tsx.Machine, spec harness.SchemeSpec, mk func(t *tsx.Thread) App, threads int) (Result, error) {
 	var app App
 	var scheme core.Scheme
 	m.RunOne(func(t *tsx.Thread) {

@@ -344,21 +344,3 @@ func TestEvictionCalibration(t *testing.T) {
 		t.Errorf("at-capacity reads only fail at rate %.2f", r)
 	}
 }
-
-// TestTraceHook: the debug trace hook observes loads and stores.
-func TestTraceHook(t *testing.T) {
-	m := newTestMachine(1, 1)
-	var events []string
-	Trace = func(id int, ev string, a mem.Addr, v uint64) {
-		events = append(events, ev)
-	}
-	defer func() { Trace = nil }()
-	m.RunOne(func(th *Thread) {
-		a := th.AllocLines(1)
-		th.Store(a, 1)
-		_ = th.Load(a)
-	})
-	if len(events) == 0 {
-		t.Fatal("trace hook saw nothing")
-	}
-}

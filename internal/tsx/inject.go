@@ -3,8 +3,8 @@ package tsx
 import "hle/internal/mem"
 
 // Injector is the fault-injection interface consulted by the engine's hot
-// paths when one is installed (Config.Injector / Machine.SetInjector). The
-// chaos engine in internal/chaos implements it; tests may supply their own.
+// paths when one is installed (Machine.SetInjector). The chaos engine in
+// internal/chaos implements it; tests may supply their own.
 //
 // Implementations MUST be deterministic: every decision must be a pure
 // function of the arguments plus the injector's own explicit state. They
@@ -36,12 +36,13 @@ type Injector interface {
 
 // SetInjector installs (or with nil removes) a fault injector for subsequent
 // Run calls. With no injector installed the engine's behavior and output are
-// byte-identical to a build without injection hooks.
+// byte-identical to a build without injection hooks. Checkpoints and clones
+// do not carry the injector: a forked machine starts fault-free.
 func (m *Machine) SetInjector(inj Injector) {
 	if m.threads != nil {
 		panic("tsx: SetInjector while the machine is running")
 	}
-	m.cfg.Injector = inj
+	m.inj = inj
 }
 
 // SetWatchdog installs (or with nil removes) a liveness watchdog consulted
@@ -66,19 +67,19 @@ func (m *Machine) Stopped() bool { return m.stopped }
 // may yield the scheduler token) is equivalent to the access simply issuing
 // later, and an injected abort unwinds before the access registers anywhere.
 func (t *Thread) inject(line int, write bool) {
-	inj := t.m.cfg.Injector
+	inj := t.m.inj
 	if inj == nil {
 		return
 	}
 	stall, abort := inj.Access(t.ID, t.Clock(), line, write, t.tx != nil)
 	if stall > 0 {
-		t.ringAdd(EvInjStall, mem.LineAddr(line), stall)
+		t.trace(EvInjStall, mem.LineAddr(line), stall)
 		// Raw Proc.Step, not Thread.Step: injected delays are exact,
 		// not subject to cost jitter.
 		t.Proc.Step(stall)
 	}
 	if abort && t.tx != nil {
-		t.ringAdd(EvInjAbort, mem.LineAddr(line), 0)
+		t.trace(EvInjAbort, mem.LineAddr(line), 0)
 		// The program observes an injected abort as spurious (same Cause,
 		// same Status); the flag lets profiles attribute it separately.
 		t.tx.injected = true

@@ -246,32 +246,39 @@ func TestTraceRingBoundedAndDeterministic(t *testing.T) {
 }
 
 // TestCloneGetsFreshRingAndNoInjector: a clone must not share its parent's
-// ring, must start with an empty one, and must drop the injector.
+// ring, must start with an empty one, and must drop the injector — the
+// parent runs under an injector that aborts every transactional access,
+// and the clone's transaction commits.
 func TestCloneGetsFreshRingAndNoInjector(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.Seed = 3
 	cfg.SpuriousPerAccess = 0
 	cfg.TraceRing = 32
 	m := NewMachine(cfg)
-	m.SetInjector(&testInjector{})
+	m.SetInjector(&testInjector{access: func(int, uint64, int, bool, bool) (uint64, bool) { return 0, true }})
+	var a mem.Addr
+	var parentOK bool
 	m.RunOne(func(th *Thread) {
-		a := th.AllocLines(1)
-		th.RTM(func() { th.Store(a, 1) })
+		a = th.AllocLines(1)
+		parentOK, _ = th.RTM(func() { th.Store(a, 1) })
 	})
+	if parentOK {
+		t.Fatal("parent RTM committed under an abort-every-access injector")
+	}
 	c := m.Clone()
 	if got := c.TraceEvents(); len(got) != 0 {
 		t.Errorf("clone ring has %d events, want 0", len(got))
 	}
-	if c.Config().Injector != nil {
-		t.Error("clone kept the parent's injector")
-	}
 	if len(m.TraceEvents()) == 0 {
 		t.Error("parent ring lost its events")
 	}
+	var cloneOK bool
 	c.RunOne(func(th *Thread) {
-		a := th.AllocLines(1)
-		th.RTM(func() { th.Store(a, 1) })
+		cloneOK, _ = th.RTM(func() { th.Store(a, 1) })
 	})
+	if !cloneOK {
+		t.Error("clone RTM aborted: the clone kept the parent's injector")
+	}
 	if len(c.TraceEvents()) == 0 {
 		t.Error("clone ring not recording")
 	}

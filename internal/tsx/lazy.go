@@ -30,31 +30,25 @@ import "hle/internal/mem"
 //     the fresh subscription — aborts the commit instead of being
 //     ignored.
 //
-// The LazyNo* config flags disable the fixes individually; they exist
-// only so the model checker can reproduce the hazards and prove the
+// The Unsound lazy variants (Config.Unsound) disable the fixes; they
+// exist only so the model checker can reproduce the hazards and prove the
 // mutation tests sharp.
 
-// SetSubscription overrides the machine's Config.Subscription for this
-// thread's subsequent transactions. Scheme constructors call it from
-// Setup: the scheme knows whether its lock elides, so the mode is a
+// SetSubscription selects the subscription mode of this thread's
+// subsequent transactions (eager until set). Scheme constructors call it
+// from Setup: the scheme knows whether its lock elides, so the mode is a
 // scheme property, not a machine property. It must not be called inside
 // a transaction.
 func (t *Thread) SetSubscription(s Subscription) {
 	if t.tx != nil {
 		panic("tsx: SetSubscription inside a transaction")
 	}
-	t.sub, t.subSet = s, true
+	t.sub = s
 }
 
 // LazySubscription reports whether this thread's transactions defer lock
-// subscription to commit (the thread override if set, else the machine
-// mode).
-func (t *Thread) LazySubscription() bool {
-	if t.subSet {
-		return t.sub == SubLazy
-	}
-	return t.m.cfg.Subscription == SubLazy
-}
+// subscription to commit.
+func (t *Thread) LazySubscription() bool { return t.sub == SubLazy }
 
 // LazySubscribe registers check as the current transaction's lock
 // subscription predicate — the RTM analogue of HLE's elided lock word.
@@ -122,11 +116,12 @@ func (t *Thread) lazySubCheck(tx *txState) {
 // subscription obligation. Unlike the eager commit it is NOT atomic: the
 // Commit cost is charged mid-pipeline, opening a scheduler window between
 // the subscription check and the write-set drain — the window whose
-// hazards the two Dice et al. fixes close. With no LazyNo* flag set this
+// hazards the two Dice et al. fixes close. On Sound hardware this
 // pipeline is the fixed (safe) design.
 func (t *Thread) commitLazy(tx *txState) {
 	cfg := &t.m.cfg
-	if !cfg.LazyNoCheckFirst && !cfg.LazyNoCommitCheck {
+	checkAfterDrain := cfg.Unsound == UnsoundLazyNaive || cfg.Unsound == UnsoundLazyDrainFirst
+	if !checkAfterDrain && cfg.Unsound != UnsoundLazySkipCheck {
 		// Fix 1: subscription check ordered before the drain. The check
 		// itself yields no scheduler grants for HLE (the touch and the
 		// value test are one atomic step); an RTM predicate's loads may
@@ -137,7 +132,7 @@ func (t *Thread) commitLazy(tx *txState) {
 	// The drain occupies the commit window: charge the commit cost
 	// before publishing, yielding the scheduler mid-commit.
 	t.Step(cfg.Costs.Commit)
-	if tx.doomed && !cfg.LazyNoWindowAbort {
+	if tx.doomed && cfg.Unsound != UnsoundLazyNaive && cfg.Unsound != UnsoundLazyNoWindowAbort {
 		// Fix 2: a write arriving during the window — a pessimistic
 		// acquirer's lock store (visible through the fresh subscription)
 		// or any data conflict — aborts the commit.
@@ -148,7 +143,7 @@ func (t *Thread) commitLazy(tx *txState) {
 		t.trace(EvPublish, a, v)
 		t.m.Mem.Write(a, v)
 	}
-	if cfg.LazyNoCheckFirst && !cfg.LazyNoCommitCheck {
+	if checkAfterDrain {
 		// Naive ordering: the subscription is validated only as commit
 		// completes, AFTER the drain. A failure here fires the abort too
 		// late — the published writes stand, and the program's retry
@@ -161,7 +156,7 @@ func (t *Thread) commitLazy(tx *txState) {
 	}
 	t.clearLineBits(tx)
 	t.tx = nil
-	t.ringAdd(EvCommit, mem.Nil, uint64(tx.accesses))
+	t.trace(EvCommit, mem.Nil, uint64(tx.accesses))
 	if o := t.m.obs; o != nil {
 		o.TxCommit(t.ID, t.Clock(), tx.beginClock, tx.accesses)
 	}

@@ -16,8 +16,8 @@ import "hle/internal/mem"
 // runs stay allocation-free and byte-identical to an unhooked build.
 type Observer interface {
 	// BindMachine is called once, when the observer is installed on a
-	// machine (NewMachine with Config.Observer, or SetObserver). The
-	// observer may keep the machine to resolve line labels at export time.
+	// machine (SetObserver). The observer may keep the machine to resolve
+	// line labels at export time.
 	BindMachine(m *Machine)
 
 	// TxBegin reports a transaction starting on thread at clock.
@@ -46,13 +46,15 @@ type Observer interface {
 
 // SetObserver installs (or with nil removes) an event observer for
 // subsequent Run calls. With no observer installed the engine's behavior
-// and output are byte-identical to a hook-free build.
+// and output are byte-identical to a hook-free build. Checkpoints and
+// clones do not carry the observer: profiling collectors are
+// per-experiment, and a shared collector would race under the
+// host-parallel pool.
 func (m *Machine) SetObserver(o Observer) {
 	if m.threads != nil {
 		panic("tsx: SetObserver while the machine is running")
 	}
 	m.obs = o
-	m.cfg.Observer = o
 	if o != nil {
 		o.BindMachine(m)
 	}

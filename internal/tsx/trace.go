@@ -2,46 +2,37 @@ package tsx
 
 import "hle/internal/mem"
 
-// TraceFunc receives engine events when tracing is enabled. Intended for
-// debugging and tests; nil disables tracing.
-type TraceFunc func(threadID int, event string, addr mem.Addr, val uint64)
-
-// Trace is the machine-wide trace hook (set before Run; no synchronization
-// needed because simulated execution is token-serialized).
-var Trace TraceFunc
-
 // EventKind identifies an engine event compactly. The hot paths record
 // kinds, not strings: a kind is one byte, and its name is materialized only
-// when an event is formatted (diagnostic dumps, the global Trace hook).
+// when an event is formatted (diagnostic dumps, hle-trace).
 type EventKind uint8
 
 // Engine event kinds.
 const (
-	EvNone EventKind = iota
-	EvLoad             // non-transactional load
-	EvLoadBuf          // transactional load served from the write buffer
-	EvLoadTx           // transactional load from memory
-	EvStore            // non-transactional store
-	EvStoreTx          // transactional (buffered) store
-	EvSwap             // non-transactional atomic exchange
-	EvPublish          // buffered store published at commit
-	EvAddRead          // line added to the read set
-	EvXacqElide        // XACQUIRE began elision
-	EvXrelEnd          // XRELEASE ended elision
-	EvReqLine          // coherence request issued for a line
-	EvDoomed           // transaction doomed by a conflicting request
-	EvBegin            // transaction begun
-	EvCommit           // transaction committed
-	EvAbort            // transaction aborted
-	EvInjStall         // injected stall (fault injection)
-	EvInjAbort         // injected spurious abort (fault injection)
+	EvNone      EventKind = iota
+	EvLoad                // non-transactional load
+	EvLoadBuf             // transactional load served from the write buffer
+	EvLoadTx              // transactional load from memory
+	EvStore               // non-transactional store
+	EvStoreTx             // transactional (buffered) store
+	EvSwap                // non-transactional atomic exchange
+	EvPublish             // buffered store published at commit
+	EvAddRead             // line added to the read set
+	EvXacqElide           // XACQUIRE began elision
+	EvXrelEnd             // XRELEASE ended elision
+	EvReqLine             // coherence request issued for a line
+	EvDoomed              // transaction doomed by a conflicting request
+	EvBegin               // transaction begun
+	EvCommit              // transaction committed
+	EvAbort               // transaction aborted
+	EvInjStall            // injected stall (fault injection)
+	EvInjAbort            // injected spurious abort (fault injection)
 
 	numEventKinds = int(EvInjAbort) + 1
 )
 
-// eventNames are the wire/dump names of the kinds. They predate the enum
-// (the ring and the Trace hook recorded these exact strings), so dump
-// formats and trace-matching tests are unchanged.
+// eventNames are the wire/dump names of the kinds; diagnostic dumps and
+// trace-matching tests depend on these exact strings.
 var eventNames = [numEventKinds]string{
 	EvNone:      "none",
 	EvLoad:      "load",
@@ -72,11 +63,11 @@ func (k EventKind) String() string {
 }
 
 // TraceEvent is one engine event captured by a machine's trace ring —
-// the bounded flight recorder behind watchdog diagnostic dumps
-// (Config.TraceRing). Unlike the global Trace hook it records the issuing
-// thread's virtual clock, and it additionally captures transaction
-// lifecycle events (EvBegin, EvCommit, EvAbort) and injected faults
-// (EvInjStall, EvInjAbort).
+// the bounded flight recorder behind watchdog diagnostic dumps and
+// hle-trace (Config.TraceRing): memory accesses, coherence requests and
+// dooms, transaction lifecycle events (EvBegin, EvCommit, EvAbort) and
+// injected faults (EvInjStall, EvInjAbort), each stamped with the issuing
+// thread's virtual clock.
 type TraceEvent struct {
 	Thread int
 	Clock  uint64
@@ -126,21 +117,9 @@ func (m *Machine) TraceEvents() []TraceEvent {
 	return m.ring.events()
 }
 
-// trace reports an event to the global Trace hook and the machine's ring.
-// The event name string is materialized only when the global hook is set.
+// trace records an event in the machine's ring: every engine event goes
+// through it. With the ring disabled it is one nil check.
 func (t *Thread) trace(kind EventKind, addr mem.Addr, val uint64) {
-	if Trace != nil {
-		Trace(t.ID, kind.String(), addr, val)
-	}
-	if r := t.m.ring; r != nil {
-		r.add(TraceEvent{Thread: t.ID, Clock: t.Clock(), Kind: kind, Addr: addr, Val: val})
-	}
-}
-
-// ringAdd reports an event to the machine's ring only. Lifecycle and
-// injection events use it so that enabling a ring does not change what
-// existing global-Trace consumers (cmd/hle-trace, tests) observe.
-func (t *Thread) ringAdd(kind EventKind, addr mem.Addr, val uint64) {
 	if r := t.m.ring; r != nil {
 		r.add(TraceEvent{Thread: t.ID, Clock: t.Clock(), Kind: kind, Addr: addr, Val: val})
 	}

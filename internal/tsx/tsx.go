@@ -62,13 +62,23 @@ func DefaultCosts() CostModel {
 }
 
 // Subscription selects when an elided transaction's lock word enters its
-// read set (see Config.Subscription).
+// read set. It is a per-thread mode (Thread.SetSubscription): the scheme
+// knows whether its lock elides lazily, so eager and lazy schemes share
+// one machine image.
 type Subscription uint8
 
 const (
-	// SubEager subscribes at transaction begin (XACQUIRE semantics).
+	// SubEager subscribes at transaction begin: the paper's scheme and
+	// Haswell's HLE, where the lock line joins the read set at XACQUIRE.
 	SubEager Subscription = iota
-	// SubLazy defers the subscription to commit time.
+	// SubLazy defers the subscription to commit time, removing the lock
+	// line from the conflict footprint for the transaction's whole body —
+	// the lazy-subscription design whose safety Dice et al. analyze in
+	// "Hardware extensions to make lazy subscription safe". On Sound
+	// hardware it models their FIXED pipeline: the commit-time lock check
+	// is ordered before the write-set drain, and a lock-line write
+	// arriving during the commit window aborts the transaction. See
+	// Thread.LazySubscribe for the RTM path.
 	SubLazy
 )
 
@@ -79,6 +89,36 @@ func (s Subscription) String() string {
 	}
 	return "eager"
 }
+
+// Unsound selects a deliberately broken variant of the simulated hardware
+// (Config.Unsound). Each non-zero value removes safety mechanisms so the
+// model checker can reproduce the hazard they exist for and prove its
+// mutation tests sharp.
+type Unsound uint8
+
+const (
+	// Sound is the hardware as specified.
+	Sound Unsound = iota
+	// UnsoundHWExtNoSuspend removes the Chapter 7 extension's
+	// suspend-on-miss wait while keeping the rest of HWExt: elided readers
+	// can observe the Lemma 1 inconsistent snapshot.
+	UnsoundHWExtNoSuspend
+	// UnsoundLazyNaive turns off both Dice et al. fixes: the commit-time
+	// lock check runs after the write-set drain, and a doom arriving in
+	// the commit window is ignored.
+	UnsoundLazyNaive
+	// UnsoundLazySkipCheck skips the commit-time lock subscription
+	// entirely: the transaction never subscribes at all.
+	UnsoundLazySkipCheck
+	// UnsoundLazyDrainFirst removes the first fix only: the commit-time
+	// lock check runs AFTER the drain, so a failing check aborts too late
+	// and the published writes stand.
+	UnsoundLazyDrainFirst
+	// UnsoundLazyNoWindowAbort removes the second fix only: a conflicting
+	// write (including a pessimistic acquirer taking the lock) that dooms
+	// the transaction during the commit window is ignored.
+	UnsoundLazyNoWindowAbort
+)
 
 // Config describes the simulated machine and its TSX implementation.
 type Config struct {
@@ -123,42 +163,11 @@ type Config struct {
 	// elided lock line do not abort; the transaction keeps running from
 	// its cache and suspends on a miss while the lock is held.
 	HWExt bool
-	// HWExtNoSuspend removes the extension's suspend-on-miss wait while
-	// keeping the rest of HWExt — the deliberately unsound variant whose
-	// elided readers can observe the Lemma 1 inconsistent snapshot. It
-	// exists solely as a seeded fault for the model checker's mutation
-	// tests (internal/explore); never set it in experiments.
-	HWExtNoSuspend bool
-
-	// Subscription selects when elided transactions subscribe to the
-	// lock word. SubEager (the zero value) is the paper's scheme and
-	// Haswell's HLE: the lock line joins the read set at XACQUIRE/begin.
-	// SubLazy defers the subscription to commit time, removing the lock
-	// line from the conflict footprint for the transaction's whole body —
-	// the lazy-subscription design whose safety Dice et al. analyze in
-	// "Hardware extensions to make lazy subscription safe". With no
-	// LazyNo* flag set, SubLazy models their FIXED hardware: the
-	// commit-time lock check is ordered before the write-set drain, and a
-	// lock-line write arriving during the commit window aborts the
-	// transaction. Threads may override the machine-wide mode via
-	// Thread.SetSubscription. See Thread.LazySubscribe for the RTM path.
-	Subscription Subscription
-	// LazyNoCheckFirst removes the first fix: the commit-time lock check
-	// runs AFTER the write-set drain, modeling hardware that validates
-	// the subscription as part of (rather than before) commit. The abort
-	// then fires too late — the published writes stand. Unsafe by
-	// construction; exists to reproduce the Dice et al. hazards in
-	// internal/explore. Never set it in experiments.
-	LazyNoCheckFirst bool
-	// LazyNoWindowAbort removes the second fix: a conflicting write
-	// (including a pessimistic acquirer taking the lock) that dooms the
-	// transaction during the commit window is ignored and the drain
-	// proceeds. Unsafe by construction; explore-only.
-	LazyNoWindowAbort bool
-	// LazyNoCommitCheck skips the commit-time lock subscription entirely
-	// (the transaction never subscribes at all). The most broken lazy
-	// variant; seeded-fault fodder for explore's mutation tests.
-	LazyNoCommitCheck bool
+	// Unsound selects a deliberately broken variant of the hardware
+	// (see Unsound). The zero value, Sound, is the hardware as specified;
+	// the others exist solely as seeded faults for the model checker's
+	// mutation tests (internal/explore). Never set it in experiments.
+	Unsound Unsound
 	// CacheLines enables per-thread cache-locality cost modeling: each
 	// thread's accesses to lines outside its most-recent CacheLines
 	// lines pay Costs.Miss extra. Zero (the default) disables the model;
@@ -174,23 +183,10 @@ type Config struct {
 
 	// TraceRing, when positive, sizes a per-machine flight recorder that
 	// keeps the last TraceRing engine events (see Machine.TraceEvents).
-	// Watchdog diagnostic dumps read it; zero disables it. Unlike the
-	// global Trace hook, each machine owns its ring, so host-parallel
-	// experiment points may record concurrently.
+	// Watchdog diagnostic dumps and hle-trace read it; zero disables
+	// it. Each machine owns its ring, so host-parallel experiment points
+	// may record concurrently.
 	TraceRing int
-
-	// Injector, when non-nil, is consulted on the engine's hot paths for
-	// deterministic fault injection (see Injector). Nil injects nothing
-	// and leaves runs byte-identical to a hook-free build. Clone drops
-	// the injector: a cloned machine starts fault-free.
-	Injector Injector
-
-	// Observer, when non-nil, receives enriched transaction-boundary and
-	// scheduler-grant events for profiling (see Observer). Nil observes
-	// nothing at zero cost. Clone drops the observer: profiling
-	// collectors are per-experiment, and a shared collector would race
-	// under the host-parallel pool.
-	Observer Observer
 
 	// NestHLEInRTM, when true, lets an XACQUIRE inside an RTM
 	// transaction start lock elision (Algorithm 3 verbatim). Haswell
@@ -235,9 +231,12 @@ type Machine struct {
 
 	// ring is the flight recorder (nil unless Config.TraceRing > 0).
 	ring *traceRing
-	// obs is the profiling observer installed via Config.Observer or
-	// SetObserver (nil when profiling is off).
+	// obs and inj are the profiling observer and the fault injector
+	// installed via SetObserver and SetInjector (nil when off). They are
+	// per-experiment hooks, not part of the machine image: checkpoints and
+	// clones start without them.
 	obs Observer
+	inj Injector
 	// lineLabels and lockLines are the symbolic cache-line registry fed
 	// by Thread.LabelLines/LabelLockLines; profiles resolve hot line
 	// indices through them. Nil until the first label is registered.
@@ -304,10 +303,6 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.SpuriousPerAccess > 0 {
 		m.logOneMinusP = math.Log1p(-cfg.SpuriousPerAccess)
 	}
-	if cfg.Observer != nil {
-		m.obs = cfg.Observer
-		m.obs.BindMachine(m)
-	}
 	return m
 }
 
@@ -345,21 +340,18 @@ func (m *Machine) Checkpoint() *Checkpoint {
 	if m.threads != nil {
 		panic("tsx: Checkpoint while the machine is running")
 	}
-	cp := &Checkpoint{
+	// Machines forked from the checkpoint start fault-free with an empty
+	// flight recorder of their own: injectors, observers and watchdogs are
+	// per-experiment, not part of the machine image, and a shared ring or
+	// collector would race under the host-parallel pool. Line labels ARE
+	// part of the image: they describe memory the checkpoint copied.
+	return &Checkpoint{
 		cfg:          m.cfg,
 		snap:         m.Mem.Snapshot(),
 		lineLabels:   maps.Clone(m.lineLabels),
 		lockLines:    maps.Clone(m.lockLines),
 		logOneMinusP: m.logOneMinusP,
 	}
-	// Machines forked from the checkpoint start fault-free with an empty
-	// flight recorder of their own: injectors, observers and watchdogs are
-	// per-experiment, not part of the machine image, and a shared ring or
-	// collector would race under the host-parallel pool. Line labels ARE
-	// part of the image: they describe memory the checkpoint copied.
-	cp.cfg.Injector = nil
-	cp.cfg.Observer = nil
-	return cp
 }
 
 // FromCheckpoint builds an independent machine from a checkpoint. The
@@ -407,8 +399,8 @@ func (m *Machine) Run(n int, body func(t *Thread)) []*Thread {
 	m.threads = make([]*Thread, n)
 	m.stopped = false
 	simCfg := sim.Config{Procs: n, Seed: m.cfg.Seed, Quantum: m.cfg.Quantum}
-	if inj := m.cfg.Injector; inj != nil {
-		simCfg.Grant = inj.Grant
+	if m.inj != nil {
+		simCfg.Grant = m.inj.Grant
 	}
 	if m.obs != nil {
 		simCfg.OnGrant = m.obs.Grant
@@ -483,14 +475,9 @@ type Thread struct {
 	// for the profiling observer; the engine never reads it.
 	serial bool
 
-	// sub/subSet hold the thread's subscription-mode override
-	// (SetSubscription). When unset the machine's Config.Subscription
-	// applies. Per-thread so that scheme constructors — which know
-	// whether their lock elides — can select the mode without a
-	// machine-wide reconfiguration, letting eager and lazy schemes share
-	// one machine image (checkpoint forks, chaos soaks).
-	sub    Subscription
-	subSet bool
+	// sub is the thread's subscription mode (SetSubscription; eager
+	// until a scheme's Setup selects lazy).
+	sub Subscription
 
 	// Stats accumulates transaction outcomes for this thread.
 	Stats Stats

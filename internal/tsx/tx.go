@@ -122,7 +122,7 @@ func (t *Thread) beginTx() *txState {
 	tx.beginClock = t.Clock()
 	t.tx = tx
 	t.Stats.Begun++
-	t.ringAdd(EvBegin, mem.Nil, 0)
+	t.trace(EvBegin, mem.Nil, 0)
 	if o := t.m.obs; o != nil {
 		o.TxBegin(t.ID, tx.beginClock)
 	}
@@ -181,7 +181,7 @@ func (t *Thread) finishAbort() Status {
 	t.clearLineBits(tx)
 	t.tx = nil
 	t.Stats.Aborted[tx.abortCause]++
-	t.ringAdd(EvAbort, mem.LineAddr(tx.conflictLine), uint64(tx.abortCause))
+	t.trace(EvAbort, mem.LineAddr(tx.conflictLine), uint64(tx.abortCause))
 	if o := t.m.obs; o != nil {
 		o.TxAbort(t.ID, t.Clock(), tx.beginClock, tx.abortCause,
 			tx.conflictLine, int(tx.aggressor), tx.injected, tx.elided)
@@ -219,7 +219,7 @@ func (t *Thread) commit() {
 	}
 	t.clearLineBits(tx)
 	t.tx = nil
-	t.ringAdd(EvCommit, mem.Nil, uint64(tx.accesses))
+	t.trace(EvCommit, mem.Nil, uint64(tx.accesses))
 	if o := t.m.obs; o != nil {
 		o.TxCommit(t.ID, t.Clock(), tx.beginClock, tx.accesses)
 	}
@@ -319,7 +319,7 @@ func (t *Thread) txTouchWrite(tx *txState, line int) {
 	// update.)
 	t.hwextMissCheck(tx)
 	limit := t.m.cfg.WriteSetLines
-	if inj := t.m.cfg.Injector; inj != nil {
+	if inj := t.m.inj; inj != nil {
 		// A transient capacity squeeze (e.g. a sibling hyperthread
 		// evicting L1 ways) lowers the effective write-set limit.
 		limit = inj.WriteCap(t.ID, t.Clock(), limit)
@@ -344,7 +344,7 @@ func (t *Thread) hwextMissCheck(tx *txState) {
 	if !t.m.cfg.HWExt || !tx.elided {
 		return
 	}
-	if t.m.cfg.HWExtNoSuspend {
+	if t.m.cfg.Unsound == UnsoundHWExtNoSuspend {
 		// Seeded Lemma 1 fault (mutation testing): expand the footprint
 		// without waiting for the lock. Data conflicts still doom the
 		// transaction at the next access, which is exactly why the bug is
@@ -378,14 +378,7 @@ func (m *Machine) requestLine(line int, req *Thread, isWrite bool) {
 		victims |= lm.Readers
 	}
 	if req != nil {
-		if Trace != nil {
-			Trace(req.ID, EvReqLine.String(), mem.LineAddr(line), victims)
-		}
-		if m.ring != nil {
-			m.ring.add(TraceEvent{Thread: req.ID, Clock: req.Clock(), Kind: EvReqLine, Addr: mem.LineAddr(line), Val: victims})
-		}
-	}
-	if req != nil {
+		req.trace(EvReqLine, mem.LineAddr(line), victims)
 		victims &^= uint64(1) << uint(req.ID)
 	}
 	for victims != 0 {
@@ -403,12 +396,7 @@ func (m *Machine) requestLine(line int, req *Thread, isWrite bool) {
 		} else {
 			v.tx.aggressor = -1
 		}
-		if Trace != nil {
-			Trace(v.ID, EvDoomed.String(), mem.LineAddr(line), 0)
-		}
-		if m.ring != nil {
-			m.ring.add(TraceEvent{Thread: v.ID, Clock: v.Clock(), Kind: EvDoomed, Addr: mem.LineAddr(line), Val: 0})
-		}
+		v.trace(EvDoomed, mem.LineAddr(line), 0)
 	}
 }
 

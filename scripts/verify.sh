@@ -15,22 +15,10 @@ go test -race -timeout 300s ./internal/harness/... ./internal/tsx/... ./internal
 # its suite runs under the race detector too — and the adaptive controller
 # rides the profiler's windowed feed, so it gets the same treatment.
 go test -race -count=1 -timeout 300s ./internal/obs ./internal/adapt
-# Storm-recovery soak, quick tier: the adaptive controller demoted by an
-# injected abort storm must re-promote within its window bounds, without
-# flapping, and stay serializable across every hot swap.
-go test -count=1 -timeout 300s -run 'TestStormRecoveryMatrix|TestStormRecoveryDeterministic' -short ./internal/chaos
 # The explorer fans its frontier across host workers; run its suite under
 # the race detector too, but -short (the quick battery alone — the race
 # detector is ~10x, so the deeper two-op configurations stay in plain mode).
 go test -race -short -count=1 -timeout 600s ./internal/explore
-# Checkpoint-fork differential: chained (forking) exploration must match
-# scratch replay bit for bit, and deliberately staled banked outcomes must
-# be caught by the fork validator.
-go test -count=1 -timeout 300s -run 'TestChainMatchesScratch|TestValidateForksClean|TestStaleBankCaught' ./internal/explore
-# Checkpoint/fork fuzz smoke: replays the checked-in corpus (seed inputs
-# plus interesting cases the fuzzer found), comparing forked children
-# against scratch executions.
-go test -count=1 -timeout 300s -run 'FuzzCheckpointFork|TestSoakForkMatchesScratch' ./internal/tsx ./internal/chaos
 # Capped-depth model-checking smoke: every scheme x sweep lock at two
 # threads x one op with a small replay budget — under a minute, and it
 # exercises the whole replay/branch/check loop through the CLI entry point.
