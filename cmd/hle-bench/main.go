@@ -37,6 +37,7 @@ import (
 
 	"hle/internal/explore"
 	"hle/internal/figures"
+	"hle/internal/locks"
 	"hle/internal/obs"
 	"hle/internal/stats"
 )
@@ -61,14 +62,16 @@ func run(args []string) int {
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0),
 			"host workers experiment points fan out across (output is identical for any value)")
 		chain      = fs.Int("chain", 0, "explore: frontiers one replay may bank past its own node (0 = default 2, negative = none: every node replays from scratch)")
-		cacheMB    = fs.Int("cache-mb", 0, "explore: banked-outcome cache budget in MiB (0 = default 64, negative = unlimited)")
-		validate   = fs.Bool("validate-forks", false, "explore: cross-check every forked node against a scratch replay (slow; audits bit-identity)")
 		profile    = fs.String("profile", "", "collect per-point abort-attribution profiles: json or text")
 		profileOut = fs.String("profile-out", "", "write -profile output to this file instead of stdout")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	fs.Parse(args)
+	if *threads < 1 || *threads > locks.MaxThreads {
+		fmt.Fprintf(os.Stderr, "hle-bench: -threads must be in 1..%d, got %d\n", locks.MaxThreads, *threads)
+		return 2
+	}
 	if *profile != "" && *profile != "json" && *profile != "text" {
 		fmt.Fprintf(os.Stderr, "hle-bench: -profile must be json or text, got %q\n", *profile)
 		return 2
@@ -134,13 +137,7 @@ func run(args []string) int {
 
 	switch {
 	case *doExplore:
-		if !runExplore(exploreOpts{
-			quick:    *quick,
-			parallel: *parallel,
-			chain:    *chain,
-			cacheMB:  *cacheMB,
-			validate: *validate,
-		}) {
+		if !runExplore(*quick, *parallel, *chain) {
 			return 1
 		}
 	case *list:
@@ -203,39 +200,24 @@ func run(args []string) int {
 	return 0
 }
 
-// exploreOpts carries the -explore mode's flags.
-type exploreOpts struct {
-	quick    bool
-	parallel int
-	chain    int
-	cacheMB  int
-	validate bool
-}
-
 // runExplore runs the bounded model-checking sweep and prints one report
 // line per configuration, then a totals line. The output is deterministic
-// at any -parallel, -chain and -cache-mb (banked outcomes are bit-identical
-// to the replays they replace), so stdout diffs cleanly across modes. Any
+// at any parallel and chain depth (banked outcomes are bit-identical to
+// the replays they replace), so stdout diffs cleanly across modes. Any
 // violation prints its counterexample schedule and diagnostic dump; the
 // result reports whether the sweep was clean.
-func runExplore(o exploreOpts) bool {
+func runExplore(quick bool, parallel, chain int) bool {
 	var states, schedules, replays, truncated uint64
 	violations := 0
-	for _, cfg := range explore.Battery(o.quick) {
-		cfg.Parallel = o.parallel
-		cfg.ChainDepth = o.chain
-		cfg.CacheMB = o.cacheMB
-		cfg.ValidateForks = o.validate
+	for _, cfg := range explore.Battery(quick) {
+		cfg.Parallel = parallel
+		cfg.ChainDepth = chain
 		r := explore.Run(cfg)
 		fmt.Println(r.Line())
 		states += r.States
 		schedules += r.Schedules
 		replays += r.Replays
 		truncated += r.Truncated
-		if r.ForkMismatches > 0 {
-			violations++
-			fmt.Printf("\n%s: %d forked outcomes disagreed with scratch replay\n", cfg.Label(), r.ForkMismatches)
-		}
 		if r.Violation != nil {
 			violations++
 			fmt.Printf("\n%s: %s\n%s\n", cfg.Label(), r.Violation.Error(), r.Violation.Failure.Dump())

@@ -25,3 +25,17 @@ func TestProfilesSurviveFailingRun(t *testing.T) {
 		}
 	}
 }
+
+// TestUsageErrors: a thread count outside what the locks support is
+// rejected before any figure runs.
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig", "2.1", "-threads", "0"},
+		{"-fig", "2.1", "-threads", "65"},
+		{"-fig", "2.1", "-profile", "bogus"},
+	} {
+		if code := run(args); code != 2 {
+			t.Errorf("%v: exit status %d, want 2", args, code)
+		}
+	}
+}

@@ -96,14 +96,30 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintf(os.Stderr, "hle-trace: unknown lock %q\n", *lock)
 		return 2
 	}
+	var rangeErr string
+	switch {
+	case *threads < 1 || *threads > locks.MaxThreads:
+		rangeErr = fmt.Sprintf("-threads must be in 1..%d, got %d", locks.MaxThreads, *threads)
+	case *size < 1:
+		rangeErr = fmt.Sprintf("-size must be at least 1, got %d", *size)
+	case *updates < 0 || *updates > 100:
+		rangeErr = fmt.Sprintf("-updates must be in 0..100, got %d", *updates)
+	case *budget == 0:
+		rangeErr = "-budget must be positive"
+	case *limit < 0:
+		rangeErr = fmt.Sprintf("-events must not be negative, got %d", *limit)
+	}
+	if rangeErr != "" {
+		fmt.Fprintf(os.Stderr, "hle-trace: %s\n", rangeErr)
+		return 2
+	}
 
 	spec := harness.SchemeSpec{Scheme: *scheme, Lock: *lock}
 	if *mode == "trace" {
 		runTrace(stdout, spec, *seed, *limit)
 		return 0
 	}
-	runPoint(stdout, *mode, spec, *threads, *size, *updates, *budget, *seed)
-	return 0
+	return runPoint(stdout, *mode, spec, *threads, *size, *updates, *budget, *seed)
 }
 
 // traceRing sizes the trace scenario's ring so that it never wraps: the
@@ -181,11 +197,14 @@ func runTrace(stdout io.Writer, spec harness.SchemeSpec, seed int64, limit int) 
 }
 
 // runPoint runs a red-black-tree point under spec with the profiler
-// attached and renders the requested mode's view.
-func runPoint(stdout io.Writer, mode string, spec harness.SchemeSpec, threads, size, updates int, budget uint64, seed int64) {
+// attached and renders the requested mode's view. A watchdog stops points
+// that stop making progress (a scheme without mutual exclusion can corrupt
+// the tree into a cycle); those print the trip and return exit status 1.
+func runPoint(stdout io.Writer, mode string, spec harness.SchemeSpec, threads, size, updates int, budget uint64, seed int64) int {
 	cfg := tsx.DefaultConfig(threads)
 	cfg.Seed = seed
 	cfg.MemWords = size*16 + 1<<16
+	mcfg := spec.Machine(cfg)
 	mix := harness.Mix{InsertPct: updates / 2, DeletePct: updates / 2}
 	// ~40 slices across the run keep the sparklines and the waterfall
 	// terminal-sized.
@@ -193,7 +212,7 @@ func runPoint(stdout io.Writer, mode string, spec harness.SchemeSpec, threads, s
 	var w harness.Workload
 	res := harness.PointSpec{
 		Warm: &harness.WarmTemplate{
-			Machine: spec.Machine(cfg),
+			Machine: mcfg,
 			MkWorkload: func(th *tsx.Thread) harness.Workload {
 				w = harness.NewRBTree(th, size, mix)
 				return w
@@ -204,9 +223,14 @@ func runPoint(stdout io.Writer, mode string, spec harness.SchemeSpec, threads, s
 			Threads:     threads,
 			CycleBudget: budget,
 			SliceCycles: window,
+			Watchdog:    &harness.WatchdogConfig{LivelockWindow: harness.LivelockWindow(mcfg)},
 			Profile:     &obs.Options{WindowCycles: window},
 		},
 	}.Run()
+	if res.Failure != nil {
+		fmt.Fprintf(os.Stderr, "hle-trace: %s\n", res.Failure.Error())
+		return 1
+	}
 
 	if mode != "summary" {
 		p := res.Profile
@@ -219,7 +243,7 @@ func runPoint(stdout io.Writer, mode string, spec harness.SchemeSpec, threads, s
 		} else {
 			fmt.Fprint(stdout, p.HeatmapText())
 		}
-		return
+		return 0
 	}
 	fmt.Fprintf(stdout, "workload: %s, %d threads, %s %s lock, %d virtual cycles\n\n",
 		w.Name(), threads, spec.Scheme, spec.Lock, budget)
@@ -239,4 +263,5 @@ func runPoint(stdout io.Writer, mode string, spec harness.SchemeSpec, threads, s
 	fmt.Fprintf(stdout, "  [%s]\n", stats.Sparkline(res.Timeline.NonSpecFractions(), 1))
 	fmt.Fprintln(stdout, "throughput per slot (normalized to mean):")
 	fmt.Fprintf(stdout, "  [%s]\n", stats.Sparkline(res.Timeline.NormalizedOps(), 2))
+	return 0
 }

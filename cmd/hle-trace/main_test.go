@@ -32,13 +32,34 @@ func TestHWExtRunsOnItsMachine(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: an unknown mode, scheme or lock is a usage error.
+// TestUsageErrors: an unknown mode, scheme or lock, or a numeric flag out
+// of range, is a usage error.
 func TestUsageErrors(t *testing.T) {
-	for _, args := range [][]string{{"-mode", "bogus"}, {"-scheme", "nope"}, {"-lock", "nope"}} {
+	for _, args := range [][]string{
+		{"-mode", "bogus"}, {"-scheme", "nope"}, {"-lock", "nope"},
+		{"-threads", "0"}, {"-mode", "summary", "-threads", "65"},
+		{"-mode", "summary", "-size", "0"},
+		{"-mode", "summary", "-updates", "150"}, {"-mode", "summary", "-updates", "-1"},
+		{"-mode", "summary", "-budget", "0"},
+		{"-events", "-1"},
+	} {
 		var out bytes.Buffer
 		if code := run(args, &out); code != 2 {
 			t.Errorf("%v: exit status %d, want 2", args, code)
 		}
+		if out.Len() != 0 {
+			t.Errorf("%v: a usage error printed a report:\n%s", args, out.String())
+		}
+	}
+}
+
+// TestStalledPointStops: a point that stops making progress (NoLock lets
+// the threads corrupt the tree) is stopped by the watchdog and exits 1
+// instead of hanging.
+func TestStalledPointStops(t *testing.T) {
+	var out bytes.Buffer
+	if code := run([]string{"-mode", "summary", "-scheme", "NoLock"}, &out); code != 1 {
+		t.Errorf("exit status %d, want 1", code)
 	}
 }
 

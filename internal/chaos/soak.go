@@ -41,8 +41,8 @@ type SoakSpec struct {
 	// Schedule overrides the random schedule entirely.
 	Schedule []Fault
 	// LivelockWindow and StarvationWindow arm the watchdog (defaults
-	// 2e6 and 8e6 cycles — far beyond any legitimate operation gap at
-	// soak scale, far below a hung test timeout).
+	// harness.LivelockWindow for the scheme's machine, and four times
+	// that).
 	LivelockWindow   uint64
 	StarvationWindow uint64
 	// Observer, when non-nil, is installed on the soak machine
@@ -100,18 +100,8 @@ func (s *SoakSpec) defaults() {
 		s.Horizon = 150_000
 	}
 	if s.LivelockWindow == 0 {
-		s.LivelockWindow = 2_000_000
-		if s.Scheme.Machine(tsx.Config{}).HWExt {
-			// A liveness window must exceed the scheme's longest
-			// legitimate progress gap. The Chapter 7 extension
-			// suspends a speculative thread for up to maxWaitIters
-			// wait steps (~2^20 × Costs.Wait ≈ 2·10^7 cycles) before
-			// its spurious-abort escape hatch fires — a fault landing
-			// mid-suspension makes gaps of that order, from which the
-			// scheme provably recovers (soak seeds 6 and 16 exercise
-			// exactly this).
-			s.LivelockWindow = 30_000_000
-		}
+		// Soak seeds 6 and 16 exercise the HWExt window's suspension gap.
+		s.LivelockWindow = harness.LivelockWindow(s.Scheme.Machine(tsx.Config{}))
 	}
 	if s.StarvationWindow == 0 {
 		s.StarvationWindow = 4 * s.LivelockWindow

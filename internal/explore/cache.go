@@ -8,17 +8,14 @@ package explore
 //
 // The cache is NOT an LRU: all inserts and lookups happen sequentially in
 // the merge loop's deterministic order, and eviction is by generation
-// (purge) plus a hard byte budget at insert (reject, never evict — an
-// evicted entry would change which nodes fork, and while that could never
-// change the search's RESULTS, it would make fork/replay statistics depend
-// on insert timing). Rejects and purges are counted so a too-small budget
-// is visible in the timing report rather than silent.
+// (purge) plus a hard byte budget at insert (cacheBytes; reject, never
+// evict — an evicted entry would change which nodes fork, and while that
+// could never change the search's RESULTS, it would make fork/replay
+// statistics depend on insert timing).
 type specCache struct {
-	byLen   map[int]map[string]runOutcome
-	bytes   int64
-	peak    int64
-	budget  int64 // <= 0: unlimited
-	dropped uint64
+	byLen map[int]map[string]runOutcome
+	bytes int64
+	peak  int64
 }
 
 // testCorruptBank, when non-nil, mutates every outcome as it is banked.
@@ -26,10 +23,6 @@ type specCache struct {
 // fork-validation mode catches a bank that disagrees with scratch replay;
 // production code must leave it nil.
 var testCorruptBank func(prefix []uint8, o *runOutcome)
-
-func newSpecCache(budget int64) *specCache {
-	return &specCache{byLen: make(map[int]map[string]runOutcome), budget: budget}
-}
 
 // outcomeBytes estimates an entry's memory footprint: map overhead, the
 // prefix key, and the outcome's slices.
@@ -43,8 +36,7 @@ func (sc *specCache) put(prefix []uint8, o runOutcome) {
 		testCorruptBank(prefix, &o)
 	}
 	sz := outcomeBytes(len(prefix), &o)
-	if sc.budget > 0 && sc.bytes+sz > sc.budget {
-		sc.dropped++
+	if sc.bytes+sz > cacheBytes {
 		return
 	}
 	m := sc.byLen[len(prefix)]
@@ -94,28 +86,3 @@ func (sc *specCache) drainAll(wasted *uint64) {
 		sc.purgeLen(n, wasted)
 	}
 }
-
-// suffixBucket maps a scratch replay's prefix length to its histogram
-// bucket; bucket 0 is reserved for forked nodes (nothing re-executed).
-// See Result.SuffixHist.
-func suffixBucket(n int) int {
-	switch {
-	case n <= 1:
-		return 1
-	case n <= 4:
-		return 2
-	case n <= 8:
-		return 3
-	case n <= 16:
-		return 4
-	case n <= 32:
-		return 5
-	case n <= 64:
-		return 6
-	default:
-		return 7
-	}
-}
-
-// SuffixHistLabels names Result.SuffixHist's buckets for reports.
-var SuffixHistLabels = [8]string{"fork", "≤1", "≤4", "≤8", "≤16", "≤32", "≤64", ">64"}

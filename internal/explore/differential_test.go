@@ -145,3 +145,24 @@ func TestStaleBankCaught(t *testing.T) {
 		t.Errorf("clean run reported %d fork mismatches", clean.ForkMismatches)
 	}
 }
+
+// TestForkCountersPinned pins the chain predictor: the differential tests
+// above compare verdicts and states, which any prediction preserves, so
+// only these counters notice when chained replays bank different children.
+// A change here means the predictor no longer follows the merge loop's
+// child-selection rule the way it did.
+func TestForkCountersPinned(t *testing.T) {
+	for _, c := range []struct {
+		cfg                          Config
+		forks, scratch, wasted, peak uint64
+	}{
+		{Config{Scheme: "HLE", Lock: "TTAS", Threads: 2, Ops: 1}, 1162, 1344, 1012, 36915},
+		{Config{Scheme: "Standard", Lock: "TTAS", Threads: 3, Ops: 1}, 26761, 32614, 30037, 459124},
+	} {
+		r := Run(c.cfg)
+		if r.Forks != c.forks || r.ScratchReplays != c.scratch || r.SpecWasted != c.wasted || r.CachePeakBytes != c.peak {
+			t.Errorf("%s: forks=%d scratch=%d wasted=%d peak=%d, want %d %d %d %d", c.cfg.Label(),
+				r.Forks, r.ScratchReplays, r.SpecWasted, r.CachePeakBytes, c.forks, c.scratch, c.wasted, c.peak)
+		}
+	}
+}

@@ -50,9 +50,42 @@ import (
 	"hle/internal/harness"
 )
 
+// Search bounds. Exploration is exhaustive up to these; what they cut is
+// counted as truncated or reported as a progress violation.
+const (
+	// maxDepth bounds the number of scheduling decisions per schedule;
+	// deeper frontiers are counted as truncated.
+	maxDepth = 600
+	// soloBound bounds the large scheduler slices (2^20 cycles each)
+	// granted to a sole remaining thread to finish; exceeding it is
+	// reported as a progress violation, since with every other thread
+	// finished a correct scheme always terminates. The bound clears the
+	// engine's longest legitimate solo gap: the Chapter 7 suspend-on-miss
+	// loop waits up to 2^20 steps of Costs.Wait (20 cycles, so ~2.1e7
+	// cycles total) before its spurious-abort escape hatch fires, which an
+	// elided thread needs when its recorded lock word can never recur
+	// (e.g. a queue-lock tail captured while a real holder was enqueued).
+	soloBound = 24
+	// stutterBound caps the write-free grants a thread may take between
+	// state-changing (write or transaction-boundary) grants by anyone.
+	// Re-polling unchanged shared state is idempotent, so the cap only
+	// cuts spin loops — and when every unfinished thread is capped at
+	// once, nothing can ever change again: that is reported as a progress
+	// violation (deadlock/livelock).
+	stutterBound = 4
+	// attemptsBound flags any single operation taking more than this many
+	// execution attempts as a progress violation (the paper's schemes
+	// bound retries at 10 before falling back to the lock).
+	attemptsBound = 32
+	// cacheBytes caps the banked-outcome cache's memory. Outcomes that do
+	// not fit are not banked — the node replays from scratch instead. The
+	// quick battery peaks near 1 MB and the full one near 12 MB.
+	cacheBytes = 64 << 20
+)
+
 // Config describes one exploration: a scheme/lock pair, a thread and
-// per-thread operation count, and the search bounds. Zero bound fields
-// select defaults.
+// per-thread operation count, and the replay budget. Zero fields select
+// defaults.
 type Config struct {
 	// Scheme is a harness scheme name (see harness.SchemeSpec); NoLock is
 	// not explorable (it has no mutual-exclusion obligation to check).
@@ -69,34 +102,9 @@ type Config struct {
 	// prove the checker's teeth.
 	Mutant string
 
-	// MaxDepth bounds the number of scheduling decisions per schedule
-	// (default 600); deeper frontiers are counted as truncated.
-	MaxDepth int
-	// SoloBound bounds the large scheduler slices (2^20 cycles each)
-	// granted to a sole remaining thread to finish (default 24); exceeding
-	// it is reported as a progress violation, since with every other
-	// thread finished a correct scheme always terminates. The default
-	// clears the engine's longest legitimate solo gap: the Chapter 7
-	// suspend-on-miss loop waits up to 2^20 steps of Costs.Wait (20
-	// cycles, so ~2.1e7 cycles total) before its spurious-abort escape
-	// hatch fires, which an elided thread needs when its recorded lock
-	// word can never recur (e.g. a queue-lock tail captured while a real
-	// holder was enqueued).
-	SoloBound int
 	// MaxReplays bounds the total replays (default 200000); exhausting it
 	// marks the result truncated.
 	MaxReplays int
-	// StutterBound caps the write-free grants a thread may take between
-	// state-changing (write or transaction-boundary) grants by anyone
-	// (default 4). Re-polling unchanged shared state is idempotent, so
-	// the cap only cuts spin loops — and when every unfinished thread is
-	// capped at once, nothing can ever change again: that is reported as
-	// a progress violation (deadlock/livelock).
-	StutterBound int
-	// AttemptsBound flags any single operation taking more than this many
-	// execution attempts as a progress violation (default 32; the paper's
-	// schemes bound retries at 10 before falling back to the lock).
-	AttemptsBound uint64
 
 	// ChainDepth is how many frontiers past its own node one replay may
 	// keep executing, banking each extra frontier's outcome for the wave
@@ -108,15 +116,10 @@ type Config struct {
 	// replace (strategy-driven runs are pure functions of their decision
 	// sequence), so this changes wall clock, never results.
 	ChainDepth int
-	// CacheMB caps the banked-outcome cache's memory (default 64;
-	// negative: unlimited). Outcomes that do not fit are dropped — the
-	// node replays from scratch instead — and counted in the result.
-	CacheMB int
 	// ValidateForks makes every fork also replay from scratch and
 	// cross-check the banked outcome bit-for-bit, counting mismatches in
 	// Result.ForkMismatches and preferring the scratch outcome. It exists
-	// for the differential tests and for auditing; it is slower than not
-	// forking at all.
+	// for the differential tests; it is slower than not forking at all.
 	ValidateForks bool
 
 	// OnlyKind, when non-empty, makes the search ignore violations of
@@ -152,26 +155,11 @@ func (c *Config) withDefaults() Config {
 	if d.Ops == 0 {
 		d.Ops = 2
 	}
-	if d.MaxDepth == 0 {
-		d.MaxDepth = 600
-	}
-	if d.SoloBound == 0 {
-		d.SoloBound = 24
-	}
 	if d.MaxReplays == 0 {
 		d.MaxReplays = 200000
 	}
-	if d.StutterBound == 0 {
-		d.StutterBound = 4
-	}
-	if d.AttemptsBound == 0 {
-		d.AttemptsBound = 32
-	}
 	if d.ChainDepth == 0 {
 		d.ChainDepth = 2
-	}
-	if d.CacheMB == 0 {
-		d.CacheMB = 64
 	}
 	return d
 }
@@ -232,8 +220,6 @@ type Result struct {
 	Truncated uint64
 	// Replays counts prefix replays executed.
 	Replays uint64
-	// Decisions counts branching scheduling decisions across all replays.
-	Decisions uint64
 
 	// FpPruned counts frontier nodes collapsed into an already-visited
 	// state; SleepPruned and StutterPruned count child branches skipped
@@ -242,29 +228,20 @@ type Result struct {
 	SleepPruned   uint64
 	StutterPruned uint64
 
-	// MaxFrontier is the deepest branching decision reached.
-	MaxFrontier int
-
 	// Forks counts nodes satisfied from a banked chained-replay outcome
 	// (no machine was built or run for them); ScratchReplays counts nodes
 	// that actually replayed. Forks + ScratchReplays == Replays.
 	Forks          uint64
 	ScratchReplays uint64
 	// SpecWasted counts banked outcomes that were never consumed (the
-	// merge pruned or reordered away the predicted child); CacheDropped
-	// counts outcomes rejected by the cache's byte budget.
-	SpecWasted   uint64
-	CacheDropped uint64
+	// merge pruned or reordered away the predicted child).
+	SpecWasted uint64
 	// CachePeakBytes is the banked-outcome cache's high-water mark.
 	CachePeakBytes uint64
 	// ForkMismatches counts banked outcomes that disagreed with a scratch
 	// replay (only under Config.ValidateForks; always 0 unless the bank
 	// is corrupted — the stale-checkpoint mutation tests prove that).
 	ForkMismatches uint64
-	// SuffixHist is the replayed-work histogram: bucket 0 counts forked
-	// nodes (suffix length 0 — nothing re-executed), the others count
-	// scratch replays by prefix length (see SuffixHistLabels).
-	SuffixHist [8]uint64
 
 	// Violation is the first (minimal) property failure, or nil.
 	Violation *Violation
@@ -312,6 +289,66 @@ type sleepEntry struct {
 	e    edge
 }
 
+// childChoice is the child-selection rule's verdict at one frontier.
+type childChoice struct {
+	// stutter is the node's stutter counters with its own incoming grant
+	// folded in.
+	stutter [maxExploreProcs]uint8
+	// sleep is the node's final sleep set, inherited by its children.
+	sleep []sleepEntry
+	// children are the admissible child procs, in enabled order.
+	children []uint8
+	// sleepPruned and stutterPruned count the enabled procs each pruning
+	// skipped.
+	sleepPruned, stutterPruned uint64
+}
+
+// chooseChildren is the child-selection rule at node nd's frontier, whose
+// incoming grant had footprint last. The merge loop and the chain
+// predictor (specNext) both apply it, so a chained replay follows exactly
+// the child the merge would enqueue first whenever it knows what the merge
+// knows. sibs are the sleep entries of nd's earlier siblings (unfiltered);
+// done is the mask of procs already expanded from the frontier state.
+//
+// The node's incoming grant is folded into the stutter counters: a
+// write-free grant bumps its thread, a state-changing one resets everyone
+// (whatever a polling thread re-reads may now differ). The final sleep set
+// is the inherited one plus the siblings', minus everything dependent with
+// the grant just taken. A child is admissible unless it sleeps, is
+// stutter-capped or was already expanded.
+func (c *Config) chooseChildren(nd *node, last *edge, sibs []sleepEntry, enabled []uint8, done uint64) childChoice {
+	ch := childChoice{stutter: nd.stutter}
+	if n := len(nd.prefix); n > 0 {
+		if writeFree(last) {
+			ch.stutter[nd.prefix[n-1]]++
+		} else {
+			ch.stutter = [maxExploreProcs]uint8{}
+		}
+		if !c.NoSleepSets {
+			// A fresh slice: the inherited set is shared with sibling
+			// nodes, which chained replays read concurrently.
+			for _, set := range [2][]sleepEntry{nd.inherit, sibs} {
+				for _, se := range set {
+					if !dependent(&se.e, last) {
+						ch.sleep = append(ch.sleep, se)
+					}
+				}
+			}
+		}
+	}
+	for _, p := range enabled {
+		switch {
+		case inSleep(ch.sleep, p):
+			ch.sleepPruned++
+		case ch.stutter[p] >= stutterBound:
+			ch.stutterPruned++
+		case done&(1<<p) == 0:
+			ch.children = append(ch.children, p)
+		}
+	}
+	return ch
+}
+
 // Run explores one configuration exhaustively (up to its bounds) and
 // returns the counts and the first violation, if any.
 func Run(cfg Config) *Result {
@@ -320,21 +357,19 @@ func Run(cfg Config) *Result {
 		panic("explore: too many threads (exploration targets small configurations)")
 	}
 	res := &Result{Config: c}
-	ex := newExplorer(&c, res)
+	ex := newExplorer(&c)
 
 	wave := []node{{prefix: nil, firstSib: 0}}
 	outs := make([]runOutcome, 0, 64)
 	visited := make(map[uint64]uint64) // fingerprint -> expanded-procs mask
 	budget := c.MaxReplays
-	chainDepth := c.ChainDepth
-	if chainDepth < 0 {
-		chainDepth = 0
-	}
-	cache := newSpecCache(int64(c.CacheMB) << 20)
+	chainDepth := max(c.ChainDepth, 0)
+	cache := &specCache{byLen: make(map[int]map[string]runOutcome)}
 	var miss []int
 	var chains [][]chainOut
+	var sibs []sleepEntry
 
-	for depth := 0; len(wave) > 0 && depth <= c.MaxDepth; depth++ {
+	for depth := 0; len(wave) > 0 && depth <= maxDepth; depth++ {
 		if len(wave) > budget {
 			// Replay budget exhausted: everything still enqueued is
 			// truncated, not explored.
@@ -358,7 +393,7 @@ func Run(cfg Config) *Result {
 				continue
 			}
 			if c.ValidateForks {
-				scratch := ex.replay(wave[i].prefix)
+				scratch, _ := ex.replayNode(&wave[i], visited, 0)
 				if !outcomesEqual(&o, &scratch) {
 					res.ForkMismatches++
 					o = scratch
@@ -366,7 +401,6 @@ func Run(cfg Config) *Result {
 			}
 			outs[i] = o
 			res.Forks++
-			res.SuffixHist[0]++
 		}
 		mi := miss
 		chains = chains[:0]
@@ -379,9 +413,6 @@ func Run(cfg Config) *Result {
 		})
 		res.Replays += uint64(len(wave))
 		res.ScratchReplays += uint64(len(mi))
-		for _, i := range mi {
-			res.SuffixHist[suffixBucket(len(wave[i].prefix))]++
-		}
 		// Bank this wave's chained outcomes in replay order — the
 		// deterministic insert order keeps cache contents, and with them
 		// every statistic, identical at any Parallel — then drop the
@@ -419,27 +450,13 @@ func Run(cfg Config) *Result {
 				res.Truncated++
 				continue
 			}
-			if depth > res.MaxFrontier {
-				res.MaxFrontier = depth
-			}
-			res.Decisions++
 
-			// Fold the node's own incoming grant into the stutter
-			// counters: a write-free grant bumps its thread, a
-			// state-changing one resets everyone (whatever a polling
-			// thread re-reads may now differ).
-			myProc := -1
-			if len(nd.prefix) > 0 {
-				myProc = int(nd.prefix[len(nd.prefix)-1])
+			sibs = sibs[:0]
+			for j := nd.firstSib; j < i; j++ {
+				sib := wave[j].prefix
+				sibs = append(sibs, sleepEntry{proc: sib[len(sib)-1], e: outs[j].lastEdge})
 			}
-			stutter := nd.stutter
-			if myProc >= 0 {
-				if writeFree(&out.lastEdge) {
-					stutter[myProc]++
-				} else {
-					stutter = [maxExploreProcs]uint8{}
-				}
-			}
+			ch := c.chooseChildren(nd, &out.lastEdge, sibs, out.enabled, visited[out.fp])
 
 			// Deadlock rule: if every unfinished thread has exhausted
 			// its write-free budget, no thread can change shared state
@@ -447,7 +464,7 @@ func Run(cfg Config) *Result {
 			// can never finish from here.
 			allCapped := true
 			for _, p := range out.enabled {
-				if stutter[p] < uint8(c.StutterBound) {
+				if ch.stutter[p] < stutterBound {
 					allCapped = false
 					break
 				}
@@ -461,42 +478,11 @@ func Run(cfg Config) *Result {
 				continue
 			}
 
-			// Final sleep set: parent's, plus explored earlier siblings,
-			// minus everything dependent with the edge just taken.
-			var sleep []sleepEntry
-			if !c.NoSleepSets && myProc != -1 {
-				for _, se := range nd.inherit {
-					if !dependent(&se.e, &out.lastEdge) {
-						sleep = append(sleep, se)
-					}
-				}
-				for j := nd.firstSib; j < i; j++ {
-					sib := &wave[j]
-					sp := sib.prefix[len(sib.prefix)-1]
-					se := sleepEntry{proc: sp, e: outs[j].lastEdge}
-					if !dependent(&se.e, &out.lastEdge) {
-						sleep = append(sleep, se)
-					}
-				}
-			}
-
-			// Candidate children, in ascending proc order.
+			res.SleepPruned += ch.sleepPruned
+			res.StutterPruned += ch.stutterPruned
 			var newMask uint64
-			var children []uint8
-			for _, p := range out.enabled {
-				if inSleep(sleep, p) {
-					res.SleepPruned++
-					continue
-				}
-				if stutter[p] >= uint8(c.StutterBound) {
-					res.StutterPruned++
-					continue
-				}
-				if visited[out.fp]&(1<<p) != 0 {
-					continue
-				}
+			for _, p := range ch.children {
 				newMask |= 1 << p
-				children = append(children, p)
 			}
 			if mask, seen := visited[out.fp]; seen {
 				if newMask == 0 {
@@ -518,15 +504,15 @@ func Run(cfg Config) *Result {
 			}
 
 			firstSib := len(next)
-			for _, p := range children {
+			for _, p := range ch.children {
 				pre := make([]uint8, len(nd.prefix)+1)
 				copy(pre, nd.prefix)
 				pre[len(nd.prefix)] = p
 				next = append(next, node{
 					prefix:   pre,
-					inherit:  sleep,
+					inherit:  ch.sleep,
 					firstSib: firstSib,
-					stutter:  stutter,
+					stutter:  ch.stutter,
 				})
 			}
 		}
@@ -534,14 +520,13 @@ func Run(cfg Config) *Result {
 			res.Truncated += uint64(len(next))
 			break
 		}
-		if depth == c.MaxDepth {
+		if depth == maxDepth {
 			res.Truncated += uint64(len(next))
 			break
 		}
 		wave = next
 	}
 	cache.drainAll(&res.SpecWasted)
-	res.CacheDropped = cache.dropped
 	res.CachePeakBytes = uint64(cache.peak)
 	return res
 }

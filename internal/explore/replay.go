@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"hle/internal/check"
 	"hle/internal/core"
@@ -135,15 +136,17 @@ type explorer struct {
 	spec harness.SchemeSpec
 	mcfg tsx.Config
 	// tmpl is the config's constructed-machine image, captured once and
-	// forked by every flight-recorder-off replay. nil when the config's
-	// lock isn't value-clonable (mutant locks): those construct per replay.
-	tmpl *replayTemplate
+	// forked by every search replay. diagTmpl is the same image on a
+	// flight-recorder-on machine, built on first use by the diagnosis
+	// replays (diagnose, rediagnose) — only a search that finds a
+	// violation needs it.
+	tmpl, diagTmpl *replayTemplate
 }
 
-func newExplorer(cfg *Config, _ *Result) *explorer {
+func newExplorer(cfg *Config) *explorer {
 	e := &explorer{cfg: cfg, spec: harness.SchemeSpec{Scheme: cfg.Scheme, Lock: cfg.Lock}}
 	e.mcfg = machineConfig(cfg, e.spec)
-	e.tmpl = e.buildTemplate()
+	e.tmpl = e.buildTemplate(e.mcfg)
 	return e
 }
 
@@ -163,13 +166,11 @@ type replayTemplate struct {
 	preLock   []uint64
 }
 
-// buildTemplate constructs a config's machine once and checkpoints it.
-// It returns nil when the lock can't be value-cloned; the per-replay
-// construction path remains as fallback (and stays the only path for
-// flight-recorder-on diagnosis machines, whose config differs).
-func (e *explorer) buildTemplate() *replayTemplate {
+// buildTemplate constructs the config's lock, scheme, recorder and counter
+// cells on a machine configured as mcfg, and checkpoints it.
+func (e *explorer) buildTemplate(mcfg tsx.Config) *replayTemplate {
 	tp := &replayTemplate{}
-	m := tsx.NewMachine(e.mcfg)
+	m := tsx.NewMachine(mcfg)
 	m.RunOne(func(t *tsx.Thread) {
 		tp.main = buildLock(e.cfg, t)
 		tp.aux = e.auxLocks(t)
@@ -181,16 +182,19 @@ func (e *explorer) buildTemplate() *replayTemplate {
 			tp.preLock = append(tp.preLock, m.Mem.Read(a))
 		}
 	})
-	if cloneLock(tp.main) == nil {
-		return nil
-	}
-	for _, a := range tp.aux {
-		if cloneLock(a) == nil {
-			return nil
-		}
-	}
 	tp.cp = m.Checkpoint()
 	return tp
+}
+
+// diagTemplate returns the flight-recorder-on template, building it on
+// first use. Only the sequential merge calls it.
+func (e *explorer) diagTemplate() *replayTemplate {
+	if e.diagTmpl == nil {
+		mcfg := e.mcfg
+		mcfg.TraceRing = 64
+		e.diagTmpl = e.buildTemplate(mcfg)
+	}
+	return e.diagTmpl
 }
 
 // fpHash accumulates a state fingerprint one word at a time. Each mix is a
@@ -241,9 +245,10 @@ func machineConfig(c *Config, spec harness.SchemeSpec) tsx.Config {
 	return mcfg
 }
 
-// replayer replays one schedule prefix on a fresh machine. It is the
-// sim.Strategy driving the run, the owner of the edge capture fed by the
-// monitor hooks, and the workload body with its inline property checks.
+// replayer replays one schedule prefix on a machine forked from a
+// template. It is the sim.Strategy driving the run, the owner of the edge
+// capture fed by the monitor hooks, and the workload body with its inline
+// property checks.
 type replayer struct {
 	cfg    *Config
 	prefix []uint8
@@ -307,9 +312,9 @@ type replayer struct {
 	outSet    bool
 }
 
-// newReplayer builds a replayer and its machine with the configuration's
-// lock, scheme, recorder and counter cells constructed in simulated memory.
-func (e *explorer) newReplayer(prefix []uint8, ring bool) *replayer {
+// newReplayer builds a replayer on a fork of template tp: the machine from
+// its checkpoint, value clones of its locks, and a fresh recorder.
+func (e *explorer) newReplayer(tp *replayTemplate, prefix []uint8) *replayer {
 	c := e.cfg
 	r := &replayer{
 		cfg:        c,
@@ -321,41 +326,22 @@ func (e *explorer) newReplayer(prefix []uint8, ring bool) *replayer {
 		incon:      make([]bool, c.Threads),
 		txf:        make([][]access, c.Threads),
 		allSpec:    true,
+		m:          tsx.FromCheckpoint(tp.cp),
+		lock:       cloneLock(tp.main),
+		rec:        tp.rec.Fresh(),
+		x:          tp.x,
+		y:          tp.y,
+		lockWords:  tp.lockWords,
+		preLock:    tp.preLock,
 	}
-	if tp := e.tmpl; tp != nil && !ring {
-		r.m = tsx.FromCheckpoint(tp.cp)
-		main := cloneLock(tp.main)
-		var aux []locks.Lock
-		if len(tp.aux) > 0 {
-			aux = make([]locks.Lock, len(tp.aux))
-			for i, a := range tp.aux {
-				aux[i] = cloneLock(a)
-			}
+	var aux []locks.Lock
+	if len(tp.aux) > 0 {
+		aux = make([]locks.Lock, len(tp.aux))
+		for i, a := range tp.aux {
+			aux[i] = cloneLock(a)
 		}
-		r.lock = main
-		r.scheme = e.assemble(main, aux)
-		r.rec = tp.rec.Fresh()
-		r.x, r.y = tp.x, tp.y
-		r.lockWords, r.preLock = tp.lockWords, tp.preLock
-		return r
 	}
-	mcfg := e.mcfg
-	if ring {
-		mcfg.TraceRing = 64
-	}
-	m := tsx.NewMachine(mcfg)
-	r.m = m
-	m.RunOne(func(t *tsx.Thread) {
-		r.lock = buildLock(c, t)
-		r.scheme = e.assemble(r.lock, e.auxLocks(t))
-		r.rec = check.NewRecorder(t)
-		r.x = t.AllocLines(1)
-		r.y = t.AllocLines(1)
-		r.lockWords = adjustedLockWords(r.lock)
-		for _, a := range r.lockWords {
-			r.preLock = append(r.preLock, m.Mem.Read(a))
-		}
-	})
+	r.scheme = e.assemble(r.lock, aux)
 	return r
 }
 
@@ -396,17 +382,12 @@ func (r *replayer) emit(o runOutcome) {
 	})
 }
 
-func (e *explorer) replay(prefix []uint8) runOutcome {
-	r := e.newReplayer(prefix, false)
-	r.run()
-	return r.out
-}
-
 // replayNode replays one frontier node and, chain budget permitting, keeps
 // executing along the merge loop's predicted first-child line, banking one
-// outcome per extra frontier.
+// outcome per extra frontier. With chainDepth 0 it is a plain scratch
+// replay of the node.
 func (e *explorer) replayNode(nd *node, visited map[uint64]uint64, chainDepth int) (runOutcome, []chainOut) {
-	r := e.newReplayer(nd.prefix, false)
+	r := e.newReplayer(e.tmpl, nd.prefix)
 	r.chainLeft = chainDepth
 	r.sleep = nd.inherit
 	r.stutter = nd.stutter
@@ -419,7 +400,7 @@ func (e *explorer) replayNode(nd *node, visited map[uint64]uint64, chainDepth in
 // violation the search itself concluded (the deadlock rule, which is
 // decided from edge footprints, not from inside a replay).
 func (e *explorer) diagnose(prefix []uint8, kind, detail string) *Violation {
-	r := e.newReplayer(prefix, true)
+	r := e.newReplayer(e.diagTemplate(), prefix)
 	r.run()
 	r.setViolation(kind, detail)
 	return r.vio
@@ -431,7 +412,7 @@ func (e *explorer) diagnose(prefix []uint8, kind, detail string) *Violation {
 // replay for a dump only one schedule ever needs); determinism makes the
 // re-run fail identically at the same point.
 func (e *explorer) rediagnose(v *Violation) *Violation {
-	r := e.newReplayer(v.Schedule, true)
+	r := e.newReplayer(e.diagTemplate(), v.Schedule)
 	r.run()
 	if r.vio == nil {
 		return v
@@ -474,8 +455,7 @@ func (e *explorer) assemble(main locks.Lock, aux []locks.Lock) core.Scheme {
 // value type — simulated-memory addresses plus fixed-size per-thread
 // scratch arrays — so a struct copy yields an independent Go-side handle
 // onto the same simulated-memory lock, exactly as the constructor left it.
-// Unknown (mutant) lock types return nil and callers fall back to full
-// per-replay construction.
+// The MutantCLHBlindRelease lock is a plain value type too.
 func cloneLock(l locks.Lock) locks.Lock {
 	switch l := l.(type) {
 	case *locks.TTAS:
@@ -496,8 +476,11 @@ func cloneLock(l locks.Lock) locks.Lock {
 	case *locks.AdjustedCLH:
 		c := *l
 		return &c
+	case *brokenCLH:
+		c := *l
+		return &c
 	}
-	return nil
+	panic(fmt.Sprintf("explore: cannot clone lock %T", l))
 }
 
 // adjustedLockWords returns the lock words the adjusted-lock invariant
@@ -532,10 +515,10 @@ func (r *replayer) Pick(choices []sim.Choice) sim.Decision {
 		// contended any more); a thread that keeps yielding is spinning
 		// on a condition no one is left to establish.
 		r.soloGrants++
-		if r.soloGrants > r.cfg.SoloBound {
+		if r.soloGrants > soloBound {
 			r.setViolation("progress", fmt.Sprintf(
 				"thread %d cannot finish alone within %d large slices (every other thread is done: a correct scheme must terminate)",
-				choices[0].ProcID, r.cfg.SoloBound))
+				choices[0].ProcID, soloBound))
 			r.emit(runOutcome{truncated: true})
 			r.stopped = true
 			return sim.Decision{Stop: true}
@@ -598,50 +581,26 @@ func (r *replayer) Pick(choices []sim.Choice) sim.Decision {
 }
 
 // specNext decides whether a chained replay keeps executing past the
-// frontier it just banked, and along which child. It mirrors the merge
-// loop's child selection — stutter fold, sleep-set filter, stutter cap,
-// visited mask — using the bookkeeping the node carried into the replay.
-// The mirror is conservative, not exact: sleep entries contributed by
-// same-wave earlier siblings and visited-mask bits added by nodes merged
-// later in this wave are unknown here, so a prediction can name a child
-// the merge ends up pruning. That never corrupts the search — the bank is
-// consulted by exact prefix, so a child the merge never enqueues is simply
-// never looked up — it only wastes the banked suffix.
+// frontier it just banked, and along which child: the first the
+// child-selection rule admits (chooseChildren), applied to the
+// bookkeeping the node carried into the replay. The prediction is
+// conservative, not exact: sleep entries contributed by same-wave earlier
+// siblings and visited-mask bits added by nodes merged later in this wave
+// are unknown here, so a prediction can name a child the merge ends up
+// pruning. That never corrupts the search — the bank is consulted by exact
+// prefix, so a child the merge never enqueues is simply never looked up —
+// it only wastes the banked suffix.
 func (r *replayer) specNext(o *runOutcome) (int, bool) {
-	if r.chainLeft <= 0 || r.vio != nil || len(r.prefix) >= r.cfg.MaxDepth {
+	if r.chainLeft <= 0 || r.vio != nil || len(r.prefix) >= maxDepth {
 		return 0, false
 	}
-	if len(r.prefix) > 0 {
-		if writeFree(&r.lastEdge) {
-			r.stutter[r.prefix[len(r.prefix)-1]]++
-		} else {
-			r.stutter = [maxExploreProcs]uint8{}
-		}
-		if !r.cfg.NoSleepSets {
-			// Filter into a fresh slice: the inherited set is shared with
-			// sibling nodes replaying concurrently.
-			var kept []sleepEntry
-			for _, se := range r.sleep {
-				if !dependent(&se.e, &r.lastEdge) {
-					kept = append(kept, se)
-				}
-			}
-			r.sleep = kept
-		}
+	nd := node{prefix: r.prefix, inherit: r.sleep, stutter: r.stutter}
+	ch := r.cfg.chooseChildren(&nd, &r.lastEdge, nil, o.enabled, r.visited[o.fp])
+	if len(ch.children) == 0 {
+		return 0, false
 	}
-	for i, p := range o.enabled {
-		if inSleep(r.sleep, p) {
-			continue
-		}
-		if r.stutter[p] >= uint8(r.cfg.StutterBound) {
-			continue
-		}
-		if r.visited[o.fp]&(1<<p) != 0 {
-			continue
-		}
-		return i, true
-	}
-	return 0, false
+	r.sleep, r.stutter = ch.sleep, ch.stutter
+	return slices.Index(o.enabled, ch.children[0]), true
 }
 
 func (r *replayer) openEdge(proc int) {
@@ -742,9 +701,9 @@ func (r *replayer) body(t *tsx.Thread) {
 		if !res.Spec {
 			r.allSpec = false
 		}
-		if res.Attempts > r.cfg.AttemptsBound {
+		if res.Attempts > attemptsBound {
 			r.setViolation("progress", fmt.Sprintf(
-				"thread %d op %d took %d execution attempts (bound %d)", id, op, res.Attempts, r.cfg.AttemptsBound))
+				"thread %d op %d took %d execution attempts (bound %d)", id, op, res.Attempts, attemptsBound))
 		}
 		if r.incon[id] {
 			r.setViolation("consistency", fmt.Sprintf(
