@@ -35,7 +35,7 @@ func BenchmarkStepSole(b *testing.B) {
 
 // BenchmarkStepSoleWatchdog measures the sole-runner path with an armed
 // watchdog: grants must stay finite, so the proc re-enters the scheduler
-// every quantum — the self-grant case of the direct-handoff design.
+// every quantum — the self-grant case, which costs no coroutine switch.
 func BenchmarkStepSoleWatchdog(b *testing.B) {
 	Run(Config{Seed: 1, Watchdog: func(uint64) bool { return false }}, 1, func(p *Proc) {
 		for i := 0; i < b.N; i++ {

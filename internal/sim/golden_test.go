@@ -105,7 +105,7 @@ var goldenSchedules = []struct {
 	{
 		// Sole runner with an armed (never-tripping) watchdog: every grant
 		// is finite and re-granted to the same proc — the self-grant fast
-		// path of the direct-handoff scheduler.
+		// path of the scheduler.
 		name: "sole-watchdog",
 		want: 0xd822b105bce74f41,
 		run: func() uint64 {

@@ -1,31 +1,42 @@
+//go:build go1.23
+
+// iter.Pull needs Go 1.23; go.mod keeps go 1.22 for the bench module that requires this one.
+
 // Package sim provides a deterministic, cycle-approximate simulator of a
 // small multicore machine.
 //
-// Simulated hardware threads ("procs") run as goroutines, but execution is
-// serialized through a scheduler token: at any instant exactly one proc is
-// running, and the token always passes to the proc with the smallest
-// virtual clock. Each simulated memory access advances the issuing proc's
-// clock by the access cost, so virtual time behaves like parallel wall time
-// on a real machine, while the host needs only a single CPU and every run is
-// reproducible from a seed.
+// Simulated hardware threads ("procs") run as coroutines, and execution is
+// serialized: at any instant exactly one proc is running, and control always
+// passes to the proc with the smallest virtual clock. Each simulated memory
+// access advances the issuing proc's clock by the access cost, so virtual
+// time behaves like parallel wall time on a real machine, while the host
+// needs only a single CPU and every run is reproducible from a seed.
 //
-// Scheduling is direct handoff: there is no scheduler goroutine. The proc
-// that exhausts its grant runs the scheduling decision inline — one fused
-// min/runner-up clock scan, one RNG draw — and wakes the next proc itself,
-// so a yield costs a single goroutine switch instead of the two that a
-// round-trip through a central scheduler would. A sole remaining proc
-// re-grants itself with no synchronization at all. See DESIGN.md for why
-// this preserves byte-identical schedules with the central-scheduler
-// formulation it replaced.
+// Each proc body runs on an iter.Pull coroutine and Run's own goroutine is
+// the only scheduler loop. The proc that exhausts its grant runs the
+// scheduling decision inline — one fused min/runner-up clock scan, one RNG
+// draw — installs the grant on the chosen proc and suspends back to Run,
+// which resumes the chosen proc. Those two coroutine switches are direct
+// stack switches that never enter the Go scheduler, so they cost less than
+// one goroutine park/ready pair and leave no idle P spinning for work. A
+// proc that picks itself (a sole runner under an armed watchdog, mainly)
+// keeps running with no switch at all. Coroutines are pooled: each runs
+// one body per Run and parks between Runs. See DESIGN.md for why this
+// preserves byte-identical schedules with the central-scheduler
+// formulation the simulator started from.
 //
 // Upper layers (the TSX engine in internal/tsx) perform all shared-state
 // manipulation between a grant and the following yield, so they need no
-// Go-level synchronization of their own.
+// Go-level synchronization of their own: iter.Pull's switch orders every
+// access of one proc before the next proc's, as the race detector also
+// sees.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 )
 
@@ -108,8 +119,10 @@ type Decision struct {
 
 // Strategy decides scheduler grants in place of the default policy. Pick is
 // called with the runnable procs (ascending ProcID; always at least one)
-// each time a grant is needed, and runs on whichever goroutine holds the
-// scheduler token — implementations need no locking but must not block.
+// each time a grant is needed. Like the Watchdog, OnGrant and Grant hooks,
+// it runs either inside the yielding proc's coroutine or on Run's caller
+// (for the first grant and after a body returns), never concurrently —
+// implementations need no locking but must not block.
 type Strategy interface {
 	Pick(choices []Choice) Decision
 }
@@ -126,17 +139,18 @@ type Proc struct {
 
 	clock   uint64
 	target  uint64
-	steps   int // remaining cost>0 steps of a step-counted grant (0: clock-targeted)
+	steps   int  // remaining cost>0 steps of a step-counted grant (0: clock-targeted)
+	halt    bool // the installed grant is a stop order
 	sched   *sched
-	grant   chan grantMsg
+	coro    *coro // runs the body; its yield suspends the proc back to Run
 	rngSeed int64
 	rng     *rand.Rand // lazily built from rngSeed on first Rand()
 	stopped bool
 }
 
-// grantMsg is what a proc receives when the token is handed to it: a new
-// clock target (or a step budget, for step-counted grants), or a stop
-// order that unwinds the proc's body.
+// grantMsg is one scheduling decision's grant: a new clock target (or a
+// step budget, for step-counted grants), or a stop order that unwinds the
+// granted proc's body.
 type grantMsg struct {
 	target uint64
 	steps  int
@@ -164,10 +178,9 @@ var grantCount atomic.Uint64
 // its wall time, is the simulator's grant throughput.
 func Grants() uint64 { return grantCount.Load() }
 
-// sched is the shared scheduling state of one Run. It has no lock: only
-// the proc holding the token (or Run itself, before the first grant and
-// after the last proc finishes) touches it, and the token's channel
-// handoffs order those accesses.
+// sched is the shared scheduling state of one Run. It has no lock: only the
+// running proc's coroutine or Run's driver loop touches it, and the
+// coroutine switches between them order those accesses.
 type sched struct {
 	quantum  uint64
 	grantFn  func(procID int, clock, slice uint64) uint64
@@ -178,16 +191,16 @@ type sched struct {
 	rngSeed  int64
 	rng      *rand.Rand // lazily built from rngSeed on first default-policy pick
 	running  []*Proc
+	next     *Proc // the proc the driver loop resumes next
 	stopping bool
 	grants   uint64
 	panics   []any
-	done     chan struct{}
 }
 
 // pick runs one scheduling decision: select the minimum-clock proc (ties
 // broken by position in the run queue, i.e. lowest ID until a finished proc
 // is swap-removed) and compute its grant. The minimum and runner-up clocks
-// come from a single fused scan. The caller must hold the token.
+// come from a single fused scan.
 func (s *sched) pick() (*Proc, grantMsg) {
 	if s.strategy != nil {
 		return s.pickStrategy()
@@ -319,24 +332,110 @@ func (s *sched) pickStrategy() (*Proc, grantMsg) {
 	return p, msg
 }
 
-// finish removes p from the run queue and passes the token onward — to the
-// next minimum-clock proc, or to Run's caller when p was the last runner.
-// It runs on p's goroutine while p still holds the token.
-func (s *sched) finish(p *Proc) {
-	running := s.running
-	for i, q := range running {
-		if q == p {
-			running[i] = running[len(running)-1]
-			s.running = running[:len(running)-1]
-			break
+// grant installs msg on p and makes p the proc that runs next.
+func (s *sched) grant(p *Proc, msg grantMsg) {
+	p.target, p.steps, p.halt = msg.target, msg.steps, msg.stop
+	s.next = p
+}
+
+// drive is Run's scheduler loop. It picks a proc and resumes it, then keeps
+// resuming whichever proc the last yield granted (the yielding proc picked
+// it inline) until a body returns. That proc leaves the run queue and its
+// coroutine goes back to the pool; the loop ends when no proc is left.
+func (s *sched) drive() {
+	for len(s.running) > 0 {
+		s.grant(s.pick())
+		p := s.next
+		yielded, alive := p.coro.resume()
+		for yielded {
+			p = s.next
+			yielded, alive = p.coro.resume()
+		}
+		running := s.running
+		for i, q := range running {
+			if q == p {
+				running[i] = running[len(running)-1]
+				s.running = running[:len(running)-1]
+				break
+			}
+		}
+		// Only a body that called runtime.Goexit leaves its coroutine
+		// dead: resuming it passed the Goexit on to Run's goroutine, and
+		// Run's deferred stop cascade retires it here. It is not parked.
+		if alive {
+			p.coro.park()
 		}
 	}
-	if len(s.running) == 0 {
-		s.done <- struct{}{}
-		return
+}
+
+// coro is a proc coroutine: an iter.Pull coroutine that runs one proc body
+// per Run and waits in the idle pool in between. Reuse matters under the
+// race detector, where the runtime (as of Go 1.24) never releases an exited
+// coroutine goroutine's race state: a fresh coroutine per proc per Run
+// leaked about 5 KB each, which ran the model checker's -race suite out of
+// memory. It also spares every Run the goroutine start-ups.
+type coro struct {
+	// resume runs the coroutine until it yields: true when its proc
+	// yielded, false when its body returned. ok is false once the
+	// coroutine is dead.
+	resume func() (yielded, ok bool)
+	yield  func(bool) bool
+	p      *Proc
+	body   func(*Proc)
+}
+
+// idle holds the parked coroutines that Runs take their procs from. It
+// grows to the largest number of procs that were ever running at once, all
+// of which the process had already allocated at that moment.
+var idle struct {
+	sync.Mutex
+	coros []*coro
+}
+
+// takeCoro returns a parked coroutine, or a new one if none is parked.
+func takeCoro() *coro {
+	idle.Lock()
+	if n := len(idle.coros); n > 0 {
+		c := idle.coros[n-1]
+		idle.coros = idle.coros[:n-1]
+		idle.Unlock()
+		return c
 	}
-	next, msg := s.pick()
-	next.grant <- msg
+	idle.Unlock()
+	c := new(coro)
+	// Parked coroutines are never stopped, so yield never returns false.
+	c.resume, _ = iter.Pull(func(yield func(bool) bool) {
+		c.yield = yield
+		for {
+			c.run()
+			yield(false)
+		}
+	})
+	return c
+}
+
+// run executes the installed body, recording any panic other than a stop
+// order for Run to re-raise.
+func (c *coro) run() {
+	p := c.p
+	defer func() {
+		if r := recover(); r != nil {
+			if _, isStop := r.(stopSignal); !isStop {
+				p.sched.panics[p.ID] = r
+			}
+		}
+	}()
+	growProcStack()
+	p.obeyStop()
+	c.body(p)
+}
+
+// park returns a coroutine whose body has returned to the pool.
+func (c *coro) park() {
+	c.p, c.body = nil, nil
+	idle.Lock()
+	idle.coros = append(idle.coros, c)
+	idle.Unlock()
 }
 
 // Clock returns the proc's current virtual time in cycles.
@@ -377,43 +476,36 @@ func (p *Proc) Step(cost uint64) {
 	}
 }
 
-// yieldToken runs the scheduling decision inline on the yielding proc and
-// hands the token to the chosen runner, blocking until the token comes
-// back. When the yielder itself is still the minimum-clock proc (a sole
-// runner under an armed watchdog, mainly), it keeps the token with no
-// synchronization at all.
+// yieldToken runs the scheduling decision inline on the yielding proc,
+// installs the grant on the chosen runner and suspends back to Run's driver
+// loop, which resumes that runner. When the yielder itself is still the
+// minimum-clock proc (a sole runner under an armed watchdog, mainly), it
+// keeps running with no switch at all.
 func (p *Proc) yieldToken() {
-	next, msg := p.sched.pick()
-	if next == p {
-		if msg.stop {
-			p.stopped = true
-			panic(stopSignal{})
-		}
-		p.target = msg.target
-		p.steps = msg.steps
-		return
+	s := p.sched
+	next, msg := s.pick()
+	s.grant(next, msg)
+	if next != p {
+		p.coro.yield(true)
 	}
-	next.grant <- msg
-	p.recvGrant()
+	p.obeyStop()
 }
 
-// recvGrant blocks for the next grant, installing its target or step
-// budget, and unwinding the proc on a stop order.
-func (p *Proc) recvGrant() {
-	g := <-p.grant
-	if g.stop {
+// obeyStop unwinds the proc's body if its installed grant is a stop order.
+func (p *Proc) obeyStop() {
+	if p.halt {
 		p.stopped = true
 		panic(stopSignal{})
 	}
-	p.target = g.target
-	p.steps = g.steps
 }
 
 // Run simulates n procs, each executing body, and returns when all bodies
-// have returned. The token always passes to the minimum-clock proc (ties
+// have returned. Control always passes to the minimum-clock proc (ties
 // broken by lowest ID), granted a quantum beyond the runner-up clock.
 //
-// A panic in a body is re-raised on the caller's goroutine.
+// A panic in a body is re-raised on the caller's goroutine. A panic in a
+// scheduling hook that runs on the caller's goroutine propagates as is,
+// after every unfinished body has been unwound.
 func Run(cfg Config, n int, body func(p *Proc)) []*Proc {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: Run with n = %d", n))
@@ -431,48 +523,34 @@ func Run(cfg Config, n int, body func(p *Proc)) []*Proc {
 		strategy: cfg.Strategy,
 		rngSeed:  cfg.Seed*2_654_435_761 + 97,
 		panics:   make([]any, n),
-		done:     make(chan struct{}, 1),
 	}
 	if s.strategy != nil {
 		s.choices = make([]Choice, 0, n)
 	}
 	procs := make([]*Proc, n)
 	for i := range procs {
-		procs[i] = &Proc{
-			ID:    i,
-			sched: s,
-			// Buffered: the sender is always the sole token holder and
-			// the receiver consumes exactly one message per wake, so a
-			// one-slot buffer lets the handoff complete without waiting
-			// for the receiver to reach its receive.
-			grant:   make(chan grantMsg, 1),
+		p := &Proc{
+			ID:      i,
+			sched:   s,
+			coro:    takeCoro(),
 			rngSeed: cfg.Seed*1_000_003 + int64(i)*7919 + 1,
 		}
+		p.coro.p, p.coro.body = p, body
+		procs[i] = p
 	}
 	s.running = make([]*Proc, n)
 	copy(s.running, procs)
-	for i, p := range procs {
-		go func(i int, p *Proc) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, isStop := r.(stopSignal); !isStop {
-						s.panics[i] = r
-					}
-				}
-				s.finish(p)
-			}()
-			growProcStack()
-			p.recvGrant()
-			body(p)
-		}(i, p)
-	}
 
-	// The first scheduling decision runs here; every subsequent one runs
-	// inline on whichever proc holds the token, and the last finishing
-	// proc hands the token back by signalling done.
-	next, msg := s.pick()
-	next.grant <- msg
-	<-s.done
+	defer func() {
+		if len(s.running) > 0 {
+			// A hook panicked on this goroutine with bodies unfinished:
+			// unwind them through the stop cascade, hooks silenced, so
+			// their coroutines park before the panic reaches the caller.
+			s.stopping, s.onGrant = true, nil
+			s.drive()
+		}
+	}()
+	s.drive()
 
 	grantCount.Add(s.grants)
 	for i, r := range s.panics {
@@ -487,18 +565,18 @@ func Run(cfg Config, n int, body func(p *Proc)) []*Proc {
 // compiler: an unknown index forces the array to materialize on the stack
 // (a constant index or an all-zero read could be folded away, and taking
 // the array's address would move it to the heap, defeating the point).
-// The sink is atomic because every proc goroutine writes it at startup.
+// The sink is atomic because procs of concurrent Runs write it at startup.
 var (
 	stackPadIdx  int
 	stackPadSink atomic.Uint32
 )
 
-// growProcStack forces the calling goroutine's stack to grow to the procs'
+// growProcStack forces the calling coroutine's stack to grow to the procs'
 // steady-state depth while the stack is still nearly empty. Workload bodies
 // run deep (scheme -> engine -> memory -> scheduler), and growing the stack
 // mid-run copies every live frame — under short replay-style Runs that
 // copying dominates the profile. One oversized frame at the top of the
-// goroutine moves the growth to the cheapest possible moment.
+// coroutine moves the growth to the cheapest possible moment.
 //
 //go:noinline
 func growProcStack() {

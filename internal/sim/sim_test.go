@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -359,5 +360,158 @@ func TestGrantSkewChangesInterleaving(t *testing.T) {
 	})
 	if len(order) != 100 {
 		t.Fatalf("expected 100 steps, got %d", len(order))
+	}
+}
+
+// poolCounts warms the coroutine pool for n-proc Runs and returns what a
+// Run must leave as it found it: the parked coroutines, exactly (a body
+// left suspended takes one away), and the live goroutines, which may only
+// drop (the goroutine of an earlier test can still be exiting).
+func poolCounts(n int) (goroutines, parked int) {
+	Run(Config{Seed: 1}, n, func(p *Proc) {})
+	idle.Lock()
+	parked = len(idle.coros)
+	idle.Unlock()
+	return runtime.NumGoroutine(), parked
+}
+
+func checkPoolCounts(t *testing.T, goroutines, parked int) {
+	t.Helper()
+	idle.Lock()
+	p := len(idle.coros)
+	idle.Unlock()
+	if p != parked {
+		t.Errorf("parked coroutines: %d before Run, %d after", parked, p)
+	}
+	if g := runtime.NumGoroutine(); g > goroutines {
+		t.Errorf("goroutines: %d before Run, %d after", goroutines, g)
+	}
+}
+
+// TestHookPanicAfterFinishReachesCaller: the scheduling decision after a
+// body returns runs on Run's caller, so a Strategy panicking there must
+// surface from Run with its own value, and the suspended bodies must
+// unwind at the Step they are parked in instead of running on without a
+// scheduler.
+func TestHookPanicAfterFinishReachesCaller(t *testing.T) {
+	const n, steps = 4, 60
+	goroutines, parked := poolCounts(n)
+	var panicked bool
+	var stepsAfter int
+	done := make([]int, n)
+	var k int
+	strategy := pickFunc(func(c []Choice) Decision {
+		if len(c) < n {
+			panicked = true
+			panic("strategy boom")
+		}
+		k++
+		return Decision{Index: k % len(c), Steps: 1}
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "strategy boom" {
+				t.Errorf("Run panicked with %v, want the strategy's value", r)
+			}
+		}()
+		Run(Config{Seed: 1, Strategy: strategy}, n, func(p *Proc) {
+			for i := 0; i < steps; i++ {
+				if panicked {
+					stepsAfter++
+				}
+				p.Step(1)
+				done[p.ID]++
+				if p.ID == 0 {
+					return
+				}
+			}
+		})
+	}()
+	if !panicked {
+		t.Fatal("strategy never saw a finished proc")
+	}
+	if stepsAfter != 0 {
+		t.Errorf("%d body Steps ran after the strategy panicked", stepsAfter)
+	}
+	for id, d := range done[1:] {
+		if d >= steps {
+			t.Errorf("proc %d reached %d/%d steps after the panic", id+1, d, steps)
+		}
+	}
+	checkPoolCounts(t, goroutines, parked)
+}
+
+// TestRunLeavesNoGoroutines: every way out of Run — a normal finish, a
+// watchdog stop cascade, a body panic and a strategy Stop — parks every
+// coroutine it took and leaves no goroutine behind.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	spin := func(p *Proc) {
+		for {
+			p.Step(3)
+		}
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		body func(p *Proc)
+	}{
+		{"finish", Config{Seed: 1}, func(p *Proc) {
+			for i := 0; i < 100; i++ {
+				p.Step(uint64(1 + p.ID))
+			}
+		}},
+		{"watchdog", Config{Seed: 2, Watchdog: func(minClock uint64) bool { return minClock > 5_000 }}, spin},
+		{"body panic", Config{Seed: 3}, func(p *Proc) {
+			p.Step(5)
+			if p.ID == 2 {
+				panic("boom")
+			}
+			p.Step(5)
+		}},
+		{"strategy stop", Config{Seed: 4, Strategy: pickFunc(func(c []Choice) Decision {
+			last := len(c) - 1
+			if c[last].Clock > 300 {
+				return Decision{Stop: true}
+			}
+			return Decision{Index: last, Steps: 2}
+		})}, spin},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			goroutines, parked := poolCounts(4)
+			func() {
+				defer func() { recover() }()
+				Run(tc.cfg, 4, tc.body)
+			}()
+			checkPoolCounts(t, goroutines, parked)
+		})
+	}
+}
+
+// TestBodyGoexitKeepsPoolSound: a body calling runtime.Goexit (t.FailNow
+// inside a body, say) ends Run's goroutine, and its dead coroutine must not
+// go back to the pool, or a later Run would skip a body.
+func TestBodyGoexitKeepsPoolSound(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Run(Config{Seed: 1}, 2, func(p *Proc) {
+			p.Step(1)
+			if p.ID == 0 {
+				runtime.Goexit()
+			}
+			p.Step(1)
+		})
+	}()
+	<-done
+	ran := make([]bool, 8)
+	Run(Config{Seed: 1}, len(ran), func(p *Proc) {
+		p.Step(1)
+		ran[p.ID] = true
+	})
+	for id, r := range ran {
+		if !r {
+			t.Errorf("proc %d's body never ran", id)
+		}
 	}
 }

@@ -10,7 +10,9 @@ set -eux
 go build ./...
 go vet ./...
 go test -timeout 300s ./...
-go test -race -timeout 300s ./internal/harness/... ./internal/tsx/... ./internal/mem/...
+# internal/sim rides along: iter.Pull's switches are all that orders one
+# simulated proc's accesses before the next proc's.
+go test -race -timeout 300s ./internal/harness/... ./internal/tsx/... ./internal/mem/... ./internal/sim
 # The profiler is handed across host goroutines by the parallel runner, so
 # its suite runs under the race detector too — and the adaptive controller
 # rides the profiler's windowed feed, so it gets the same treatment.
