@@ -99,6 +99,10 @@ func TestAdaptiveMisusePanics(t *testing.T) {
 		{"Adaptive+MaxAttempts", func(th *hle.Thread) {
 			hle.Adaptive(hle.NewTTASLock(th), hle.WithSCM(hle.NewMCSLock(th)), hle.MaxAttempts(3))
 		}},
+		{"Adaptive+IdealSCM", func(th *hle.Thread) {
+			hle.Adaptive(hle.NewTTASLock(th), hle.WithSCM(hle.NewMCSLock(th)),
+				hle.WithSCMTuning(hle.SCMConfig{Ideal: true}))
+		}},
 		{"TuningOnElide", func(th *hle.Thread) {
 			hle.Elide(hle.NewTTASLock(th), hle.WithAdaptiveTuning(hle.AdaptiveConfig{}))
 		}},

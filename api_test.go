@@ -72,6 +72,10 @@ func TestOptionMisusePanics(t *testing.T) {
 		{"RemovalSCM+MaxAttempts", func(th *hle.Thread) {
 			hle.Removal(hle.NewTTASLock(th), hle.WithSCM(hle.NewMCSLock(th)), hle.MaxAttempts(3))
 		}},
+		{"RemovalSCM+Ideal", func(th *hle.Thread) {
+			hle.Removal(hle.NewTTASLock(th), hle.WithSCM(hle.NewMCSLock(th)),
+				hle.WithSCMTuning(hle.SCMConfig{Ideal: true}))
+		}},
 		{"Pessimistic+ManyAttempts", func(th *hle.Thread) {
 			hle.Removal(hle.NewTTASLock(th), hle.Pessimistic(), hle.MaxAttempts(5))
 		}},

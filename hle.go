@@ -393,7 +393,8 @@ func WithSCM(aux Lock) Option {
 }
 
 // WithSCMTuning sets explicit SCM tuning (retry budget etc.). Applies to
-// Elide, Removal, and Adaptive; requires WithSCM.
+// Elide, Removal, and Adaptive; requires WithSCM. Only Elide honours
+// SCMConfig.Ideal; Removal and Adaptive panic on it.
 func WithSCMTuning(cfg SCMConfig) Option {
 	return schemeOption("WithSCMTuning", tElide|tRemoval|tAdaptive,
 		func(c *schemeCfg) { c.scm, c.scmTuned = cfg, true })
@@ -491,6 +492,9 @@ func Removal(lock Lock, opts ...Option) Scheme {
 		if c.pessimistic || c.maxAttempts != 0 {
 			panic("hle: Removal: WithSCM excludes Pessimistic/MaxAttempts")
 		}
+		if c.scm.Ideal {
+			panic("hle: Removal: SCMConfig.Ideal is honoured only by Elide")
+		}
 		return core.NewSLRSCM(lock, c.aux, c.scm)
 	}
 	if c.pessimistic {
@@ -550,6 +554,9 @@ func Adaptive(lock Lock, opts ...Option) AdaptiveScheme {
 	c := applyOptions("Adaptive", tAdaptive, opts)
 	if c.aux == nil {
 		panic("hle: Adaptive: requires WithSCM(aux) for its conflict-management rung")
+	}
+	if c.scm.Ideal {
+		panic("hle: Adaptive: SCMConfig.Ideal is honoured only by Elide")
 	}
 	return core.NewAdaptive(lock, c.aux, core.AdaptiveConfig{Controller: c.adapt, SCM: c.scm})
 }

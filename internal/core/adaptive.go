@@ -3,16 +3,18 @@ package core
 import (
 	"hle/internal/adapt"
 	"hle/internal/locks"
-	"hle/internal/mem"
 	"hle/internal/obs"
 	"hle/internal/tsx"
 )
 
 // scmHeldWaitBound caps how many pause iterations the adaptive SCM rung
-// waits for the main lock to free after a lock-held abort. The static
-// HLESCM waits unboundedly — safe there because only giving-up aux
-// holders ever take the main lock — but the adaptive scheme's Serial
-// level can keep the main lock near-saturated while SCM sections drain.
+// waits for the main lock to free after a lock-held abort. Static HLE-SCM
+// waits unboundedly — safe there because only giving-up aux holders ever
+// take the main lock — but during a hot swap the Serial level keeps the
+// main lock near-saturated, and an unbounded wait would park a draining
+// SCM section for hundreds of thousands of cycles. After the bound the
+// section burns a retry (the next attempt re-aborts if the lock is still
+// held), so it converges to the fair main-lock acquisition.
 const scmHeldWaitBound = 64
 
 // AdaptiveConfig tunes the adaptive scheme: the controller's decision
@@ -22,18 +24,30 @@ type AdaptiveConfig struct {
 	Controller adapt.Config
 	// SCM tunes the software-assisted conflict management rung. Only
 	// MaxRetries is honoured; the Ideal nesting variant needs machine
-	// configuration the adaptive scheme does not assume.
+	// configuration the adaptive scheme does not assume (hle.Adaptive
+	// rejects it).
 	SCM SCMConfig
 }
 
 // Adaptive executes critical sections at the level an adapt.Controller
-// chooses per window: Elide (RTM-based lock elision, the RTMLE mechanism),
-// SCM (Algorithm 3's software-assisted conflict management), or Serial
-// (the pessimistic SLR floor — one speculative probe, then the real lock).
-// Each level's loop is implemented inline rather than delegating to the
-// static schemes so every abort Status is visible for classification into
-// the obs.Feed the controller consumes; the mechanics deliberately mirror
-// RTMLE.Run, HLESCM.Run, and SLR.Run.
+// chooses per window, each level one of the static schemes' recovery
+// loops over the same speculative attempt: Elide is RTM-LE's loop, SCM is
+// HLE-SCM's, and Serial is Pes-SLR's — one speculative probe, then the
+// real lock. The attempt carries the controller's obs.Feed, so every
+// commit and every abort Status is classified for the controller.
+//
+// Every level reads the main lock at entry. The SCM rung differs from
+// HLE-SCM in two deliberate ways: a non-retryable abort (capacity) gives
+// up on speculation at once, and the wait for a held main lock is bounded
+// (scmHeldWaitBound). The Serial floor's probe, unlike SLR's commit-time
+// test, also subscribes at entry, because it keeps feeding the controller
+// the signal it needs to notice a storm has passed: a probe that starts
+// while the floor's serial path holds the lock dies immediately with an
+// explicit abort, and one overtaken mid-flight dies on the lock-line
+// conflict — both classes the controller's promotion rule discounts. A
+// commit-time test would instead let probes run full critical sections
+// concurrently with a holder and abort on the holder's data writes,
+// polluting the recovery signal with hard aborts the floor itself caused.
 //
 // Level changes hot-swap: critical sections entered after a decision run
 // at the new level immediately, while sections already in flight finish
@@ -49,12 +63,9 @@ type AdaptiveConfig struct {
 // synchronization and stay byte-deterministic at any -parallel.
 type Adaptive struct {
 	statsBase
-	main locks.Lock
-	aux  locks.Lock
-	cfg  AdaptiveConfig
+	rtm
 
-	ctl  *adapt.Controller
-	feed *obs.Feed
+	ctl *adapt.Controller
 
 	cur      adapt.Level            // level new critical sections adopt
 	prev     adapt.Level            // level being drained, meaningful while draining > 0
@@ -71,7 +82,8 @@ func NewAdaptive(main, aux locks.Lock, cfg AdaptiveConfig) *Adaptive {
 		panic("core: Adaptive requires a main and an auxiliary lock")
 	}
 	ctl := adapt.NewController(cfg.Controller)
-	s := &Adaptive{main: main, aux: aux, cfg: cfg, ctl: ctl, cur: ctl.Level()}
+	s := &Adaptive{ctl: ctl, cur: ctl.Level(), rtm: rtm{main: main, check: checkEntry,
+		aux: []locks.Lock{aux}, retries: cfg.SCM.maxRetries(), hardStop: true, heldWait: scmHeldWaitBound}}
 	s.feed = obs.NewFeed(ctl.Config().WindowCycles, func(w obs.WindowStats) {
 		ctl.Observe(w)
 		if s.tap != nil {
@@ -88,10 +100,7 @@ func NewAdaptive(main, aux locks.Lock, cfg AdaptiveConfig) *Adaptive {
 func (s *Adaptive) Name() string { return "Adaptive" }
 
 // Setup implements Scheme.
-func (s *Adaptive) Setup(t *tsx.Thread) {
-	s.main.Prepare(t)
-	s.aux.Prepare(t)
-}
+func (s *Adaptive) Setup(t *tsx.Thread) { s.setup(t) }
 
 // Controller exposes the decision state machine (transition log, level
 // occupancy) for reporting and tests.
@@ -133,11 +142,11 @@ func (s *Adaptive) Run(t *tsx.Thread, cs func()) Result {
 	var r Result
 	switch lvl {
 	case adapt.Elide:
-		r = s.runElide(t, cs)
+		r = s.elide(t, cs)
 	case adapt.SCM:
-		r = s.runSCM(t, cs)
+		r = s.manage(t, cs)
 	default:
-		r = s.runSerial(t, cs)
+		r = s.remove(t, cs, 1)
 	}
 	s.inflight[t.ID] = -1
 	if s.draining > 0 && lvl == s.prev {
@@ -147,149 +156,5 @@ func (s *Adaptive) Run(t *tsx.Thread, cs func()) Result {
 		}
 	}
 	s.record(t.ID, r)
-	return r
-}
-
-// feedAbort classifies one aborted attempt into the controller's feed.
-// Injected aborts present as spurious (Status does not expose injection),
-// so chaos storms are indistinguishable from real spurious pressure —
-// exactly what a production controller would see.
-func (s *Adaptive) feedAbort(t *tsx.Thread, st tsx.Status) {
-	lockLine := false
-	if st.Cause == tsx.CauseConflict {
-		lockLine = t.Machine().IsLockLine(mem.LineOf(st.ConflictAddr))
-	}
-	s.feed.Abort(t.Clock(), obs.ClassOf(st.Cause, lockLine, false))
-}
-
-// runElide mirrors RTMLE.Run: HLE's policy via RTM, with the abort status
-// visible. One non-speculative acquisition attempt follows each abort.
-func (s *Adaptive) runElide(t *tsx.Thread, cs func()) Result {
-	var r Result
-	for {
-		if !s.main.Fair() {
-			for s.main.Held(t) {
-				t.Pause()
-			}
-		}
-		committed, st := t.RTM(func() {
-			r.Attempts++
-			if s.main.Held(t) {
-				t.Abort(abortCodeLockHeld)
-			}
-			cs()
-		})
-		if committed {
-			r.Spec = true
-			s.feed.Commit(t.Clock())
-			break
-		}
-		s.feedAbort(t, st)
-		if s.main.TryAcquire(t) {
-			r.Attempts++
-			t.MarkSerial(true)
-			cs()
-			t.MarkSerial(false)
-			s.main.Release(t)
-			r.Spec = false
-			s.feed.SerialOp(t.Clock())
-			break
-		}
-	}
-	return r
-}
-
-// runSCM mirrors HLESCM.Run (the implementation-remark form of
-// Algorithm 3): aborters serialize on the aux lock and rejoin
-// speculation; after the retry budget — or immediately on an abort the
-// hardware marks non-retryable, like capacity — the aux holder takes the
-// main lock.
-func (s *Adaptive) runSCM(t *tsx.Thread, cs func()) Result {
-	var r Result
-	retries := 0
-	auxOwner := false
-	for {
-		committed, st := t.RTM(func() {
-			r.Attempts++
-			if s.main.Held(t) {
-				t.Abort(abortCodeLockHeld)
-			}
-			cs()
-		})
-		if committed {
-			r.Spec = true
-			s.feed.Commit(t.Clock())
-			break
-		}
-		s.feedAbort(t, st)
-		if auxOwner {
-			retries++
-		} else {
-			s.aux.Acquire(t)
-			auxOwner = true
-			t.MarkSerial(true)
-		}
-		if retries >= s.cfg.SCM.maxRetries() || !st.MayRetry {
-			r.Attempts++
-			s.main.Acquire(t)
-			cs()
-			s.main.Release(t)
-			r.Spec = false
-			s.feed.SerialOp(t.Clock())
-			break
-		}
-		if st.Cause == tsx.CauseExplicit && st.Code == abortCodeLockHeld {
-			// Wait for the main lock to free before re-speculating —
-			// but bounded, unlike the static HLESCM. During a hot swap
-			// the Serial level keeps the main lock near-saturated, and
-			// an unbounded wait would park a draining SCM section for
-			// hundreds of thousands of cycles; after the bound, burn a
-			// retry (the next attempt re-aborts if still held) so the
-			// section converges to the fair main-lock acquisition.
-			for i := 0; i < scmHeldWaitBound && s.main.Held(t); i++ {
-				t.Pause()
-			}
-		}
-	}
-	if auxOwner {
-		t.MarkSerial(false)
-		s.aux.Release(t)
-	}
-	return r
-}
-
-// runSerial is the pessimistic floor: one speculative probe, then the
-// real lock. The probe keeps feeding the controller the signal it needs
-// to notice a storm has passed, so unlike SLR's commit-time test it
-// subscribes to the lock at ENTRY: a probe that starts while the floor's
-// serial path holds the lock dies immediately with an explicit abort, and
-// one overtaken mid-flight dies on the lock-line conflict — both classes
-// the controller's promotion rule discounts. A commit-time test would
-// instead let probes run full critical sections concurrently with a
-// holder and abort on the holder's data writes, polluting the recovery
-// signal with hard aborts the floor itself caused.
-func (s *Adaptive) runSerial(t *tsx.Thread, cs func()) Result {
-	var r Result
-	committed, st := t.RTM(func() {
-		r.Attempts++
-		if s.main.Held(t) {
-			t.Abort(abortCodeLockHeld)
-		}
-		cs()
-	})
-	if committed {
-		r.Spec = true
-		s.feed.Commit(t.Clock())
-		return r
-	}
-	s.feedAbort(t, st)
-	r.Attempts++
-	s.main.Acquire(t)
-	t.MarkSerial(true)
-	cs()
-	t.MarkSerial(false)
-	s.main.Release(t)
-	r.Spec = false
-	s.feed.SerialOp(t.Clock())
 	return r
 }

@@ -29,65 +29,3 @@ func (s *HLELazy) Setup(t *tsx.Thread) {
 	t.SetSubscription(tsx.SubLazy)
 	s.lock.Prepare(t)
 }
-
-// RTMLELazy is RTM-based lock elision with lazy lock subscription. Where
-// RTMLE reads the lock at begin (subscribing it) and aborts if held,
-// RTMLELazy starts the transaction unconditionally and registers the
-// lock-free predicate via LazySubscribe; the engine evaluates it at
-// commit, where its loads subscribe the lock's lines. The fallback after
-// an abort mirrors RTMLE: one non-speculative acquisition attempt.
-type RTMLELazy struct {
-	statsBase
-	lock locks.Lock
-	// subCheck holds the per-thread subscription predicate, pre-bound in
-	// Setup so the transactional hot path allocates nothing.
-	subCheck [locks.MaxThreads]func() bool
-}
-
-// NewRTMLELazy wraps lock in lazily-subscribing RTM lock elision.
-func NewRTMLELazy(lock locks.Lock) *RTMLELazy { return &RTMLELazy{lock: lock} }
-
-// Name implements Scheme.
-func (s *RTMLELazy) Name() string { return "RTM-LE-lazy" }
-
-// Setup implements Scheme.
-func (s *RTMLELazy) Setup(t *tsx.Thread) {
-	t.SetSubscription(tsx.SubLazy)
-	s.lock.Prepare(t)
-	th := t
-	s.subCheck[t.ID] = func() bool { return !s.lock.Held(th) }
-}
-
-// Run implements Scheme. There is no pre-test and no begin-time lock
-// read: a thread arriving at a held lock speculates anyway and only
-// discovers the holder at commit — fewer aborts when critical sections
-// do not overlap in time, a guaranteed CauseSubscription abort when they
-// do.
-func (s *RTMLELazy) Run(t *tsx.Thread, cs func()) Result {
-	var r Result
-	check := s.subCheck[t.ID]
-	for {
-		committed, _ := t.RTM(func() {
-			r.Attempts++
-			t.LazySubscribe(check)
-			cs()
-		})
-		if committed {
-			r.Spec = true
-			break
-		}
-		// Mirror RTMLE's fallback: one non-speculative acquisition
-		// attempt after each abort.
-		if s.lock.TryAcquire(t) {
-			r.Attempts++
-			t.MarkSerial(true)
-			cs()
-			t.MarkSerial(false)
-			s.lock.Release(t)
-			r.Spec = false
-			break
-		}
-	}
-	s.record(t.ID, r)
-	return r
-}

@@ -3,18 +3,21 @@
 //
 //   - Standard: plain non-speculative locking (the paper's baseline).
 //   - HLE: Haswell's hardware lock elision as-is (Figure 1.1 / Algorithm 2
-//     behaviour), which suffers the Chapter 3 avalanche effect.
-//   - HLESCM: software-assisted conflict management (Algorithm 3). Aborted
-//     threads serialize on an auxiliary non-speculative lock and rejoin the
-//     speculative run; only after MaxRetries failures does the aux-lock
-//     holder take the main lock non-speculatively.
-//   - SLR: software-assisted lock removal — the critical section runs
-//     transactionally without touching the lock until just before commit.
-//     Pessimistic gives up after one failure; optimistic retries.
-//   - SLRSCM: SCM applied to SLR.
-//   - HLESCMMulti: the paper's future-work refinement — conflicting threads
-//     are grouped by conflict address onto striped auxiliary locks, so that
-//     threads conflicting on different data do not serialize together.
+//     behaviour), which suffers the Chapter 3 avalanche effect; HLELazy is
+//     the same with lazy lock subscription.
+//   - RTMScheme: every RTM-based scheme, built from one speculative
+//     attempt and one recovery loop. The attempt reads the main lock at
+//     entry (RTM-LE, HLE-SCM), at commit (SLR), through a nested
+//     XACQUIRE (HLE-SCM-ideal, Algorithm 3 verbatim) or through a lazy
+//     commit-time predicate (RTM-LE-lazy). After an abort, elide
+//     re-acquires the lock once non-speculatively as HLE does; remove
+//     retries a bounded number of times, then takes the lock (SLR); and
+//     manage serializes aborters on an auxiliary lock and rejoins the
+//     speculative run (software-assisted conflict management, Algorithm
+//     3), with the aux lock striped by conflict address in the paper's
+//     future-work refinement (HLE-SCM-multi).
+//   - Adaptive: a runtime controller that switches one lock between the
+//     elide, manage and remove loops.
 //
 // A scheme's Run returns per-operation accounting (attempts, speculative or
 // not) that reproduces the paper's "average execution attempts per critical

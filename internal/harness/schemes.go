@@ -30,9 +30,8 @@ func mainOnly[S core.Scheme](mk func(locks.Lock) S) assembler {
 	return func(_ SchemeSpec, main locks.Lock, _ []locks.Lock) core.Scheme { return mk(main) }
 }
 
-// scmAssembler adapts an SCM-style constructor over main and one auxiliary
-// lock.
-func scmAssembler[S core.Scheme](mk func(main, aux locks.Lock, cfg core.SCMConfig) S, cfg core.SCMConfig) assembler {
+// scmAssembler adapts an SCM constructor over main and one auxiliary lock.
+func scmAssembler(mk func(main, aux locks.Lock, cfg core.SCMConfig) *core.RTMScheme, cfg core.SCMConfig) assembler {
 	return func(_ SchemeSpec, main locks.Lock, aux []locks.Lock) core.Scheme { return mk(main, aux[0], cfg) }
 }
 

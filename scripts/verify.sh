@@ -24,7 +24,15 @@ go test -race -short -count=1 -timeout 600s ./internal/explore
 # Capped-depth model-checking smoke: every scheme x sweep lock at two
 # threads x one op with a small replay budget — under a minute, and it
 # exercises the whole replay/branch/check loop through the CLI entry point.
-go run ./cmd/hle-bench -explore -quick -parallel 2 > /dev/null
+# Run it chained (replays resume from banked checkpoints) and from scratch
+# (-chain -1: every node replays from the start); the two must print the
+# same output.
+explore_out=$(mktemp -d)
+trap 'rm -rf "$explore_out"' EXIT
+go build -o "$explore_out/hle-bench" ./cmd/hle-bench
+"$explore_out/hle-bench" -explore -quick -parallel 2 > "$explore_out/chained.txt"
+"$explore_out/hle-bench" -explore -quick -parallel 2 -chain -1 > "$explore_out/scratch.txt"
+cmp "$explore_out/chained.txt" "$explore_out/scratch.txt"
 # Sharded store and traffic generator under the race detector: per-point
 # store construction (Bind after a checkpoint fork) and the workload's
 # Go-side tables are shared across host workers by the parallel runner.
