@@ -36,15 +36,16 @@ type Options struct {
 	Seed int64
 	// Parallel is the number of host workers experiment points fan out
 	// across (default GOMAXPROCS). Results are independent of this value:
-	// every point runs on its own (cloned or fresh) machine with a seed
-	// derived from its declared coordinates, and output is assembled in
-	// declaration order.
+	// every point runs on its own machine, forked from a WarmTemplate
+	// checkpoint or built fresh, with a seed derived from its declared
+	// coordinates, and output is assembled in declaration order.
 	Parallel int
 	// Profile, when non-nil, attaches a profiling collector (internal/obs)
 	// to every experiment point the figure runs. Each point owns a private
-	// collector on its own machine, so profiling composes with Parallel
-	// without races, and collection is passive — the simulated runs and
-	// the figure's tables are byte-identical with profiling on or off.
+	// collector on its own machine, accumulating all of its repetitions,
+	// so profiling composes with Parallel without races, and collection is
+	// passive — the simulated runs and the figure's tables are
+	// byte-identical with profiling on or off.
 	Profile *obs.Options
 	// ProfileSink receives each point's profile, named by the point's
 	// coordinates within the figure (e.g. "g0/HLE MCS"). Points are
@@ -265,8 +266,9 @@ func machineCfg(o Options, elems int) tsx.Config {
 
 // dsGroup declares one populated data structure and the schemes to measure
 // on it. A figure declares all its groups up front; dsRunGroups builds each
-// group's machine once, then fans the (group × scheme) points out across
-// host workers, every point on its own clone.
+// group's warm template once, then fans the (group × scheme) points out
+// across host workers, every point on its own fork of the template's
+// checkpoint.
 type dsGroup struct {
 	size    int
 	mix     harness.Mix

@@ -69,25 +69,19 @@ func AutoPad(wt *WarmTemplate, cfg AutoPadConfig) (*WarmTemplate, AutoPadReport)
 		topK = DefaultAutoPadTopK
 	}
 
-	m, w := wt.Fork()
-	if cfg.Seed != 0 {
-		m.Reseed(cfg.Seed)
-	}
-	var scheme core.Scheme
-	m.RunOne(func(t *tsx.Thread) {
-		if cfg.MkScheme != nil {
-			scheme = cfg.MkScheme(t)
-		} else {
-			scheme = cfg.Scheme.Build(t)
-		}
-	})
 	// TopLines < 0 keeps every line: the plan must see the full heatmap,
 	// not the display-truncated top 16.
-	res := Run(m, scheme, w, Config{
-		Threads:     cfg.Threads,
-		CycleBudget: cfg.Burst,
-		Profile:     &obs.Options{TopLines: -1},
-	})
+	res := PointSpec{
+		Warm:     wt,
+		Scheme:   cfg.Scheme,
+		MkScheme: cfg.MkScheme,
+		Seed:     cfg.Seed,
+		Cfg: Config{
+			Threads:     cfg.Threads,
+			CycleBudget: cfg.Burst,
+			Profile:     &obs.Options{TopLines: -1},
+		},
+	}.Run()
 
 	var report AutoPadReport
 	report.BurstAborts = res.Profile.TotalAborts

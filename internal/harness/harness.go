@@ -8,7 +8,6 @@ package harness
 import (
 	"fmt"
 
-	"hle/internal/adapt"
 	"hle/internal/core"
 	"hle/internal/obs"
 	"hle/internal/stats"
@@ -89,11 +88,11 @@ type Config struct {
 	// reported as Result.Failure instead of hanging. Nil keeps the run
 	// byte-identical to a watchdog-free build.
 	Watchdog *WatchdogConfig
-	// Profile, when non-nil, attaches a profiling collector (internal/obs)
-	// to the measurement run and delivers its Profile in the Result. The
-	// collector covers exactly the measurement (not setup/population) and
-	// is private to the run, so host-parallel points collect without
-	// races. Nil keeps the run hook-free.
+	// Profile, when non-nil, makes PointSpec.Run profile the point: one
+	// collector (internal/obs) covers the measured runs of all its
+	// repetitions (not setup, population or scheme construction) and is
+	// private to the point, so host-parallel points collect without
+	// races. Run itself takes no profile. Nil keeps the point hook-free.
 	Profile *obs.Options
 }
 
@@ -114,14 +113,20 @@ type Result struct {
 	// A failed run's other fields cover only the progress made before the
 	// stop, and the machine's simulated state is torn — diagnostics only.
 	Failure *Failure
-	// Profile is the profiling result (nil unless Config.Profile was set).
+	// Profile is the point's profiling result, set only by PointSpec.Run
+	// when Config.Profile is.
 	Profile *obs.Profile
 }
 
-// Run executes the workload under scheme on machine m.
+// Run executes the workload under scheme on machine m. It is the
+// measurement loop only: profiling is per point, so a Config with a
+// Profile goes through PointSpec.Run.
 func Run(m *tsx.Machine, scheme core.Scheme, w Workload, cfg Config) Result {
 	if cfg.Threads <= 0 || cfg.CycleBudget == 0 {
 		panic(fmt.Sprintf("harness: bad config %+v", cfg))
+	}
+	if cfg.Profile != nil {
+		panic("harness: Run takes no Profile; profile a point with PointSpec.Run")
 	}
 	var timeline *stats.Timeline
 	if cfg.SliceCycles > 0 {
@@ -133,12 +138,6 @@ func Run(m *tsx.Machine, scheme core.Scheme, w Workload, cfg Config) Result {
 		wd = NewWatchdog(*cfg.Watchdog, cfg.Threads)
 		m.SetWatchdog(wd.Check)
 		defer m.SetWatchdog(nil)
-	}
-	var col *obs.Collector
-	if cfg.Profile != nil {
-		col = obs.Attach(m, *cfg.Profile)
-		col.SetLabel(scheme.Name())
-		defer col.Detach()
 	}
 	// Routing is resolved once per run, not per op.
 	router, routed := scheme.(OpRouter)
@@ -192,40 +191,5 @@ func Run(m *tsx.Machine, scheme core.Scheme, w Workload, cfg Config) Result {
 		res.Throughput = float64(res.Ops.Ops) * 1e6 / float64(res.MaxClock-cfg.Warmup)
 	}
 	res.Timeline = timeline
-	if col != nil {
-		res.Profile = col.Profile()
-		// Stamp the engine's own abort total for the attribution
-		// invariant: sum(Causes) == TotalAborts == EngineAborts.
-		res.Profile.EngineAborts = res.TSX.TotalAborts()
-		// Adaptive runs carry their scheme-transition log in the profile,
-		// so -profile surfaces the controller's decisions alongside the
-		// abort attribution that drove them.
-		if ad, ok := scheme.(*core.Adaptive); ok {
-			res.Profile.Controller = ControllerEvents(ad.Transitions())
-		}
-	}
 	return res
-}
-
-// ControllerEvents converts an adapt transition log to the obs profile's
-// dependency-free representation.
-func ControllerEvents(trs []adapt.Transition) []obs.ControllerEvent {
-	if len(trs) == 0 {
-		return nil
-	}
-	out := make([]obs.ControllerEvent, len(trs))
-	for i, tr := range trs {
-		out[i] = obs.ControllerEvent{
-			Seq:        tr.Seq,
-			Window:     tr.Window,
-			Clock:      tr.Clock,
-			From:       tr.From.String(),
-			To:         tr.To.String(),
-			Reason:     tr.Reason,
-			SwapClock:  tr.SwapClock,
-			DrainClock: tr.DrainClock,
-			Inflight:   tr.Inflight,
-		}
-	}
-	return out
 }

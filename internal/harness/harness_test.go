@@ -1,9 +1,12 @@
 package harness_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"hle/internal/harness"
+	"hle/internal/obs"
 	"hle/internal/tsx"
 )
 
@@ -114,6 +117,18 @@ func TestBuildRejectsMissingHardware(t *testing.T) {
 			spec.Build(th)
 		})
 	}
+}
+
+// TestRunRejectsProfile: profiling is per point, so Run refuses a Config
+// with a Profile rather than silently running unprofiled.
+func TestRunRejectsProfile(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "PointSpec") {
+			t.Fatalf("Run with a Profile: panic %v, want one pointing at PointSpec", r)
+		}
+	}()
+	harness.Run(tsx.NewMachine(machineCfg(1, 1)), nil, nil,
+		harness.Config{Threads: 1, CycleBudget: 1, Profile: &obs.Options{}})
 }
 
 func TestHashTableWorkload(t *testing.T) {

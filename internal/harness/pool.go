@@ -5,7 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hle/internal/adapt"
 	"hle/internal/core"
+	"hle/internal/obs"
 	"hle/internal/tsx"
 )
 
@@ -70,7 +72,8 @@ type PointSpec struct {
 
 	// Runs repeats the measurement, averaging results; memory state
 	// persists across repetitions (the structure keeps evolving), matching
-	// the paper's repeated-trial methodology. Zero means one run.
+	// the paper's repeated-trial methodology. A profiled point's one
+	// collector accumulates every repetition. Zero means one run.
 	Runs int
 
 	// Cfg is the measurement configuration.
@@ -83,11 +86,15 @@ func (p PointSpec) Run() Result {
 	if p.Seed != 0 {
 		m.Reseed(p.Seed)
 	}
-	runs := p.Runs
-	if runs <= 0 {
-		runs = 1
+	runs := max(p.Runs, 1)
+	cfg := p.Cfg
+	cfg.Profile = nil
+	var col *obs.Collector
+	if p.Cfg.Profile != nil {
+		col = obs.New(*p.Cfg.Profile)
 	}
 	var acc Result
+	var transitions []adapt.Transition
 	for r := 0; r < runs; r++ {
 		var scheme core.Scheme
 		m.RunOne(func(t *tsx.Thread) {
@@ -97,19 +104,24 @@ func (p PointSpec) Run() Result {
 				scheme = p.Scheme.Build(t)
 			}
 		})
-		res := Run(m, scheme, w, p.Cfg)
+		// The collector sees only the measured run, never the scheme's
+		// construction.
+		if col != nil {
+			col.SetLabel(scheme.Name())
+			m.SetObserver(col)
+		}
+		res := Run(m, scheme, w, cfg)
+		if col != nil {
+			m.SetObserver(nil)
+			if ad, ok := scheme.(*core.Adaptive); ok {
+				transitions = append(transitions, ad.Transitions()...)
+			}
+		}
 		acc.Ops.Add(res.Ops)
 		acc.TSX.Add(res.TSX)
 		acc.MaxClock += res.MaxClock
 		acc.Throughput += res.Throughput
 		acc.Timeline = res.Timeline
-		if res.Profile != nil {
-			if acc.Profile == nil {
-				acc.Profile = res.Profile
-			} else {
-				acc.Profile.Merge(res.Profile)
-			}
-		}
 		if res.Failure != nil {
 			// A watchdog stop leaves the machine torn; keep the first
 			// failure and skip the remaining repetitions.
@@ -123,8 +135,42 @@ func (p PointSpec) Run() Result {
 	m.Mem.Release()
 	acc.MaxClock /= uint64(runs)
 	acc.Throughput /= float64(runs)
+	if col != nil {
+		acc.Profile = col.Profile()
+		// Stamp the engine's own abort total for the attribution
+		// invariant: sum(Causes) == TotalAborts == EngineAborts.
+		acc.Profile.EngineAborts = acc.TSX.TotalAborts()
+		// Adaptive points carry their scheme-transition log in the
+		// profile, so -profile surfaces the controller's decisions
+		// alongside the abort attribution that drove them.
+		acc.Profile.Controller = controllerEvents(transitions)
+	}
 	pointsRun.Add(1)
 	return acc
+}
+
+// controllerEvents converts the transition logs of a point's repetitions,
+// in run order, to the obs profile's dependency-free representation. Seq
+// is renumbered across the concatenation so the log stays totally ordered.
+func controllerEvents(trs []adapt.Transition) []obs.ControllerEvent {
+	if len(trs) == 0 {
+		return nil
+	}
+	out := make([]obs.ControllerEvent, len(trs))
+	for i, tr := range trs {
+		out[i] = obs.ControllerEvent{
+			Seq:        i,
+			Window:     tr.Window,
+			Clock:      tr.Clock,
+			From:       tr.From.String(),
+			To:         tr.To.String(),
+			Reason:     tr.Reason,
+			SwapClock:  tr.SwapClock,
+			DrainClock: tr.DrainClock,
+			Inflight:   tr.Inflight,
+		}
+	}
+	return out
 }
 
 // RunPoints executes the points across min(parallel, len(points)) host

@@ -78,13 +78,17 @@ type threadState struct {
 	modeSince   uint64
 	serialFlag  bool
 	serialSince uint64
-	lastClock   uint64
+	// lastClock is the clock of the thread's latest event. Per-thread
+	// clocks restart with every machine Run, so an open span is credited
+	// only up to the current run's last event, never past it.
+	lastClock uint64
 }
 
 // Collector implements tsx.Observer, accumulating a Profile for one
 // machine. Attach one collector per machine; the host-parallel pool gives
 // every point its own machine and its own collector, so collection is
-// race-free without locks.
+// race-free without locks. Successive Runs on the machine accumulate into
+// the same collector: a repeated experiment point is one profile.
 type Collector struct {
 	opt Options
 	m   *tsx.Machine
@@ -187,9 +191,7 @@ func (c *Collector) addSpan(mode int, from, to uint64) {
 // setMode transitions a thread's occupancy mode at clock, flushing the
 // span spent in the previous mode.
 func (c *Collector) setMode(ts *threadState, clock uint64, mode int) {
-	if clock > ts.lastClock {
-		ts.lastClock = clock
-	}
+	ts.lastClock = clock
 	if mode == ts.mode {
 		return
 	}
@@ -275,7 +277,7 @@ func (c *Collector) Serial(thread int, clock uint64, on bool) {
 			mode = modeSerial
 		}
 		c.setMode(ts, clock, mode)
-	} else if clock > ts.lastClock {
+	} else {
 		ts.lastClock = clock
 	}
 }
@@ -285,9 +287,10 @@ func (c *Collector) Grant(proc int, clock uint64) {
 	c.window(clock).Grants++
 }
 
-// Profile exports the collector's accumulated state. It is
-// non-destructive — the collector may keep collecting — and deterministic:
-// every slice is explicitly ordered.
+// Profile exports the collector's accumulated state. Open occupancy spans
+// are credited up to each thread's latest event and restarted there, so
+// the collector may keep collecting and repeated calls agree. The export
+// is deterministic: every slice is explicitly ordered.
 func (c *Collector) Profile() *Profile {
 	p := &Profile{
 		Label:        c.label,
@@ -299,37 +302,16 @@ func (c *Collector) Profile() *Profile {
 	aggr := make(map[int]uint64)
 	var hists [numHists][maxBuckets]uint64
 
-	// Snapshot the timeline, extended to cover every thread's last
-	// observed clock so open occupancy spans flush into real windows.
-	var maxLast uint64
-	for id := 0; id < c.procs; id++ {
-		if ts := &c.threads[id]; ts.seen && ts.lastClock > maxLast {
-			maxLast = ts.lastClock
-		}
-	}
-	need := len(c.windows)
-	if maxLast > 0 {
-		if n := int(maxLast/c.opt.WindowCycles) + 1; n > need {
-			need = n
-		}
-		if need > c.opt.MaxWindows {
-			need = c.opt.MaxWindows
-		}
-	}
-	timeline := make([]Window, need)
-	copy(timeline, c.windows)
-	for i := len(c.windows); i < need; i++ {
-		timeline[i].Start = uint64(i) * c.opt.WindowCycles
-	}
-
 	for id := 0; id < c.procs; id++ {
 		ts := &c.threads[id]
 		if !ts.seen {
 			continue
 		}
-		// Flush the open occupancy span into the snapshot (the live
-		// collector state is untouched).
-		flushSpan(timeline, c.opt, ts.mode, ts.modeSince, ts.lastClock)
+		// Credit the open occupancy span up to the thread's latest event
+		// and restart it there, so a later Profile neither loses nor
+		// double-counts it.
+		c.addSpan(ts.mode, ts.modeSince, ts.lastClock)
+		ts.modeSince = ts.lastClock
 
 		p.TotalBegun += ts.begun
 		p.TotalCommits += ts.commits
@@ -388,15 +370,7 @@ func (c *Collector) Profile() *Profile {
 	}
 	p.Lines = lines
 
-	// Trim trailing all-zero windows.
-	for len(timeline) > 0 {
-		last := timeline[len(timeline)-1]
-		if last.SpecCycles|last.SerialCycles|last.Commits|last.Aborts|last.Grants != 0 {
-			break
-		}
-		timeline = timeline[:len(timeline)-1]
-	}
-	p.Timeline = timeline
+	p.Timeline = append([]Window(nil), c.windows...)
 
 	for h := 0; h < numHists; h++ {
 		hist := Histogram{Outcome: histNames[h]}
@@ -417,39 +391,4 @@ func (c *Collector) Profile() *Profile {
 		}
 	}
 	return p
-}
-
-// flushSpan credits an open [from, to) span in mode to a timeline
-// snapshot (same logic as Collector.addSpan, but against a copy).
-func flushSpan(timeline []Window, opt Options, mode int, from, to uint64) {
-	if mode == modeOther || to <= from || len(timeline) == 0 {
-		return
-	}
-	w := opt.WindowCycles
-	for from < to {
-		i := int(from / w)
-		if i >= len(timeline) {
-			i = len(timeline) - 1
-		}
-		end := timeline[i].Start + w
-		if i == len(timeline)-1 {
-			// Open-ended last snapshot window: take the rest.
-			if e := to; e > end {
-				end = e
-			}
-		}
-		if end > to {
-			end = to
-		}
-		if end <= from {
-			end = to
-		}
-		switch mode {
-		case modeSpec:
-			timeline[i].SpecCycles += end - from
-		case modeSerial:
-			timeline[i].SerialCycles += end - from
-		}
-		from = end
-	}
 }

@@ -11,8 +11,7 @@ import (
 // Profile is taken while threads are still inside transactions, their open
 // occupancy spans must be credited to the timeline copy — split across
 // windows, clamped into the open-ended last window past MaxWindows — and
-// the live collector state must stay untouched (a later Profile sees the
-// same spans plus whatever happened since). The event stream is fed
+// a later Profile must see the same spans plus whatever happened since. The event stream is fed
 // directly: the Observer contract is the package's input surface, and
 // hand-built clocks pin the window arithmetic exactly.
 func TestProfileFlushesOpenSpans(t *testing.T) {
@@ -67,5 +66,31 @@ func TestProfileFlushesOpenSpans(t *testing.T) {
 	}
 	if p3.TotalCommits != 2 {
 		t.Fatalf("commits = %d, want 2", p3.TotalCommits)
+	}
+}
+
+// TestProfileSpanStopsAtRepetitionEnd pins the open-span rule across
+// repetitions: per-thread clocks restart with every machine Run, so an
+// open span is credited up to the thread's latest event, not the highest
+// clock an earlier repetition reached.
+func TestProfileSpanStopsAtRepetitionEnd(t *testing.T) {
+	c := obs.New(obs.Options{WindowCycles: 100})
+
+	// First repetition: thread 0 runs to clock 1000 and ends outside any
+	// transaction.
+	c.TxBegin(0, 600)
+	c.TxCommit(0, 1000, 600, 1)
+	// Second repetition: a transaction opens at 100 and is still open at
+	// the thread's last report, 300.
+	c.TxBegin(0, 100)
+	c.Serial(0, 300, true)
+
+	var spec uint64
+	for _, w := range c.Profile().Timeline {
+		spec += w.SpecCycles
+	}
+	if want := uint64((1000 - 600) + (300 - 100)); spec != want {
+		t.Fatalf("spec cycles = %d, want %d: 400 from the first repetition plus the open span's 200, not 900",
+			spec, want)
 	}
 }

@@ -193,20 +193,6 @@ func TestProfileDeterminism(t *testing.T) {
 	}
 }
 
-// TestProfileMerge checks count additivity across Merge.
-func TestProfileMerge(t *testing.T) {
-	a := profiledPoint("HLE", "TTAS", 3).Profile
-	b := profiledPoint("HLE", "TTAS", 4).Profile
-	wantAborts := a.TotalAborts + b.TotalAborts
-	wantCommits := a.TotalCommits + b.TotalCommits
-	a.Merge(b)
-	checkInvariants(t, a)
-	if a.TotalAborts != wantAborts || a.TotalCommits != wantCommits {
-		t.Fatalf("merge lost counts: got (%d,%d), want (%d,%d)",
-			a.TotalAborts, a.TotalCommits, wantAborts, wantCommits)
-	}
-}
-
 // stormInjector aborts every in-transaction access to any line once its
 // countdown elapses, then rearms.
 type stormInjector struct{ every, n int }

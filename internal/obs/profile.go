@@ -251,56 +251,6 @@ func (p *Profile) CauseSum() uint64 {
 	return n
 }
 
-// Merge accumulates other into p: repetitions of one experiment point
-// merge into a single profile. Both profiles must use the same
-// WindowCycles.
-func (p *Profile) Merge(other *Profile) {
-	if other == nil {
-		return
-	}
-	if p.WindowCycles != other.WindowCycles {
-		panic("obs: merging profiles with different window sizes")
-	}
-	if p.Label == "" {
-		p.Label = other.Label
-	}
-	if other.Procs > p.Procs {
-		p.Procs = other.Procs
-	}
-	p.TotalBegun += other.TotalBegun
-	p.TotalCommits += other.TotalCommits
-	p.TotalAborts += other.TotalAborts
-	p.EngineAborts += other.EngineAborts
-	p.Causes = mergeCauses(p.Causes, other.Causes)
-	p.Aggressors = mergeAggressors(p.Aggressors, other.Aggressors)
-	p.Threads = mergeThreads(p.Threads, other.Threads)
-	p.Lines = mergeLines(p.Lines, other.Lines)
-	p.Timeline = mergeTimeline(p.Timeline, other.Timeline)
-	p.Latency = mergeLatency(p.Latency, other.Latency)
-	// Transition logs concatenate in run order; Seq is renumbered so the
-	// merged log stays totally ordered.
-	p.Controller = append(p.Controller, other.Controller...)
-	for i := range p.Controller {
-		p.Controller[i].Seq = i
-	}
-}
-
-// mergeCauses merges two cause lists, preserving canonical class order.
-func mergeCauses(a, b []CauseCount) []CauseCount {
-	var counts [NumClasses]uint64
-	for _, cs := range [][]CauseCount{a, b} {
-		for _, c := range cs {
-			for i := 0; i < NumClasses; i++ {
-				if classNames[i] == c.Class {
-					counts[i] += c.Count
-					break
-				}
-			}
-		}
-	}
-	return causesFromCounts(&counts)
-}
-
 func causesFromCounts(counts *[NumClasses]uint64) []CauseCount {
 	var out []CauseCount
 	for i, n := range counts {
@@ -309,16 +259,6 @@ func causesFromCounts(counts *[NumClasses]uint64) []CauseCount {
 		}
 	}
 	return out
-}
-
-func mergeAggressors(a, b []AggressorCount) []AggressorCount {
-	m := make(map[int]uint64)
-	for _, as := range [][]AggressorCount{a, b} {
-		for _, ag := range as {
-			m[ag.Thread] += ag.Count
-		}
-	}
-	return aggressorsFromMap(m)
 }
 
 // aggressorsFromMap orders by count descending, ties by thread ascending.
@@ -336,60 +276,6 @@ func aggressorsFromMap(m map[int]uint64) []AggressorCount {
 	return out
 }
 
-func mergeThreads(a, b []ThreadProfile) []ThreadProfile {
-	byID := make(map[int]*ThreadProfile)
-	var order []int
-	for _, ts := range [][]ThreadProfile{a, b} {
-		for i := range ts {
-			t := &ts[i]
-			dst, ok := byID[t.Thread]
-			if !ok {
-				cp := *t
-				byID[t.Thread] = &cp
-				order = append(order, t.Thread)
-				continue
-			}
-			dst.Begun += t.Begun
-			dst.Commits += t.Commits
-			dst.Aborts += t.Aborts
-			dst.Causes = mergeCauses(dst.Causes, t.Causes)
-			dst.Aggressors = mergeAggressors(dst.Aggressors, t.Aggressors)
-		}
-	}
-	sort.Ints(order)
-	out := make([]ThreadProfile, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byID[id])
-	}
-	return out
-}
-
-func mergeLines(a, b []LineHeat) []LineHeat {
-	byLine := make(map[int]*LineHeat)
-	for _, ls := range [][]LineHeat{a, b} {
-		for i := range ls {
-			l := &ls[i]
-			dst, ok := byLine[l.Line]
-			if !ok {
-				cp := *l
-				byLine[l.Line] = &cp
-				continue
-			}
-			dst.Count += l.Count
-			if dst.Label == "" {
-				dst.Label = l.Label
-			}
-			dst.LockLine = dst.LockLine || l.LockLine
-		}
-	}
-	out := make([]LineHeat, 0, len(byLine))
-	for _, l := range byLine {
-		out = append(out, *l)
-	}
-	sortLines(out)
-	return out
-}
-
 // sortLines orders hottest first, ties by line index.
 func sortLines(ls []LineHeat) {
 	sort.Slice(ls, func(i, j int) bool {
@@ -398,65 +284,6 @@ func sortLines(ls []LineHeat) {
 		}
 		return ls[i].Line < ls[j].Line
 	})
-}
-
-func mergeTimeline(a, b []Window) []Window {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make([]Window, n)
-	for _, ws := range [][]Window{a, b} {
-		for i, w := range ws {
-			out[i].SpecCycles += w.SpecCycles
-			out[i].SerialCycles += w.SerialCycles
-			out[i].Commits += w.Commits
-			out[i].Aborts += w.Aborts
-			out[i].Grants += w.Grants
-			out[i].Start = w.Start
-		}
-	}
-	return out
-}
-
-func mergeLatency(a, b []Histogram) []Histogram {
-	byOutcome := make(map[string]map[uint64]HistBucket)
-	counts := make(map[string]uint64)
-	var order []string
-	for _, hs := range [][]Histogram{a, b} {
-		for _, h := range hs {
-			if _, ok := byOutcome[h.Outcome]; !ok {
-				byOutcome[h.Outcome] = make(map[uint64]HistBucket)
-				order = append(order, h.Outcome)
-			}
-			counts[h.Outcome] += h.Count
-			for _, bk := range h.Buckets {
-				cur := byOutcome[h.Outcome][bk.Lo]
-				cur.Lo, cur.Hi = bk.Lo, bk.Hi
-				cur.Count += bk.Count
-				byOutcome[h.Outcome][bk.Lo] = cur
-			}
-		}
-	}
-	// Preserve first-seen outcome order (canonical: commit, abort, serial).
-	seen := make(map[string]bool)
-	var uniq []string
-	for _, o := range order {
-		if !seen[o] {
-			seen[o] = true
-			uniq = append(uniq, o)
-		}
-	}
-	out := make([]Histogram, 0, len(uniq))
-	for _, o := range uniq {
-		bks := make([]HistBucket, 0, len(byOutcome[o]))
-		for _, bk := range byOutcome[o] {
-			bks = append(bks, bk)
-		}
-		sort.Slice(bks, func(i, j int) bool { return bks[i].Lo < bks[j].Lo })
-		out = append(out, Histogram{Outcome: o, Count: counts[o], Buckets: bks})
-	}
-	return out
 }
 
 // bar renders n/max as a fixed-width ASCII bar.

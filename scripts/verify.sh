@@ -10,13 +10,16 @@ set -eux
 go build ./...
 go vet ./...
 go test -timeout 300s ./...
-# internal/sim rides along: iter.Pull's switches are all that orders one
-# simulated proc's accesses before the next proc's.
-go test -race -timeout 300s ./internal/harness/... ./internal/tsx/... ./internal/mem/... ./internal/sim
-# The profiler is handed across host goroutines by the parallel runner, so
-# its suite runs under the race detector too — and the adaptive controller
-# rides the profiler's windowed feed, so it gets the same treatment.
-go test -race -count=1 -timeout 300s ./internal/obs ./internal/adapt
+# Race detector over every package the parallel runner shares across host
+# goroutines: the pool, machine fork/checkpoint and allocator free lists;
+# internal/sim, whose iter.Pull switches are all that orders one simulated
+# proc's accesses before the next proc's; the profiler, one collector per
+# point, and the adaptive controller riding its windowed feed; and the
+# sharded store and traffic generator, whose per-point store construction
+# (Bind after a checkpoint fork) and Go-side tables are shared by every
+# point of a template.
+go test -race -count=1 -timeout 300s ./internal/harness/... ./internal/tsx/... ./internal/mem/... ./internal/sim \
+	./internal/obs ./internal/adapt ./internal/shard ./internal/traffic
 # The explorer fans its frontier across host workers; run its suite under
 # the race detector too, but -short (the quick battery alone — the race
 # detector is ~10x, so the deeper two-op configurations stay in plain mode).
@@ -33,10 +36,6 @@ go build -o "$explore_out/hle-bench" ./cmd/hle-bench
 "$explore_out/hle-bench" -explore -quick -parallel 2 > "$explore_out/chained.txt"
 "$explore_out/hle-bench" -explore -quick -parallel 2 -chain -1 > "$explore_out/scratch.txt"
 cmp "$explore_out/chained.txt" "$explore_out/scratch.txt"
-# Sharded store and traffic generator under the race detector: per-point
-# store construction (Bind after a checkpoint fork) and the workload's
-# Go-side tables are shared across host workers by the parallel runner.
-go test -race -count=1 -timeout 300s ./internal/shard ./internal/traffic
 # Lazy lock subscription under the race detector: the ext-lazy sweep fans
 # per-point machines running the lazy commit pipeline (the one tsx commit
 # path that is NOT atomic — it yields mid-commit) across host workers, and
