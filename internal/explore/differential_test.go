@@ -2,6 +2,7 @@ package explore
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -165,4 +166,65 @@ func TestForkCountersPinned(t *testing.T) {
 				r.Forks, r.ScratchReplays, r.SpecWasted, r.CachePeakBytes, c.forks, c.scratch, c.wasted, c.peak)
 		}
 	}
+}
+
+// TestReusedRigMatchesFresh: a search rig reset in place replay after
+// replay reports exactly what a freshly forked replayer reports for the
+// same prefix — the same outcome and the same banked chain — on every
+// quick-battery configuration and one mutant. Consecutive prefixes come
+// from different schedules and depths, so each replay starts on a rig the
+// previous one left stopped mid-run, often mid-transaction; the mutant's
+// counterexample schedule is among its prefixes, so a rig also serves a
+// replay right after one that found a violation.
+func TestReusedRigMatchesFresh(t *testing.T) {
+	mutant := Mutants()[2] // HLE-HWExt without suspend: elided transactions on unsound hardware
+	for _, cfg := range append(Battery(true), mutant) {
+		c := cfg.withDefaults()
+		e := newExplorer(&c)
+		prefixes := rigPrefixes(e)
+		if cfg.Mutant != "" {
+			v := Run(cfg).Violation
+			if v == nil {
+				t.Fatalf("%s: seeded fault not detected", cfg.Label())
+			}
+			prefixes = append(prefixes[:len(prefixes)/2:len(prefixes)/2],
+				append([][]uint8{v.Schedule}, prefixes[len(prefixes)/2:]...)...)
+		}
+		for _, p := range prefixes {
+			got, gotChain := e.replayNode(&node{prefix: p}, nil, 2)
+			f := e.newReplayer(e.tmpl, p)
+			f.chainLeft = 2
+			f.run()
+			if !outcomesEqual(&got, &f.out) || !reflect.DeepEqual(gotChain, f.chain) {
+				t.Errorf("%s: prefix %s: reused rig differs from a fresh fork", cfg.Label(), FormatSchedule(p))
+				break
+			}
+		}
+		if n := len(e.rigs.free); n != 1 {
+			t.Errorf("%s: %d rigs after one-at-a-time replays, want 1", cfg.Label(), n)
+		}
+	}
+}
+
+// rigPrefixes walks a few deterministic schedules from the root, each
+// picking children by its own rule, and records every third frontier
+// prefix along each.
+func rigPrefixes(e *explorer) [][]uint8 {
+	var out [][]uint8
+	for w := 0; w < 4; w++ {
+		var p []uint8
+		for d := 0; d < 60; d++ {
+			r := e.newReplayer(e.tmpl, p)
+			r.run()
+			if r.out.terminal || r.out.truncated || r.out.violation != nil {
+				break
+			}
+			en := r.out.enabled
+			p = append(slices.Clip(p), en[(d*w+d/5)%len(en)])
+			if d%3 == 0 {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
 }

@@ -1,24 +1,40 @@
 package explore
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 )
+
+// quickBatteryDigest pins the quick battery's report: the SHA-256 of every
+// Battery(true) result's Line(), each followed by a newline, in battery
+// order. It moves only when a search statistic moves, so a change that
+// leaks state between replays (a reused machine or rig that does not start
+// exactly like a fresh fork) fails here even when every verdict stays
+// clean. A change that moves it on purpose re-pins it and names the moved
+// lines and the reason in CHANGES.md.
+const quickBatteryDigest = "c78ea6bffdefc7c23d551e83b3c834645cbc474872790dcc4ea23ebd5f8e2960"
 
 // TestQuickBattery is the CI tier of the acceptance sweep: every scheme
 // crossed with every sweep lock at 2 threads x 1 op, plus a three-thread
 // configuration, all with zero violations. The full 2x2 sweep is the
 // hle-bench -explore run recorded in EXPERIMENTS.md.
 func TestQuickBattery(t *testing.T) {
+	h := sha256.New()
 	for _, cfg := range Battery(true) {
 		r := Run(cfg)
 		t.Log(r.Line())
+		fmt.Fprintln(h, r.Line())
 		if r.Violation != nil {
 			t.Errorf("%s: %s\n%s", cfg.Label(), r.Violation.Error(), r.Violation.Failure.Dump())
 		}
 		if r.Schedules == 0 {
 			t.Errorf("%s: no complete schedule explored", cfg.Label())
 		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != quickBatteryDigest {
+		t.Errorf("quick battery digest %s, pinned %s: a search statistic moved", got, quickBatteryDigest)
 	}
 }
 

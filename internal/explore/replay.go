@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 
 	"hle/internal/check"
 	"hle/internal/core"
@@ -141,6 +142,15 @@ type explorer struct {
 	// replays (diagnose, rediagnose) — only a search that finds a
 	// violation needs it.
 	tmpl, diagTmpl *replayTemplate
+	// rigs is the free list of search replayers (see replayNode): each
+	// owns a machine, its memory arrays and transaction contexts, and
+	// its scratch slices, and is reset to tmpl in place for every
+	// replay. A replay takes one and returns it when it ends, so the list
+	// never holds more rigs than replays ever ran at the same time.
+	rigs struct {
+		sync.Mutex
+		free []*replayer
+	}
 }
 
 func newExplorer(cfg *Config) *explorer {
@@ -312,21 +322,46 @@ type replayer struct {
 	outSet    bool
 }
 
-// newReplayer builds a replayer on a fork of template tp: the machine from
-// its checkpoint, value clones of its locks, and a fresh recorder.
+// newReplayer builds a replayer on a fresh fork of template tp.
 func (e *explorer) newReplayer(tp *replayTemplate, prefix []uint8) *replayer {
-	c := e.cfg
-	r := &replayer{
-		cfg:        c,
+	r := &replayer{}
+	e.reset(r, tp, prefix)
+	return r
+}
+
+// reset readies r to replay prefix on a fork of template tp: its machine
+// is reset to the checkpoint in place (or forked, the first time), the
+// locks are value-cloned and the scheme assembled afresh, and every other
+// field starts as in a new replayer, with the scratch slices keeping
+// their storage. A fresh fork is an empty replayer plus reset, so a reused
+// rig cannot start differently from one.
+func (e *explorer) reset(r *replayer, tp *replayTemplate, prefix []uint8) {
+	m := r.m
+	if m == nil {
+		m = tsx.FromCheckpoint(tp.cp)
+	} else {
+		m.Reset(tp.cp)
+	}
+	n := e.cfg.Threads
+	txf := r.txf
+	if len(txf) != n {
+		txf = make([][]access, n)
+	}
+	for i := range txf {
+		txf[i] = txf[i][:0]
+	}
+	*r = replayer{
+		cfg:        e.cfg,
 		prefix:     prefix,
-		threads:    make([]*tsx.Thread, c.Threads),
-		opsDone:    make([]int, c.Threads),
-		seqScratch: make([]uint64, c.Threads),
-		resScratch: make([]uint64, c.Threads),
-		incon:      make([]bool, c.Threads),
-		txf:        make([][]access, c.Threads),
+		m:          m,
+		threads:    zeroed(r.threads, n),
+		opsDone:    zeroed(r.opsDone, n),
+		seqScratch: zeroed(r.seqScratch, n),
+		resScratch: zeroed(r.resScratch, n),
+		incon:      zeroed(r.incon, n),
+		txf:        txf,
+		cur:        edge{accesses: r.cur.accesses[:0], txLines: r.cur.txLines[:0]},
 		allSpec:    true,
-		m:          tsx.FromCheckpoint(tp.cp),
 		lock:       cloneLock(tp.main),
 		rec:        tp.rec.Fresh(),
 		x:          tp.x,
@@ -342,7 +377,16 @@ func (e *explorer) newReplayer(tp *replayTemplate, prefix []uint8) *replayer {
 		}
 	}
 	r.scheme = e.assemble(r.lock, aux)
-	return r
+}
+
+// zeroed returns s resized to n zero elements, in s's storage when it fits.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // run executes the replay to its stopping point and emits the outcome(s).
@@ -385,15 +429,32 @@ func (r *replayer) emit(o runOutcome) {
 // replayNode replays one frontier node and, chain budget permitting, keeps
 // executing along the merge loop's predicted first-child line, banking one
 // outcome per extra frontier. With chainDepth 0 it is a plain scratch
-// replay of the node.
+// replay of the node. It runs on a rig from the free list, reset to the
+// template in place; the outcomes it returns share no storage with the
+// rig, which the next replay overwrites.
 func (e *explorer) replayNode(nd *node, visited map[uint64]uint64, chainDepth int) (runOutcome, []chainOut) {
-	r := e.newReplayer(e.tmpl, nd.prefix)
+	e.rigs.Lock()
+	var r *replayer
+	if k := len(e.rigs.free); k > 0 {
+		r = e.rigs.free[k-1]
+		e.rigs.free = e.rigs.free[:k-1]
+	} else {
+		r = &replayer{}
+	}
+	e.rigs.Unlock()
+
+	e.reset(r, e.tmpl, nd.prefix)
 	r.chainLeft = chainDepth
 	r.sleep = nd.inherit
 	r.stutter = nd.stutter
 	r.visited = visited
 	r.run()
-	return r.out, r.chain
+	out, chain := r.out, r.chain
+
+	e.rigs.Lock()
+	e.rigs.free = append(e.rigs.free, r)
+	e.rigs.Unlock()
+	return out, chain
 }
 
 // diagnose re-replays a prefix solely to attach a machine-state dump to a

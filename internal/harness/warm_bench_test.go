@@ -30,8 +30,7 @@ func BenchmarkPointSetupCold(b *testing.B) {
 }
 
 // BenchmarkPointSetupClone is fork's comparison point: one populated live
-// machine cloned per point (a clone re-snapshots its source, so it costs
-// two memory copies).
+// machine checkpointed and forked per point (two memory copies).
 func BenchmarkPointSetupClone(b *testing.B) {
 	const elems = 32768
 	tmpl := tsx.NewMachine(benchCfg(elems))
@@ -41,7 +40,7 @@ func BenchmarkPointSetupClone(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tmpl.Clone()
+		tsx.FromCheckpoint(tmpl.Checkpoint())
 	}
 }
 

@@ -12,6 +12,7 @@ package mem
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -59,6 +60,11 @@ type FreeTable struct {
 	line    [smallClasses][]Addr // line[k]: free padded blocks of k lines
 	bigWord map[int][]Addr       // n >= smallClasses (rare)
 	bigLine map[int][]Addr       // k >= smallClasses (rare)
+	// pushed has a bit per dense class (word n at bit n, line k at bit
+	// smallClasses+k) that may hold blocks: set by Push, cleared by Drain
+	// and copyFrom. A clear bit means the class is empty, so copyFrom
+	// visits only the few classes a table ever used, not all 256.
+	pushed [2 * smallClasses / 64]uint64
 }
 
 // lineClass converts a requested word count of a line-granular allocation
@@ -72,6 +78,7 @@ func (f *FreeTable) Push(n int, lines bool, a Addr) {
 		k := lineClass(n)
 		if k < smallClasses {
 			f.line[k] = append(f.line[k], a)
+			f.mark(smallClasses + k)
 			return
 		}
 		if f.bigLine == nil {
@@ -82,6 +89,7 @@ func (f *FreeTable) Push(n int, lines bool, a Addr) {
 	}
 	if n < smallClasses {
 		f.word[n] = append(f.word[n], a)
+		f.mark(n)
 		return
 	}
 	if f.bigWord == nil {
@@ -153,31 +161,55 @@ func (f *FreeTable) Drain(fn func(n int, lines bool, a Addr)) {
 		}
 	}
 	f.bigLine = nil
+	f.pushed = [len(f.pushed)]uint64{}
 }
 
-// clone deep-copies the table so that the copy and the original can be
-// pushed/popped independently (they must not share slice backing arrays).
-func (f *FreeTable) clone() FreeTable {
-	var c FreeTable
-	for n := range f.word {
-		c.word[n] = slices.Clone(f.word[n])
+func (f *FreeTable) mark(c int) { f.pushed[c>>6] |= 1 << (c & 63) }
+
+// class returns dense class c's free list: word classes first, then line
+// classes, numbered as the pushed bits are.
+func (f *FreeTable) class(c int) *[]Addr {
+	if c < smallClasses {
+		return &f.word[c]
 	}
-	for k := range f.line {
-		c.line[k] = slices.Clone(f.line[k])
-	}
-	if f.bigWord != nil {
-		c.bigWord = make(map[int][]Addr, len(f.bigWord))
-		for n, fl := range f.bigWord {
-			c.bigWord[n] = slices.Clone(fl)
+	return &f.line[c-smallClasses]
+}
+
+// copyFrom makes f an independent copy of src — the two never share a
+// backing array, so either can be pushed and popped afterwards — reusing
+// f's class slices. It is the one free-table copy: Snapshot copies into a
+// new table, Restore into the memory's own, where a replay loop restoring
+// the same image over and over allocates nothing once the slices have
+// grown. Only classes either table may hold blocks in are visited.
+func (f *FreeTable) copyFrom(src *FreeTable) {
+	for i := range f.pushed {
+		for b := f.pushed[i] | src.pushed[i]; b != 0; b &= b - 1 {
+			c := i<<6 | bits.TrailingZeros64(b)
+			dst := f.class(c)
+			*dst = append((*dst)[:0], *src.class(c)...)
 		}
 	}
-	if f.bigLine != nil {
-		c.bigLine = make(map[int][]Addr, len(f.bigLine))
-		for k, fl := range f.bigLine {
-			c.bigLine[k] = slices.Clone(fl)
+	f.pushed = src.pushed
+	f.bigWord = copyBig(f.bigWord, src.bigWord)
+	f.bigLine = copyBig(f.bigLine, src.bigLine)
+}
+
+// copyBig copies a big-class map into dst's storage. A class dst holds
+// and src lacks is emptied in place rather than deleted, so its slice
+// stays for the next copy.
+func copyBig(dst, src map[int][]Addr) map[int][]Addr {
+	for k, fl := range dst {
+		if _, ok := src[k]; !ok {
+			dst[k] = fl[:0]
 		}
 	}
-	return c
+	if dst == nil && len(src) > 0 {
+		dst = make(map[int][]Addr, len(src))
+	}
+	for k, fl := range src {
+		dst[k] = append(dst[k][:0], fl...)
+	}
+	return dst
 }
 
 // DebugChecks arms allocator sanity tracking for Memories created while it
@@ -422,31 +454,34 @@ func (s *Snapshot) Words() []uint64 { return s.words }
 // Snapshot captures the memory's current state. The caller must ensure no
 // simulated threads are running (line metadata must be quiescent).
 func (m *Memory) Snapshot() *Snapshot {
-	return &Snapshot{
+	s := &Snapshot{
 		words:    slices.Clone(m.words),
 		lines:    slices.Clone(m.lines),
 		next:     m.next,
 		maxWords: m.maxWords,
-		free:     m.free.clone(),
 		owner:    maps.Clone(m.owner),
 		layout:   m.layout.clone(),
-		cursors:  cloneCursors(m.cursors),
+		cursors:  maps.Clone(m.cursors),
 		colorSeq: m.colorSeq,
 		shadow:   m.shadow,
 	}
+	s.free.copyFrom(&m.free)
+	return s
 }
 
-// Restore resets m to a previously captured snapshot. The snapshot is not
-// consumed: it can seed any number of memories.
+// Restore resets m to a previously captured snapshot, in m's own storage:
+// the word and line arrays and the free lists are overwritten, not
+// reallocated, once they are large enough. The snapshot is not consumed:
+// it can seed any number of memories.
 func (m *Memory) Restore(s *Snapshot) {
 	m.words = append(m.words[:0], s.words...)
 	m.lines = append(m.lines[:0], s.lines...)
 	m.next = s.next
 	m.maxWords = s.maxWords
-	m.free = s.free.clone()
+	m.free.copyFrom(&s.free)
 	m.owner = maps.Clone(s.owner)
 	m.layout = s.layout.clone()
-	m.cursors = cloneCursors(s.cursors)
+	m.cursors = maps.Clone(s.cursors)
 	m.colorSeq = s.colorSeq
 	m.shadow = s.shadow
 }

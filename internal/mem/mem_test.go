@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -227,6 +229,62 @@ func TestFreeTableDrain(t *testing.T) {
 	f.Drain(func(n int, lines bool, a Addr) { t.Errorf("second drain yielded %d", a) })
 	if f.Pop(4, false) != Nil || f.Pop(8, true) != Nil {
 		t.Fatal("drained table still pops blocks")
+	}
+}
+
+// TestFreeTableCopyFrom: copying a table with a few non-empty word, line
+// and big classes — into a new table, and into a dirty one holding other
+// classes — pops exactly the source's blocks in the source's order, and
+// the copy shares no storage with the source.
+func TestFreeTableCopyFrom(t *testing.T) {
+	type class struct {
+		n     int
+		lines bool
+	}
+	fill := func(f *FreeTable, base Addr, cs []class) {
+		for i, c := range cs {
+			for j := 0; j < 3; j++ {
+				f.Push(c.n, c.lines, base+Addr(100*i+j))
+			}
+		}
+	}
+	srcClasses := []class{
+		{3, false}, {smallClasses - 1, false}, {smallClasses + 5, false},
+		{LineWords, true}, {5 * LineWords, true}, {(smallClasses + 2) * LineWords, true},
+	}
+	// Classes only the dirty destination holds, plus one it shares.
+	dirtyClasses := []class{{4, false}, {2 * LineWords, true}, {smallClasses + 9, false}, {3, false}}
+	all := append(slices.Clone(srcClasses), dirtyClasses...)
+	popAll := func(f *FreeTable) map[class][]Addr {
+		got := map[class][]Addr{}
+		for _, c := range all {
+			for a := f.Pop(c.n, c.lines); a != Nil; a = f.Pop(c.n, c.lines) {
+				got[c] = append(got[c], a)
+			}
+		}
+		return got
+	}
+
+	var src FreeTable
+	fill(&src, 1000, srcClasses)
+	src.Pop(3, false) // a class that was pushed, then partly popped
+	var fresh, dirty FreeTable
+	fill(&dirty, 5000, dirtyClasses)
+	fresh.copyFrom(&src)
+	dirty.copyFrom(&src)
+
+	// Pushing onto a copy must not show up in the source.
+	fresh.Push(3, false, 9999)
+	fresh.Pop(3, false)
+
+	var ref FreeTable
+	fill(&ref, 1000, srcClasses)
+	ref.Pop(3, false)
+	want := popAll(&ref)
+	for name, f := range map[string]*FreeTable{"fresh": &fresh, "dirty": &dirty, "source": &src} {
+		if got := popAll(f); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s table pops %v, want %v", name, got, want)
+		}
 	}
 }
 

@@ -272,8 +272,3 @@ func (m *Memory) shadowPlace(n int) Addr {
 func (m *Memory) shadowPlaceLines(n int) {
 	m.shadow = Addr(roundUpLine(int(m.shadow)) + roundUpLine(n))
 }
-
-// clone deep-copies the cursor table.
-func cloneCursors(c map[int]cursor) map[int]cursor {
-	return maps.Clone(c)
-}

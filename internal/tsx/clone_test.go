@@ -1,6 +1,7 @@
 package tsx
 
 import (
+	"slices"
 	"testing"
 
 	"hle/internal/mem"
@@ -18,7 +19,7 @@ func TestCloneIndependence(t *testing.T) {
 		th.Store(cell, 41)
 	})
 
-	c1, c2 := tmpl.Clone(), tmpl.Clone()
+	c1, c2 := FromCheckpoint(tmpl.Checkpoint()), FromCheckpoint(tmpl.Checkpoint())
 	if c1.Mem.Read(cell) != 41 || c2.Mem.Read(cell) != 41 {
 		t.Fatal("clone did not copy populated memory")
 	}
@@ -92,7 +93,7 @@ func TestCloneMutationLeavesTemplateUntouched(t *testing.T) {
 	})
 	before := templateFingerprint(tmpl)
 
-	c := tmpl.Clone()
+	c := FromCheckpoint(tmpl.Checkpoint())
 	c.Reseed(999)
 	c.Run(4, func(th *Thread) {
 		for i := 0; i < 50; i++ {
@@ -148,7 +149,7 @@ func TestCloneDeterminism(t *testing.T) {
 		return
 	}
 
-	c1, c2, c3 := tmpl.Clone(), tmpl.Clone(), tmpl.Clone()
+	c1, c2, c3 := FromCheckpoint(tmpl.Checkpoint()), FromCheckpoint(tmpl.Checkpoint()), FromCheckpoint(tmpl.Checkpoint())
 	v1, n1 := run(c1)
 	v2, n2 := run(c2)
 	if v1 != v2 || n1 != n2 {
@@ -187,5 +188,84 @@ func TestReleasedForkMatchesFresh(t *testing.T) {
 	used.Mem.Release()
 	if got := templateFingerprint(FromCheckpoint(cp)); got != want {
 		t.Fatalf("fork over released arrays: fingerprint %#016x, fresh fork %#016x", got, want)
+	}
+
+	// Reset in place: a machine stopped mid-transaction — line metadata
+	// torn, a label and its prefix registered, memory grown past the
+	// image — holds exactly the checkpoint's image after Reset(cp), and
+	// its next run matches a fresh fork's.
+	torn := FromCheckpoint(cp)
+	torn.SetLabelPrefix("torn/")
+	grants := 0
+	torn.SetWatchdog(func(uint64) bool { grants++; return grants > 40 })
+	ths := torn.Run(4, func(th *Thread) {
+		th.LabelLockLines(cells[th.ID], 1, "torn")
+		th.Memory().AllocLines(cfg.MemWords)
+		for {
+			th.RTM(func() {
+				th.Store(cells[th.ID], th.Load(cells[th.ID])+7)
+				th.Work(100)
+			})
+		}
+	})
+	if !torn.Stopped() || !slices.ContainsFunc(ths, (*Thread).InTx) {
+		t.Fatal("no thread stopped mid-transaction; the Reset case is vacuous")
+	}
+	torn.Reset(cp)
+	if got := templateFingerprint(torn); got != want {
+		t.Fatalf("Reset after a torn run: fingerprint %#016x, fresh fork %#016x", got, want)
+	}
+	body := func(th *Thread) {
+		for i := 0; i < 20; i++ {
+			th.RTM(func() { th.Store(cells[th.ID], th.Load(cells[th.ID])+1) })
+		}
+	}
+	fresh := FromCheckpoint(cp)
+	fresh.Run(4, body)
+	torn.Run(4, body)
+	if got, want := templateFingerprint(torn), templateFingerprint(fresh); got != want {
+		t.Fatalf("run after Reset: fingerprint %#016x, fresh fork's run %#016x", got, want)
+	}
+}
+
+// TestResetAllocatesNothing: resetting an explore-sized machine (small
+// memory, labelled lock lines, non-empty word, line and big free classes)
+// in place allocates nothing after the first call, however the machine
+// was dirtied since.
+func TestResetAllocatesNothing(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.MemWords = 1 << 9
+	tmpl := NewMachine(cfg)
+	var lock mem.Addr
+	tmpl.RunOne(func(th *Thread) {
+		lock = th.AllocLines(1)
+		th.LabelLockLines(lock, 1, "lock")
+		th.Free(th.Alloc(3), 3)
+		th.FreeLines(th.AllocLines(2*mem.LineWords), 2*mem.LineWords)
+		big := 130 * mem.LineWords
+		th.FreeLines(th.AllocLines(big), big)
+	})
+	cp := tmpl.Checkpoint()
+
+	m := FromCheckpoint(cp)
+	m.Run(2, func(th *Thread) {
+		th.XAcquireSwap(lock, 1)
+		th.Store(th.Alloc(5), 1)
+		th.XReleaseStore(lock, 0)
+		th.Free(th.Alloc(7), 7)
+	})
+	m.Reset(cp)
+	dirty := func() {
+		m.Mem.Write(lock, 99)
+		m.Mem.Free(m.Mem.Alloc(4), 4)
+		m.Mem.FreeLines(m.Mem.AllocLines(3*mem.LineWords), 3*mem.LineWords)
+		m.Mem.Free(m.Mem.Alloc(200), 200)
+		m.labelLines(lock+mem.LineWords, 1, "extra", true)
+	}
+	if n := testing.AllocsPerRun(50, func() { dirty(); m.Reset(cp) }); n != 0 {
+		t.Fatalf("Reset allocated %.1f times per call after the first", n)
+	}
+	if m.LineLabel(mem.LineOf(lock)+1) != "" || m.LineLabel(mem.LineOf(lock)) != "lock" {
+		t.Fatal("Reset did not restore the checkpoint's line labels")
 	}
 }

@@ -265,7 +265,7 @@ func TestCloneGetsFreshRingAndNoInjector(t *testing.T) {
 	if parentOK {
 		t.Fatal("parent RTM committed under an abort-every-access injector")
 	}
-	c := m.Clone()
+	c := FromCheckpoint(m.Checkpoint())
 	if got := c.TraceEvents(); len(got) != 0 {
 		t.Errorf("clone ring has %d events, want 0", len(got))
 	}

@@ -87,7 +87,7 @@ func (t *Thread) InSerial() bool { return t.serial }
 // [a, a+n): profile heatmaps then print "mcs-tail" instead of a raw line
 // index. Labels are registered at allocation time by lock constructors and
 // data structures; they cost nothing simulated (no accesses, no cycles)
-// and are copied by Clone.
+// and are part of the checkpoint image, so forks carry them.
 func (t *Thread) LabelLines(a mem.Addr, n int, label string) {
 	t.m.labelLines(a, n, label, false)
 }

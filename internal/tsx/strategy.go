@@ -9,7 +9,7 @@ import "hle/internal/sim"
 // and to branch at every grant. In strategy mode the machine's watchdog
 // and the injector's Grant hook are not consulted — the strategy controls
 // every grant and may stop the run itself. Like injectors and observers,
-// a strategy is per-experiment state: Clone does not carry it over.
+// a strategy is per-experiment state: forks and Reset start without it.
 func (m *Machine) SetStrategy(st sim.Strategy) {
 	if m.threads != nil {
 		panic("tsx: SetStrategy while the machine is running")
@@ -27,6 +27,14 @@ func (m *Machine) SetStrategy(st sim.Strategy) {
 // internals (and their iteration-order concerns) out of the public API:
 // entries are mixed in the deterministic order the transaction first wrote
 // them.
+//
+// The elision fields are the thread's last elision, not necessarily this
+// transaction's: txState.reset keeps elidedOld/elidedVal from one
+// transaction to the next within a Run (a new Run starts them at zero),
+// and they are hashed as they are, so two states that differ only in a
+// stale elision count as distinct. Clearing them per transaction changes
+// the fingerprint, and with it possibly explore's state counts and the
+// pinned benchmark digests; such a change must re-check those pins.
 func (t *Thread) MixTxState(mix func(uint64)) {
 	tx := t.tx
 	if tx == nil {

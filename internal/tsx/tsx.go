@@ -252,6 +252,9 @@ type Machine struct {
 	strategy sim.Strategy
 	// stopped records whether the previous Run was watchdog-stopped.
 	stopped bool
+	// txCtx pools each proc's transaction context across Runs (see
+	// txContext): a Thread is new every Run, its hardware context is not.
+	txCtx []*txState
 
 	// logOneMinusP caches log1p(-SpuriousPerAccess) for the per-begin
 	// geometric draw.
@@ -357,25 +360,59 @@ func (m *Machine) Checkpoint() *Checkpoint {
 // FromCheckpoint builds an independent machine from a checkpoint. The
 // checkpoint is not consumed.
 func FromCheckpoint(cp *Checkpoint) *Machine {
-	c := &Machine{
-		cfg:          cp.cfg,
-		Mem:          mem.FromSnapshot(cp.snap),
-		logOneMinusP: cp.logOneMinusP,
-	}
-	if c.cfg.TraceRing > 0 {
-		c.ring = &traceRing{buf: make([]TraceEvent, c.cfg.TraceRing)}
-	}
-	c.lineLabels = maps.Clone(cp.lineLabels)
-	c.lockLines = maps.Clone(cp.lockLines)
-	return c
+	m := &Machine{}
+	m.Reset(cp)
+	return m
 }
 
-// Clone returns an independent machine whose simulated memory is a deep
-// copy of m's. It is Checkpoint followed by FromCheckpoint; callers that
-// fork more than once from the same state should capture the checkpoint
-// themselves and amortize the copy.
-func (m *Machine) Clone() *Machine {
-	return FromCheckpoint(m.Checkpoint())
+// Reset restores the machine to a checkpoint's image in place: afterwards
+// it is indistinguishable from FromCheckpoint(cp), which is an empty
+// machine plus Reset. Memory arrays, free lists, the line-label maps, the
+// flight recorder's buffer and the pooled transaction contexts are reused
+// rather than reallocated, so a loop that forks the same image again and
+// again (the model checker's replays) stops allocating once its storage
+// has grown. Threads returned by earlier Runs stay readable; only their
+// transaction contexts move on. Hooks (observer, injector, watchdog,
+// strategy) and the label prefix are cleared, as on a new fork.
+func (m *Machine) Reset(cp *Checkpoint) {
+	if m.threads != nil {
+		panic("tsx: Reset while the machine is running")
+	}
+	m.cfg = cp.cfg
+	if m.Mem == nil {
+		m.Mem = mem.FromSnapshot(cp.snap)
+	} else {
+		m.Mem.Restore(cp.snap)
+	}
+	m.logOneMinusP = cp.logOneMinusP
+	switch {
+	case m.cfg.TraceRing <= 0:
+		m.ring = nil
+	case m.ring == nil || len(m.ring.buf) != m.cfg.TraceRing:
+		m.ring = &traceRing{buf: make([]TraceEvent, m.cfg.TraceRing)}
+	default:
+		m.ring.next, m.ring.full = 0, false
+	}
+	m.obs, m.inj = nil, nil
+	m.watchdog, m.strategy = nil, nil
+	m.stopped = false
+	m.labelPrefix = ""
+	m.lineLabels = copyMap(m.lineLabels, cp.lineLabels)
+	m.lockLines = copyMap(m.lockLines, cp.lockLines)
+}
+
+// copyMap makes dst an independent copy of src, reusing dst's storage; a
+// nil src yields nil.
+func copyMap[M ~map[K]V, K comparable, V any](dst, src M) M {
+	if src == nil {
+		return nil
+	}
+	if dst == nil {
+		return maps.Clone(src)
+	}
+	clear(dst)
+	maps.Copy(dst, src)
+	return dst
 }
 
 // Reseed changes the seed that drives the scheduler and per-thread RNG

@@ -65,6 +65,24 @@ func newTxState() *txState {
 	return tx
 }
 
+// txContext hands proc id its transaction context for the current Run, on
+// the thread's first transaction: the machine's pooled one, or a new one
+// the first time. A pooled context is scrubbed of the one thing reset
+// keeps from the previous transaction, the last elision (MixTxState hashes
+// it), so every Run's threads start exactly as with new contexts.
+func (m *Machine) txContext(id int) *txState {
+	for len(m.txCtx) <= id {
+		m.txCtx = append(m.txCtx, nil)
+	}
+	tx := m.txCtx[id]
+	if tx == nil {
+		tx = newTxState()
+		m.txCtx[id] = tx
+	}
+	tx.elidedOld, tx.elidedVal = 0, 0
+	return tx
+}
+
 // bufGet returns the buffered value for a, if any.
 func (tx *txState) bufGet(a mem.Addr) (uint64, bool) {
 	return tx.writeBuf.get(a)
@@ -110,7 +128,7 @@ func (t *Thread) beginTx() *txState {
 	}
 	tx := t.txPool
 	if tx == nil {
-		tx = newTxState()
+		tx = t.m.txContext(t.ID)
 		t.txPool = tx
 	}
 	tx.reset()

@@ -29,13 +29,18 @@ go test -race -short -count=1 -timeout 600s ./internal/explore
 # exercises the whole replay/branch/check loop through the CLI entry point.
 # Run it chained (replays resume from banked checkpoints) and from scratch
 # (-chain -1: every node replays from the start); the two must print the
-# same output.
+# same output. Run it once more on one worker: replays reuse machines reset
+# in place, and which one serves a replay depends on worker timing, so
+# state leaking from one replay into the next shows up as output that
+# changes with -parallel.
 explore_out=$(mktemp -d)
 trap 'rm -rf "$explore_out"' EXIT
 go build -o "$explore_out/hle-bench" ./cmd/hle-bench
 "$explore_out/hle-bench" -explore -quick -parallel 2 > "$explore_out/chained.txt"
 "$explore_out/hle-bench" -explore -quick -parallel 2 -chain -1 > "$explore_out/scratch.txt"
 cmp "$explore_out/chained.txt" "$explore_out/scratch.txt"
+"$explore_out/hle-bench" -explore -quick -parallel 1 > "$explore_out/serial.txt"
+cmp "$explore_out/chained.txt" "$explore_out/serial.txt"
 # Lazy lock subscription under the race detector: the ext-lazy sweep fans
 # per-point machines running the lazy commit pipeline (the one tsx commit
 # path that is NOT atomic — it yields mid-commit) across host workers, and
