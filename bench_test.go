@@ -72,11 +72,11 @@ func BenchmarkFig5_4_STAMP(b *testing.B) {
 	cfg.MemWords = 1 << 18
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		hleRes, err := stamp.Run(tsx.NewMachine(cfg), harness.SchemeSpec{Scheme: "HLE", Lock: "MCS"}, app.Make, 8)
+		hleRes, err := stamp.Run(tsx.NewMachine(cfg), harness.SchemeSpec{Scheme: "HLE", Lock: "MCS"}, app.Make, 8, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		scmRes, err := stamp.Run(tsx.NewMachine(cfg), harness.SchemeSpec{Scheme: "HLE-SCM", Lock: "MCS"}, app.Make, 8)
+		scmRes, err := stamp.Run(tsx.NewMachine(cfg), harness.SchemeSpec{Scheme: "HLE-SCM", Lock: "MCS"}, app.Make, 8, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -180,43 +180,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// DemoteBoundWindows returns a worst-case bound, in windows, for the
-// controller to reach the Serial floor from Elide once every window turns
-// bad (a saturating storm): each rung waits out the dwell minimum, builds
-// its demotion streak, and spends one window applying the swap, plus one
-// window of slack for the storm starting mid-window. The storm-recovery
-// soaks assert demotion within this bound.
-func (c Config) DemoteBoundWindows() int {
-	c = c.WithDefaults()
-	per := c.DwellWindows
-	if c.DemoteWindows > per {
-		per = c.DemoteWindows
-	}
-	return (NumLevels-1)*(per+1) + 2
-}
-
-// PromoteBoundWindows returns a worst-case bound, in windows, for the
-// controller to climb back to Elide once every window turns good, given
-// that at most demotions demotions occurred: the residual probation
-// embargo (doubled per demotion, capped) plus per-rung streak building
-// and dwell, plus slack for the storm ending mid-window.
-func (c Config) PromoteBoundWindows(demotions int) int {
-	c = c.WithDefaults()
-	prob := c.ProbationWindows
-	for i := 1; i < demotions; i++ {
-		prob *= 2
-		if prob >= c.ProbationMax {
-			prob = c.ProbationMax
-			break
-		}
-	}
-	per := c.DwellWindows
-	if c.PromoteWindows > per {
-		per = c.PromoteWindows
-	}
-	return prob + (NumLevels-1)*(per+1) + 2
-}
-
 // validate panics on nonsensical tunings; the facade surfaces these as
 // constructor misuse.
 func (c Config) validate() {

@@ -308,32 +308,6 @@ func TestConfigValidatePanics(t *testing.T) {
 	}
 }
 
-func TestBoundHelpers(t *testing.T) {
-	cfg := (Config{}).WithDefaults()
-	// The demote bound covers the worst case the hysteresis permits: per
-	// rung, max(streak, dwell) windows plus the application window, plus
-	// slack for a storm starting mid-window.
-	per := cfg.DwellWindows
-	if cfg.DemoteWindows > per {
-		per = cfg.DemoteWindows
-	}
-	if got, want := cfg.DemoteBoundWindows(), (NumLevels-1)*(per+1)+2; got != want {
-		t.Fatalf("DemoteBoundWindows %d, want %d", got, want)
-	}
-	// The promote bound grows with the demotion count (probation doubling)
-	// and saturates at ProbationMax.
-	if a, b := cfg.PromoteBoundWindows(1), cfg.PromoteBoundWindows(3); a >= b {
-		t.Fatalf("promote bound not increasing with demotions: %d vs %d", a, b)
-	}
-	if cfg.PromoteBoundWindows(100) != cfg.PromoteBoundWindows(200) {
-		t.Fatalf("promote bound not capped")
-	}
-	// Bound helpers default their receiver, so the zero Config works too.
-	if (Config{}).DemoteBoundWindows() != cfg.DemoteBoundWindows() {
-		t.Fatalf("zero-Config bound differs from defaulted bound")
-	}
-}
-
 func TestLevelString(t *testing.T) {
 	for l, want := range map[Level]string{
 		Elide: "elide", SCM: "scm", Serial: "serial", Level(9): "unknown",

@@ -8,6 +8,7 @@ import (
 	"hle/internal/core"
 	"hle/internal/harness"
 	"hle/internal/mem"
+	"hle/internal/obs"
 	"hle/internal/rbtree"
 	"hle/internal/tsx"
 )
@@ -253,10 +254,13 @@ func stormSpec(seed int64) SoakSpec {
 
 // TestLivelockTripUnderStorm: retry-forever under the storm trips the
 // livelock watchdog, completes zero operations, and returns a structured
-// failure whose bounded dump replays byte-identically.
+// failure whose bounded dump replays byte-identically, with or without
+// profiling. The stopped run's profile still attributes every abort the
+// engine counted.
 func TestLivelockTripUnderStorm(t *testing.T) {
 	spec := stormSpec(1)
 	spec.MkScheme = func(*tsx.Thread) core.Scheme { return retryForever{} }
+	spec.Profile = &obs.Options{}
 	r := RunSoak(spec)
 	if r.Failure == nil {
 		t.Fatalf("retry-forever survived the storm: %+v", r)
@@ -277,9 +281,21 @@ func TestLivelockTripUnderStorm(t *testing.T) {
 	if !strings.Contains(dump, "spurious-storm@0") {
 		t.Errorf("dump missing fault-schedule context:\n%s", dump)
 	}
+	p := r.Profile
+	if p == nil {
+		t.Fatal("stopped soak exported no profile")
+	}
+	if p.TotalAborts == 0 || p.CauseSum() != p.TotalAborts || p.EngineAborts != p.TotalAborts {
+		t.Errorf("stopped soak attribution: causes %d, observed %d, engine %d",
+			p.CauseSum(), p.TotalAborts, p.EngineAborts)
+	}
+	spec.Profile = nil
 	r2 := RunSoak(spec)
 	if r2.Failure == nil || r2.Failure.Dump() != dump {
 		t.Error("forced trip is not deterministic: dumps differ across replays")
+	}
+	if r2.Profile != nil {
+		t.Error("unprofiled soak returned a profile")
 	}
 }
 

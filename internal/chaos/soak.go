@@ -8,6 +8,7 @@ import (
 	"hle/internal/core"
 	"hle/internal/harness"
 	"hle/internal/locks"
+	"hle/internal/obs"
 	"hle/internal/rbtree"
 	"hle/internal/tsx"
 )
@@ -45,11 +46,11 @@ type SoakSpec struct {
 	// that).
 	LivelockWindow   uint64
 	StarvationWindow uint64
-	// Observer, when non-nil, is installed on the soak machine
-	// (tsx.Machine.SetObserver) so a profiling collector can attribute the
-	// aborts the fault schedule provokes. Observation is passive: the
-	// soak runs byte-identically with or without it.
-	Observer tsx.Observer
+	// Profile, when non-nil, profiles the soak's measured run
+	// (harness.Profiler) so the aborts the fault schedule provokes are
+	// attributed. Profiling is passive: the soak runs byte-identically
+	// with or without it.
+	Profile *obs.Options
 	// Adapt tunes the controller when Scheme.Scheme is "Adaptive"
 	// (nil selects the adapt defaults). Ignored otherwise.
 	Adapt *adapt.Config
@@ -70,6 +71,9 @@ type SoakResult struct {
 	// Schedule is the fault schedule that ran (useful when it was drawn
 	// randomly).
 	Schedule []Fault
+	// Profile is the measured run's profile (nil unless spec.Profile
+	// was set), exported also when the watchdog stopped the run.
+	Profile *obs.Profile
 
 	// Adaptive-scheme extras, populated only when the soaked scheme was
 	// "Adaptive": the controller's transition log, the level in force
@@ -222,7 +226,6 @@ func RunSoakFrom(img *SoakImage, spec SoakSpec) SoakResult {
 		panic("chaos: soak image coordinates do not match spec")
 	}
 	m := tsx.FromCheckpoint(img.cp)
-	m.SetObserver(spec.Observer)
 
 	mo := locks.NewMonitor()
 	sspec := spec.Scheme
@@ -259,7 +262,8 @@ func RunSoakFrom(img *SoakImage, spec SoakSpec) SoakResult {
 	}, spec.Threads)
 	m.SetWatchdog(wd.Check)
 
-	threads := m.Run(spec.Threads, func(th *tsx.Thread) {
+	prof := harness.NewProfiler(spec.Profile, label)
+	threads := prof.Run(m, spec.Threads, func(th *tsx.Thread) {
 		scheme.Setup(th)
 		for i := 0; i < spec.OpsPerThread; i++ {
 			key := uint64(th.Rand().Intn(spec.Keys))
@@ -285,7 +289,7 @@ func RunSoakFrom(img *SoakImage, spec SoakSpec) SoakResult {
 	m.SetWatchdog(nil)
 	m.SetInjector(nil)
 
-	res := SoakResult{Ops: rec.Len(), Injected: engine.Counters(), Schedule: schedule}
+	res := SoakResult{Ops: rec.Len(), Injected: engine.Counters(), Schedule: schedule, Profile: prof.Profile()}
 	if ad, ok := scheme.(*core.Adaptive); ok {
 		res.Transitions = append([]adapt.Transition(nil), ad.Transitions()...)
 		res.FinalLevel = ad.Level()

@@ -81,7 +81,7 @@ func checkStormRecovery(t *testing.T, name string, sc RecoveryScenario, lock str
 	}
 
 	// (a) bounded demotion to the serializing floor during the storm.
-	demoteBy := sc.StormStart + uint64(cfg.DemoteBoundWindows())*wcyc
+	demoteBy := sc.StormStart + uint64(demoteBoundWindows(cfg))*wcyc
 	var toSerial *adapt.Transition
 	for i := range r.Transitions {
 		if r.Transitions[i].To == adapt.Serial {
@@ -101,7 +101,7 @@ func checkStormRecovery(t *testing.T, name string, sc RecoveryScenario, lock str
 	// resting level. Up to three demotions can precede recovery (a
 	// natural rung for locks resting at SCM plus the storm's), so the
 	// bound uses that probation level.
-	promoteBy := sc.StormEnd + uint64(cfg.PromoteBoundWindows(3))*wcyc
+	promoteBy := sc.StormEnd + uint64(promoteBoundWindows(cfg, 3))*wcyc
 	var recovered *adapt.Transition
 	for i := range r.Transitions {
 		tr := &r.Transitions[i]
@@ -202,5 +202,61 @@ func TestStormRecoveryDeterministic(t *testing.T) {
 			t.Errorf("%s: parallel result differs from serial rerun:\npar: %+v\nseq: %+v",
 				scenarios[i].Name, par[i], seq)
 		}
+	}
+}
+
+// demoteBoundWindows returns a worst-case bound, in windows, for the
+// controller to reach the Serial floor from Elide once every window turns
+// bad (a saturating storm): each rung waits out the dwell minimum, builds
+// its demotion streak, and spends one window applying the swap, plus one
+// window of slack for the storm starting mid-window.
+func demoteBoundWindows(c adapt.Config) int {
+	c = c.WithDefaults()
+	per := max(c.DwellWindows, c.DemoteWindows)
+	return (adapt.NumLevels-1)*(per+1) + 2
+}
+
+// promoteBoundWindows returns a worst-case bound, in windows, for the
+// controller to climb back to Elide once every window turns good, given
+// that at most demotions demotions occurred: the residual probation
+// embargo (doubled per demotion, capped) plus per-rung streak building
+// and dwell, plus slack for the storm ending mid-window.
+func promoteBoundWindows(c adapt.Config, demotions int) int {
+	c = c.WithDefaults()
+	prob := c.ProbationWindows
+	for i := 1; i < demotions; i++ {
+		prob *= 2
+		if prob >= c.ProbationMax {
+			prob = c.ProbationMax
+			break
+		}
+	}
+	per := max(c.DwellWindows, c.PromoteWindows)
+	return prob + (adapt.NumLevels-1)*(per+1) + 2
+}
+
+func TestBoundHelpers(t *testing.T) {
+	cfg := (adapt.Config{}).WithDefaults()
+	// The demote bound covers the worst case the hysteresis permits: per
+	// rung, max(streak, dwell) windows plus the application window, plus
+	// slack for a storm starting mid-window.
+	per := cfg.DwellWindows
+	if cfg.DemoteWindows > per {
+		per = cfg.DemoteWindows
+	}
+	if got, want := demoteBoundWindows(cfg), (adapt.NumLevels-1)*(per+1)+2; got != want {
+		t.Fatalf("demoteBoundWindows %d, want %d", got, want)
+	}
+	// The promote bound grows with the demotion count (probation doubling)
+	// and saturates at ProbationMax.
+	if a, b := promoteBoundWindows(cfg, 1), promoteBoundWindows(cfg, 3); a >= b {
+		t.Fatalf("promote bound not increasing with demotions: %d vs %d", a, b)
+	}
+	if promoteBoundWindows(cfg, 100) != promoteBoundWindows(cfg, 200) {
+		t.Fatalf("promote bound not capped")
+	}
+	// The bounds default their config, so the zero Config works too.
+	if demoteBoundWindows(adapt.Config{}) != demoteBoundWindows(cfg) {
+		t.Fatalf("zero-Config bound differs from defaulted bound")
 	}
 }

@@ -124,8 +124,6 @@ func AblationMultiAux(o Options) []*stats.Table {
 		func(vi int, prof *obs.Options) (harness.Result, *obs.Profile) {
 			cfg := machineCfg(o, 64)
 			m := tsx.NewMachine(cfg)
-			col, profile := observe(prof, variants[vi])
-			m.SetObserver(col)
 			var s core.Scheme
 			var cells []mem.Addr
 			m.RunOne(func(t *tsx.Thread) {
@@ -140,7 +138,8 @@ func AblationMultiAux(o Options) []*stats.Table {
 				}
 			})
 			var res harness.Result
-			threads := m.Run(o.Threads, func(t *tsx.Thread) {
+			pr := harness.NewProfiler(prof, variants[vi])
+			threads := pr.Run(m, o.Threads, func(t *tsx.Thread) {
 				s.Setup(t)
 				cell := cells[t.ID%len(cells)]
 				for t.Clock() < o.Budget {
@@ -163,7 +162,7 @@ func AblationMultiAux(o Options) []*stats.Table {
 			}
 			res.Ops = s.TotalStats()
 			res.Throughput = float64(res.Ops.Ops) * 1e6 / float64(res.MaxClock)
-			return res, profile()
+			return res, pr.Profile()
 		})
 	for vi, variant := range variants {
 		res := results[vi]

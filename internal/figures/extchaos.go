@@ -54,9 +54,9 @@ func ExtChaos(o Options) []*stats.Table {
 		s := spec
 		s.Scheme = harness.SchemeSpec{Scheme: schemes[p.si], Lock: locks[p.li]}
 		s.Seed = harness.DeriveSeed(o.Seed, p.si, p.li, p.rep)
-		var profile func() *obs.Profile
-		s.Observer, profile = observe(prof, s.Scheme.String())
-		return chaos.RunSoak(s), profile()
+		s.Profile = prof
+		r := chaos.RunSoak(s)
+		return r, r.Profile
 	})
 
 	tb := &stats.Table{

@@ -116,8 +116,6 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 		cfg = hwext.LimitSets(cfg, readCaps[c.ri], writeCaps[c.wi])
 		cfg = spec.Machine(cfg)
 		m := tsx.NewMachine(cfg)
-		col, profile := observe(popts, fmt.Sprintf("%s r%d w%d", mode, readCaps[c.ri], writeCaps[c.wi]))
-		m.SetObserver(col)
 
 		var scheme core.Scheme
 		var shared, counter mem.Addr
@@ -131,7 +129,8 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 			counter = th.AllocLines(1)
 			scheme = spec.Assemble(lock, nil)
 		})
-		threads := m.Run(o.Threads, func(th *tsx.Thread) {
+		pr := harness.NewProfiler(popts, fmt.Sprintf("%s r%d w%d", mode, readCaps[c.ri], writeCaps[c.wi]))
+		threads := pr.Run(m, o.Threads, func(th *tsx.Thread) {
 			scheme.Setup(th)
 			mine := priv[th.ID]
 			for op := 0; op < ops; op++ {
@@ -148,12 +147,8 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 			}
 		})
 
-		var engineAborts uint64
 		var maxClock uint64
 		for _, th := range threads {
-			for _, n := range th.Stats.Aborted {
-				engineAborts += n
-			}
 			if th.Clock() > maxClock {
 				maxClock = th.Clock()
 			}
@@ -167,9 +162,7 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 				mode, readCaps[c.ri], writeCaps[c.wi], lost))
 		}
 
-		prof := profile()
-		prof.EngineAborts = engineAborts
-
+		prof := pr.Profile()
 		st := scheme.TotalStats()
 		return point{
 			throughput: float64(expected) / (float64(maxClock) / 1e6),

@@ -3,6 +3,7 @@ package figures
 import (
 	"fmt"
 
+	"hle/internal/harness"
 	"hle/internal/mem"
 	"hle/internal/obs"
 	"hle/internal/stats"
@@ -73,10 +74,9 @@ func setScan(o Options, n, reps int, write bool, prof *obs.Options, label string
 	cfg.Seed = o.Seed
 	cfg.MemWords = (n + 8) * mem.LineWords
 	m := tsx.NewMachine(cfg)
-	col, profile := observe(prof, label)
-	m.SetObserver(col)
+	pr := harness.NewProfiler(prof, label)
 	failures := 0
-	m.RunOne(func(t *tsx.Thread) {
+	pr.Run(m, 1, func(t *tsx.Thread) {
 		arr := t.AllocLines(n * mem.LineWords)
 		for i := 0; i < reps; i++ {
 			ok, _ := t.RTM(func() {
@@ -94,5 +94,5 @@ func setScan(o Options, n, reps int, write bool, prof *obs.Options, label string
 			}
 		}
 	})
-	return float64(failures) / float64(reps), profile()
+	return float64(failures) / float64(reps), pr.Profile()
 }

@@ -9,7 +9,6 @@ package figures
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 
 	"hle/internal/harness"
@@ -109,9 +108,9 @@ func measure[R any](o Options, n int, name func(i int) string, reads func(i int)
 		}
 		// Every abort is classified exactly once: the per-cause counts sum
 		// to the observed total, which matches the engine's own counters
-		// wherever the point stamped them. A violation is a simulator bug,
-		// not a measurement.
-		if p.CauseSum() != p.TotalAborts || (p.EngineAborts != 0 && p.EngineAborts != p.TotalAborts) {
+		// (every profile is stamped by harness.Profiler). A violation is a
+		// simulator bug, not a measurement.
+		if p.CauseSum() != p.TotalAborts || p.EngineAborts != p.TotalAborts {
 			panic(fmt.Sprintf("figures: %s: abort attribution broken: causes %d, observed %d, engine %d",
 				name(i), p.CauseSum(), p.TotalAborts, p.EngineAborts))
 		}
@@ -138,18 +137,6 @@ func measureSpecs(o Options, points []harness.PointSpec, name func(i int) string
 	return results
 }
 
-// observe returns what a point that drives its own machine installs as its
-// observer and a function that exports the collected profile: a collector
-// labelled label, or a nil observer and nil profile when prof is nil.
-func observe(prof *obs.Options, label string) (tsx.Observer, func() *obs.Profile) {
-	if prof == nil {
-		return nil, func() *obs.Profile { return nil }
-	}
-	col := obs.New(*prof)
-	col.SetLabel(label)
-	return col, col.Profile
-}
-
 // stampApp is one STAMP application, as stamp.Apps lists them.
 type stampApp = struct {
 	Name string
@@ -159,26 +146,20 @@ type stampApp = struct {
 // stampPoint is the one STAMP point recipe: app runs to completion under
 // spec on a fresh o.Threads machine with a 4 MB heap laid out by layout,
 // and its output is validated (a failure is a simulator or scheme bug, so
-// it panics). When prof is non-nil the run is profiled under label, with
-// the engine's abort total stamped for the attribution check.
+// it panics). When prof is non-nil the workers' run is profiled under
+// label.
 func stampPoint(o Options, app stampApp, spec harness.SchemeSpec, layout mem.Layout,
 	prof *obs.Options, label string) (stamp.Result, *obs.Profile) {
 	cfg := tsx.DefaultConfig(o.Threads)
 	cfg.Seed = o.Seed
 	cfg.MemWords = 1 << 19
 	cfg.Layout = layout
-	m := tsx.NewMachine(cfg)
-	col, profile := observe(prof, label)
-	m.SetObserver(col)
-	res, err := stamp.Run(m, spec, app.Make, o.Threads)
+	pr := harness.NewProfiler(prof, label)
+	res, err := stamp.Run(tsx.NewMachine(cfg), spec, app.Make, o.Threads, pr)
 	if err != nil {
 		panic(fmt.Sprintf("figures: STAMP %s under %v failed validation: %v", app.Name, spec, err))
 	}
-	p := profile()
-	if p != nil {
-		p.EngineAborts = res.TSX.TotalAborts()
-	}
-	return res, p
+	return res, pr.Profile()
 }
 
 // Figure is one reproducible experiment.
@@ -233,17 +214,6 @@ func ByID(id string) *Figure {
 		}
 	}
 	return nil
-}
-
-// RunAll executes every figure and writes the tables to w.
-func RunAll(w io.Writer, o Options) {
-	for _, f := range All() {
-		fmt.Fprintf(w, "\n### Figure %s — %s\n\n", f.ID, f.Title)
-		for _, tb := range f.Run(o) {
-			tb.Fprint(w)
-			fmt.Fprintln(w)
-		}
-	}
 }
 
 // treeSizes returns the paper's x axis (Figure 3.1 etc.).

@@ -71,20 +71,3 @@ func TestDeterministicFigures(t *testing.T) {
 		}
 	}
 }
-
-// TestRunAllWrites exercises the aggregate runner on the two cheapest
-// figures' worth of output by checking RunAll produces output containing
-// every figure header. (Full-scale runs happen via cmd/hle-bench.)
-func TestRunAllWrites(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RunAll is expensive")
-	}
-	var sb strings.Builder
-	figures.RunAll(&sb, tinyOpts())
-	out := sb.String()
-	for _, f := range figures.All() {
-		if !strings.Contains(out, "Figure "+f.ID) {
-			t.Errorf("RunAll output missing figure %s", f.ID)
-		}
-	}
-}

@@ -9,13 +9,15 @@ import (
 )
 
 // TestMeasureChecksAttribution: the runner rejects a profile whose causes
-// do not sum to its abort total, and one whose total disagrees with the
-// engine's stamped count, naming the offending point either way.
+// do not sum to its abort total, one whose total disagrees with the
+// engine's stamped count, and one with aborts but no engine stamp, naming
+// the offending point each time.
 func TestMeasureChecksAttribution(t *testing.T) {
 	good := &obs.Profile{TotalAborts: 3, EngineAborts: 3, Causes: []obs.CauseCount{{Class: "conflict-data", Count: 3}}}
 	cases := map[string]*obs.Profile{
 		"cause sum": {TotalAborts: 3, EngineAborts: 3, Causes: []obs.CauseCount{{Class: "conflict-data", Count: 2}}},
 		"engine":    {TotalAborts: 3, EngineAborts: 4, Causes: []obs.CauseCount{{Class: "conflict-data", Count: 3}}},
+		"unstamped": {TotalAborts: 3, Causes: []obs.CauseCount{{Class: "conflict-data", Count: 3}}},
 	}
 	for what, bad := range cases {
 		t.Run(what, func(t *testing.T) {

@@ -122,6 +122,11 @@ type Result struct {
 // measurement loop only: profiling is per point, so a Config with a
 // Profile goes through PointSpec.Run.
 func Run(m *tsx.Machine, scheme core.Scheme, w Workload, cfg Config) Result {
+	return run(m, scheme, w, cfg, nil)
+}
+
+// run is Run with the measured run profiled by prof (nil for none).
+func run(m *tsx.Machine, scheme core.Scheme, w Workload, cfg Config, prof *Profiler) Result {
 	if cfg.Threads <= 0 || cfg.CycleBudget == 0 {
 		panic(fmt.Sprintf("harness: bad config %+v", cfg))
 	}
@@ -142,7 +147,7 @@ func Run(m *tsx.Machine, scheme core.Scheme, w Workload, cfg Config) Result {
 	// Routing is resolved once per run, not per op.
 	router, routed := scheme.(OpRouter)
 	var res Result
-	threads := m.Run(cfg.Threads, func(t *tsx.Thread) {
+	threads := prof.Run(m, cfg.Threads, func(t *tsx.Thread) {
 		scheme.Setup(t)
 		// One closure per thread, re-aimed at each drawn op: the
 		// critical section the scheme retries is allocation-free.

@@ -51,9 +51,9 @@ func (wt *WarmTemplate) Fork() (*tsx.Machine, Workload) {
 
 // PointSpec declares one experiment point: a warm template, a scheme, and a
 // run configuration. Points are independent simulations, so a figure
-// declares its points as a flat list and RunPoints fans them out across host
-// workers; results come back by declaration index, so output built from them
-// is identical whatever the worker count.
+// declares its points as a flat list and ParallelFor fans them out across
+// host workers; results come back by declaration index, so output built
+// from them is identical whatever the worker count.
 type PointSpec struct {
 	// Warm supplies the point's machine and workload: each run forks the
 	// shared warm template.
@@ -89,10 +89,7 @@ func (p PointSpec) Run() Result {
 	runs := max(p.Runs, 1)
 	cfg := p.Cfg
 	cfg.Profile = nil
-	var col *obs.Collector
-	if p.Cfg.Profile != nil {
-		col = obs.New(*p.Cfg.Profile)
-	}
+	var prof *Profiler
 	var acc Result
 	var transitions []adapt.Transition
 	for r := 0; r < runs; r++ {
@@ -104,18 +101,12 @@ func (p PointSpec) Run() Result {
 				scheme = p.Scheme.Build(t)
 			}
 		})
-		// The collector sees only the measured run, never the scheme's
-		// construction.
-		if col != nil {
-			col.SetLabel(scheme.Name())
-			m.SetObserver(col)
+		if r == 0 {
+			prof = NewProfiler(p.Cfg.Profile, scheme.Name())
 		}
-		res := Run(m, scheme, w, cfg)
-		if col != nil {
-			m.SetObserver(nil)
-			if ad, ok := scheme.(*core.Adaptive); ok {
-				transitions = append(transitions, ad.Transitions()...)
-			}
+		res := run(m, scheme, w, cfg, prof)
+		if ad, ok := scheme.(*core.Adaptive); ok && prof != nil {
+			transitions = append(transitions, ad.Transitions()...)
 		}
 		acc.Ops.Add(res.Ops)
 		acc.TSX.Add(res.TSX)
@@ -135,11 +126,7 @@ func (p PointSpec) Run() Result {
 	m.Mem.Release()
 	acc.MaxClock /= uint64(runs)
 	acc.Throughput /= float64(runs)
-	if col != nil {
-		acc.Profile = col.Profile()
-		// Stamp the engine's own abort total for the attribution
-		// invariant: sum(Causes) == TotalAborts == EngineAborts.
-		acc.Profile.EngineAborts = acc.TSX.TotalAborts()
+	if acc.Profile = prof.Profile(); acc.Profile != nil {
 		// Adaptive points carry their scheme-transition log in the
 		// profile, so -profile surfaces the controller's decisions
 		// alongside the abort attribution that drove them.
@@ -171,17 +158,6 @@ func controllerEvents(trs []adapt.Transition) []obs.ControllerEvent {
 		}
 	}
 	return out
-}
-
-// RunPoints executes the points across min(parallel, len(points)) host
-// workers (parallel <= 0 means GOMAXPROCS) and returns results indexed as
-// declared.
-func RunPoints(parallel int, points []PointSpec) []Result {
-	results := make([]Result, len(points))
-	ParallelFor(parallel, len(points), func(i int) {
-		results[i] = points[i].Run()
-	})
-	return results
 }
 
 // ParallelFor runs job(0..n-1) across min(parallel, n) goroutines

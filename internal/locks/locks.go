@@ -63,19 +63,6 @@ type Lock interface {
 // Construction must happen outside any transaction.
 type Maker func(t *tsx.Thread) Lock
 
-// Makers enumerates the lock constructors by report name, in the order the
-// paper discusses them.
-func Makers() []Maker {
-	return []Maker{
-		func(t *tsx.Thread) Lock { return NewTTAS(t) },
-		func(t *tsx.Thread) Lock { return NewMCS(t) },
-		func(t *tsx.Thread) Lock { return NewTicket(t) },
-		func(t *tsx.Thread) Lock { return NewAdjustedTicket(t) },
-		func(t *tsx.Thread) Lock { return NewCLH(t) },
-		func(t *tsx.Thread) Lock { return NewAdjustedCLH(t) },
-	}
-}
-
 // MakerByName returns the constructor for the named lock, or nil.
 func MakerByName(name string) Maker {
 	switch name {

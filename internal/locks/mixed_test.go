@@ -169,7 +169,7 @@ func TestLockMetadataAndMakers(t *testing.T) {
 	m := newMachine(1, 1)
 	m.RunOne(func(th *tsx.Thread) {
 		if got := len(allLocks(th)); got != 6 {
-			t.Errorf("Makers() returned %d locks", got)
+			t.Errorf("allLocks returned %d locks", got)
 		}
 		b := locks.NewBackoffTTAS(th)
 		b.Prepare(th)

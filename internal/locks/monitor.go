@@ -55,14 +55,6 @@ func (mo *Monitor) released(l Lock) {
 	delete(mo.holder, l)
 }
 
-// Holder returns the thread holding l non-speculatively, or -1.
-func (mo *Monitor) Holder(l Lock) int {
-	if id, ok := mo.holder[l]; ok {
-		return id
-	}
-	return -1
-}
-
 // Cycle returns a waits-for cycle as an ordered thread-id list (each thread
 // waits on a lock held by the next, wrapping around), or nil if the graph
 // is acyclic. Starting points are scanned in thread-id order so the result

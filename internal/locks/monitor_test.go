@@ -15,6 +15,14 @@ func monitorMachine(t *testing.T, n int) *tsx.Machine {
 	return tsx.NewMachine(cfg)
 }
 
+// holder returns the thread holding l non-speculatively per mo, or -1.
+func holder(mo *Monitor, l Lock) int {
+	if id, ok := mo.holder[l]; ok {
+		return id
+	}
+	return -1
+}
+
 // TestMonitorTracksStandardPath: Acquire/Release maintain holder state and
 // Cycle stays nil for a single-lock workload.
 func TestMonitorTracksStandardPath(t *testing.T) {
@@ -25,14 +33,14 @@ func TestMonitorTracksStandardPath(t *testing.T) {
 		l = Monitored(NewTTAS(th), mo)
 		l.Prepare(th)
 		l.Acquire(th)
-		if inner := (l.(*monitoredLock)).Lock; mo.Holder(inner) != th.ID {
-			t.Errorf("holder = %d, want %d", mo.Holder(inner), th.ID)
+		if inner := (l.(*monitoredLock)).Lock; holder(mo, inner) != th.ID {
+			t.Errorf("holder = %d, want %d", holder(mo, inner), th.ID)
 		}
 		if mo.Cycle() != nil {
 			t.Error("cycle reported for a held, uncontended lock")
 		}
 		l.Release(th)
-		if inner := (l.(*monitoredLock)).Lock; mo.Holder(inner) != -1 {
+		if inner := (l.(*monitoredLock)).Lock; holder(mo, inner) != -1 {
 			t.Error("holder survives release")
 		}
 	})
@@ -49,12 +57,12 @@ func TestMonitorIgnoresElision(t *testing.T) {
 		l.Prepare(th)
 		th.HLERegion(func() {
 			l.SpecAcquire(th)
-			if th.InElision() && mo.Holder(raw) != -1 {
+			if th.InElision() && holder(mo, raw) != -1 {
 				t.Error("elided acquisition registered a hold")
 			}
 			l.SpecRelease(th)
 		})
-		if mo.Holder(raw) != -1 {
+		if holder(mo, raw) != -1 {
 			t.Error("hold left behind after elided region")
 		}
 	})

@@ -62,16 +62,6 @@ func (p Placement) String() string {
 // Valid reports whether p names a known policy.
 func (p Placement) Valid() bool { return p < numPlacements }
 
-// PlacementByName resolves a policy by its String name.
-func PlacementByName(name string) (Placement, bool) {
-	for i, n := range placementNames {
-		if n == name {
-			return Placement(i), true
-		}
-	}
-	return Packed, false
-}
-
 // Placements enumerates every policy in declaration order.
 func Placements() []Placement {
 	return []Placement{Packed, Padded, Colored, Arena}

@@ -5,17 +5,16 @@ import (
 )
 
 func TestPlacementNames(t *testing.T) {
+	seen := make(map[string]Placement)
 	for _, p := range Placements() {
 		if !p.Valid() {
 			t.Fatalf("%v not valid", p)
 		}
-		got, ok := PlacementByName(p.String())
-		if !ok || got != p {
-			t.Fatalf("PlacementByName(%q) = %v,%v", p.String(), got, ok)
+		name := p.String()
+		if prev, dup := seen[name]; dup || name == "" {
+			t.Fatalf("placement %d named %q (also %d)", uint8(p), name, uint8(prev))
 		}
-	}
-	if _, ok := PlacementByName("bogus"); ok {
-		t.Fatal("PlacementByName accepted bogus name")
+		seen[name] = p
 	}
 	if Placement(200).Valid() {
 		t.Fatal("out-of-range placement reported valid")
@@ -89,7 +88,7 @@ func TestPaddedExclusiveLines(t *testing.T) {
 		if int(a)%LineWords != 0 {
 			t.Fatalf("padded block %d not line aligned: %d", i, a)
 		}
-		for l := LineOf(a); l <= LineOf(a + Addr(n-1)); l++ {
+		for l := LineOf(a); l <= LineOf(a+Addr(n-1)); l++ {
 			if prev, ok := lineOwner[l]; ok {
 				t.Fatalf("blocks %d and %d share line %d under padded", prev, i, l)
 			}
@@ -105,7 +104,7 @@ func TestArenaOwnersNeverShareLines(t *testing.T) {
 		owner := i % 3
 		n := i%7 + 1
 		a := m.AllocOwned(owner, n)
-		for l := LineOf(a); l <= LineOf(a + Addr(n-1)); l++ {
+		for l := LineOf(a); l <= LineOf(a+Addr(n-1)); l++ {
 			if prev, ok := lineOwner[l]; ok && prev != owner {
 				t.Fatalf("owners %d and %d share line %d under arena", prev, owner, l)
 			}
@@ -161,7 +160,7 @@ func TestAutoPadDiversion(t *testing.T) {
 		if diverted && int(a)%LineWords != 0 {
 			t.Fatalf("block %d should be diverted to a fresh line, got %d", i, a)
 		}
-		for l := LineOf(a); l <= LineOf(a + Addr(n-1)); l++ {
+		for l := LineOf(a); l <= LineOf(a+Addr(n-1)); l++ {
 			lineUse[l] = append(lineUse[l], i)
 		}
 	}

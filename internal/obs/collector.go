@@ -365,6 +365,7 @@ func (c *Collector) Profile() *Profile {
 		lines = append(lines, lh)
 	}
 	sortLines(lines)
+	p.prefixes = groupByPrefix(lines)
 	if c.opt.TopLines > 0 && len(lines) > c.opt.TopLines {
 		lines = lines[:c.opt.TopLines]
 	}

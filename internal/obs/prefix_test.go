@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"hle/internal/mem"
 	"hle/internal/obs"
+	"hle/internal/tsx"
 )
 
 // TestHeatByPrefix checks grouping of the conflict heatmap by label
@@ -67,5 +69,63 @@ func TestHeatByPrefix(t *testing.T) {
 	}
 	if len((&obs.Profile{}).HeatByPrefix()) != 0 {
 		t.Error("empty profile should produce no groups")
+	}
+}
+
+// TestHeatByPrefixCountsEveryLine: a collector whose heatmap keeps only
+// the TopLines hottest lines still groups every conflicting line it
+// counted, so the prefix totals sum to all conflict aborts, and unlabeled
+// lines land in the "?" bucket.
+func TestHeatByPrefixCountsEveryLine(t *testing.T) {
+	m := tsx.NewMachine(tsx.DefaultConfig(1))
+	var lines []int
+	m.RunOne(func(th *tsx.Thread) {
+		for i := 0; i < 6; i++ {
+			a := th.AllocLines(mem.LineWords)
+			switch {
+			case i < 2:
+				th.LabelLockLines(a, 1, "s00/lock")
+			case i < 4:
+				th.LabelLines(a, 1, "s01/size")
+			}
+			lines = append(lines, mem.LineOf(a))
+		}
+	})
+	c := obs.Attach(m, obs.Options{TopLines: 2})
+	want := map[string]obs.PrefixHeat{}
+	var total uint64
+	for i, line := range lines {
+		n := uint64(10 - i)
+		for k := uint64(0); k < n; k++ {
+			c.TxAbort(0, 0, 0, tsx.CauseConflict, line, -1, false, false)
+		}
+		prefix := [...]string{"s00", "s00", "s01", "s01", "?", "?"}[i]
+		g := want[prefix]
+		g.Prefix = prefix
+		g.Count += n
+		if i < 2 {
+			g.LockCount += n
+		}
+		want[prefix] = g
+		total += n
+	}
+	p := c.Profile()
+	if len(p.Lines) != 2 {
+		t.Fatalf("heatmap kept %d lines, want TopLines=2", len(p.Lines))
+	}
+	got := p.HeatByPrefix()
+	var sum uint64
+	for _, g := range got {
+		if g != want[g.Prefix] {
+			t.Errorf("group %+v, want %+v", g, want[g.Prefix])
+		}
+		sum += g.Count
+	}
+	if len(got) != len(want) {
+		t.Errorf("groups %+v, want %d groups", got, len(want))
+	}
+	conflicts := p.Cause(obs.ClassConflictLockLine) + p.Cause(obs.ClassConflictDataLine)
+	if sum != total || sum != conflicts {
+		t.Errorf("prefix totals %d, conflicts counted %d (profile causes %d)", sum, total, conflicts)
 	}
 }

@@ -213,6 +213,10 @@ type Profile struct {
 	// Controller is the adaptive scheme-transition log, present only when
 	// the profiled scheme is hle.Adaptive.
 	Controller []ControllerEvent `json:"controller,omitempty"`
+
+	// prefixes groups every line the collector counted by label prefix,
+	// including lines cut from Lines by TopLines (see HeatByPrefix).
+	prefixes []PrefixHeat
 }
 
 // JSON renders the profile as indented JSON. Equal seeds yield
@@ -398,11 +402,21 @@ type PrefixHeat struct {
 
 // HeatByPrefix groups the conflict heatmap by label prefix, ordered by
 // count descending then prefix ascending (deterministic for equal
-// seeds, like every profile slice).
+// seeds, like every profile slice). A collector's profile groups every
+// conflicting line the collector counted, not only the TopLines hottest
+// kept in Lines; a profile built any other way groups its Lines.
 func (p *Profile) HeatByPrefix() []PrefixHeat {
+	if p.prefixes != nil {
+		return p.prefixes
+	}
+	return groupByPrefix(p.Lines)
+}
+
+// groupByPrefix is HeatByPrefix over lines.
+func groupByPrefix(lines []LineHeat) []PrefixHeat {
 	byPrefix := make(map[string]*PrefixHeat)
 	var order []string
-	for _, l := range p.Lines {
+	for _, l := range lines {
 		prefix := l.Label
 		if i := strings.IndexByte(prefix, '/'); i >= 0 {
 			prefix = prefix[:i]

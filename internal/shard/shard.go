@@ -241,16 +241,6 @@ func (d *Data) TotalSize(t *tsx.Thread) uint64 {
 	return n
 }
 
-// ShardItems walks shard si's structure and counts its elements — the
-// ground truth the size counters must agree with. O(shard size);
-// tests and invariant checks use it, not hot paths.
-func (d *Data) ShardItems(t *tsx.Thread, si int) int {
-	if d.cfg.Backend == RBTree {
-		return d.trees[si].Size(t)
-	}
-	return d.tables[si].Size(t)
-}
-
 // Populate fills the store with count distinct random keys drawn from
 // [0, domain), single-threaded (no locking). It panics if domain < count.
 func (d *Data) Populate(t *tsx.Thread, count, domain int) {

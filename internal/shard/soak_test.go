@@ -129,7 +129,7 @@ func runShardSoak(t *testing.T, cell soakCell) {
 			si := d.ShardOf(op.Key)
 			var seq, result uint64
 			kind := "lookup"
-			st.RunShard(th, si, func() {
+			st.Scheme(si).Run(th, func() {
 				switch op.Kind {
 				case harness.OpInsert:
 					kind = "insert"

@@ -114,11 +114,6 @@ func (s *Store) RunKeyed(t *tsx.Thread, key uint64, cs func()) core.Result {
 	return s.schemes[s.data.ShardOf(key)].Run(t, cs)
 }
 
-// RunShard executes cs as a critical section of shard si directly.
-func (s *Store) RunShard(t *tsx.Thread, si int, cs func()) core.Result {
-	return s.schemes[si].Run(t, cs)
-}
-
 // RunGlobal executes cs while really holding every shard lock — the
 // cross-shard operation (consistent Size, snapshots). Locks are acquired
 // in ascending shard order, so concurrent globals never deadlock, and a

@@ -13,7 +13,7 @@ import (
 func runApp(t *testing.T, mk func(th *tsx.Thread) stamp.App, scheme, lock string, threads int, seed int64) stamp.Result {
 	t.Helper()
 	cfg := machineCfg(threads, seed)
-	res, err := stamp.Run(tsx.NewMachine(cfg), harness.SchemeSpec{Scheme: scheme, Lock: lock}, mk, threads)
+	res, err := stamp.Run(tsx.NewMachine(cfg), harness.SchemeSpec{Scheme: scheme, Lock: lock}, mk, threads, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestAppNames(t *testing.T) {
 func TestValidationCatchesRaces(t *testing.T) {
 	cfg := machineCfg(8, 23)
 	_, err := stamp.Run(tsx.NewMachine(cfg), harness.SchemeSpec{Scheme: "NoLock"},
-		func(th *tsx.Thread) stamp.App { return stamp.NewVacation(16, 300, 8, true) }, 8)
+		func(th *tsx.Thread) stamp.App { return stamp.NewVacation(16, 300, 8, true) }, 8, nil)
 	if err == nil {
 		t.Fatal("vacation under NoLock validated cleanly; validator is too weak")
 	}
@@ -178,7 +178,7 @@ func TestLabyrinthCapacityAborts(t *testing.T) {
 	cfg.L1ReadLines = 32
 	cfg.ReadSetLines = 64
 	res, err := stamp.Run(tsx.NewMachine(cfg), harness.SchemeSpec{Scheme: "Opt-SLR", Lock: "TTAS"},
-		func(th *tsx.Thread) stamp.App { return stamp.NewLabyrinth(40, 40, 24) }, 4)
+		func(th *tsx.Thread) stamp.App { return stamp.NewLabyrinth(40, 40, 24) }, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +233,12 @@ func TestBayesLongTransactions(t *testing.T) {
 }
 
 func TestExtendedAppNames(t *testing.T) {
-	names := make([]string, 0, 3)
-	for _, a := range stamp.ExtendedApps() {
-		names = append(names, a.Name)
+	apps := []stamp.App{stamp.NewLabyrinth(40, 40, 16), stamp.NewYada(90), stamp.NewBayes(48, 96)}
+	names := make([]string, 0, len(apps))
+	for _, a := range apps {
+		names = append(names, a.Name())
 	}
 	if got := strings.Join(names, " "); got != "labyrinth yada bayes" {
-		t.Errorf("extended app list %q", got)
+		t.Errorf("extended app names %q", got)
 	}
 }

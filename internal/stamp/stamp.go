@@ -58,9 +58,10 @@ type Result struct {
 
 // Run executes one application under one scheme with the given thread
 // count on m, a fresh machine with the hardware the scheme needs (see
-// harness.SchemeSpec.Machine) and any engine hooks already installed, and
-// validates the output.
-func Run(m *tsx.Machine, spec harness.SchemeSpec, mk func(t *tsx.Thread) App, threads int) (Result, error) {
+// harness.SchemeSpec.Machine), and validates the output. prof, when
+// non-nil, profiles the workers' run (not setup or validation).
+func Run(m *tsx.Machine, spec harness.SchemeSpec, mk func(t *tsx.Thread) App, threads int,
+	prof *harness.Profiler) (Result, error) {
 	var app App
 	var scheme core.Scheme
 	m.RunOne(func(t *tsx.Thread) {
@@ -68,7 +69,7 @@ func Run(m *tsx.Machine, spec harness.SchemeSpec, mk func(t *tsx.Thread) App, th
 		app.Setup(t)
 		scheme = spec.Build(t)
 	})
-	ths := m.Run(threads, func(t *tsx.Thread) {
+	ths := prof.Run(m, threads, func(t *tsx.Thread) {
 		scheme.Setup(t)
 		app.Worker(t, scheme, threads)
 	})
@@ -135,27 +136,5 @@ func Apps() []struct {
 		{"ssca2", func(t *tsx.Thread) App { return NewSSCA2(256, 4) }},
 		{"vacation_high", func(t *tsx.Thread) App { return NewVacation(64, 300, 8, true) }},
 		{"vacation_low", func(t *tsx.Thread) App { return NewVacation(256, 300, 4, false) }},
-	}
-}
-
-// ExtendedApps returns additional STAMP workloads beyond the seven the
-// paper's Figure 5.4 evaluates.
-func ExtendedApps() []struct {
-	Name string
-	Make func(t *tsx.Thread) App
-} {
-	return []struct {
-		Name string
-		Make func(t *tsx.Thread) App
-	}{
-		// Labyrinth copies the grid inside its transactions, so large
-		// grids overflow write-set capacity and always fall back.
-		{"labyrinth", func(t *tsx.Thread) App { return NewLabyrinth(40, 40, 16) }},
-		// Yada: moderate-length refinement transactions over a shared
-		// work stack.
-		{"yada", func(t *tsx.Thread) App { return NewYada(90) }},
-		// Bayes: long read-mostly acyclicity walks with high contention
-		// on the evolving network structure.
-		{"bayes", func(t *tsx.Thread) App { return NewBayes(48, 96) }},
 	}
 }

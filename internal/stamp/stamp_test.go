@@ -33,7 +33,7 @@ func TestAllAppsAllSchemesValidate(t *testing.T) {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			for _, spec := range specs {
-				res, err := stamp.Run(tsx.NewMachine(machineCfg(4, 11)), spec, app.Make, 4)
+				res, err := stamp.Run(tsx.NewMachine(machineCfg(4, 11)), spec, app.Make, 4, nil)
 				if err != nil {
 					t.Fatalf("%v: %v", spec, err)
 				}
@@ -49,11 +49,11 @@ func TestAllAppsAllSchemesValidate(t *testing.T) {
 func TestDeterministicRuntime(t *testing.T) {
 	app := stamp.Apps()[1] // intruder
 	spec := harness.SchemeSpec{Scheme: "HLE-SCM", Lock: "MCS"}
-	a, err := stamp.Run(tsx.NewMachine(machineCfg(4, 5)), spec, app.Make, 4)
+	a, err := stamp.Run(tsx.NewMachine(machineCfg(4, 5)), spec, app.Make, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := stamp.Run(tsx.NewMachine(machineCfg(4, 5)), spec, app.Make, 4)
+	b, err := stamp.Run(tsx.NewMachine(machineCfg(4, 5)), spec, app.Make, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestContentionProfiles(t *testing.T) {
 	apps := stamp.Apps()
 	appByName := map[string]float64{}
 	for _, app := range apps {
-		res, err := stamp.Run(tsx.NewMachine(machineCfg(8, 7)), spec, app.Make, 8)
+		res, err := stamp.Run(tsx.NewMachine(machineCfg(8, 7)), spec, app.Make, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +91,11 @@ func TestContentionProfiles(t *testing.T) {
 func TestMoreThreadsFasterGenome(t *testing.T) {
 	app := stamp.Apps()[0]
 	spec := harness.SchemeSpec{Scheme: "HLE-SCM", Lock: "MCS"}
-	one, err := stamp.Run(tsx.NewMachine(machineCfg(1, 3)), spec, app.Make, 1)
+	one, err := stamp.Run(tsx.NewMachine(machineCfg(1, 3)), spec, app.Make, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := stamp.Run(tsx.NewMachine(machineCfg(8, 3)), spec, app.Make, 8)
+	eight, err := stamp.Run(tsx.NewMachine(machineCfg(8, 3)), spec, app.Make, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

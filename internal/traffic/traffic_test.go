@@ -255,9 +255,15 @@ func TestWorkloadUnderHarness(t *testing.T) {
 	}
 	m.RunOne(func(th *tsx.Thread) {
 		d := tw.Data()
-		for si := 0; si < d.Shards(); si++ {
-			if ss, it := d.ShardSize(th, si), uint64(d.ShardItems(th, si)); ss != it {
-				t.Errorf("shard %d: size counter %d != structure %d", si, ss, it)
+		present := make([]uint64, d.Shards())
+		for key := uint64(0); key < 2*128; key++ { // the domain is 2*Keys
+			if d.Contains(th, key) {
+				present[d.ShardOf(key)]++
+			}
+		}
+		for si := range present {
+			if ss := d.ShardSize(th, si); ss != present[si] {
+				t.Errorf("shard %d: size counter %d != keys present %d", si, ss, present[si])
 			}
 		}
 	})

@@ -30,10 +30,11 @@ func fuzzProgram(t *Thread, base mem.Addr, prog []byte) {
 		case 4:
 			// An elided critical section over one of the lines, with a
 			// couple of accesses inside; spurious aborts (seeded from the
-			// fuzz input) exercise the re-issue path.
+			// fuzz input) exercise the re-issue path, and a line that was
+			// not 0 at the acquire fails the restore rule at the release.
 			l := addr(arg)
 			t.HLERegion(func() {
-				t.XAcquireCAS(l, 0, 1)
+				t.XAcquireSwap(l, 1)
 				t.Store(l+1, uint64(arg))
 				t.Load(l + 2)
 				t.XReleaseStore(l, 0)

@@ -79,62 +79,6 @@ func TestXAcquireFetchAddPaths(t *testing.T) {
 	})
 }
 
-// TestXAcquireCASPaths exercises suppressed and in-transaction XAcquireCAS.
-func TestXAcquireCASPaths(t *testing.T) {
-	m := newTestMachine(1, 1)
-	m.RunOne(func(th *Thread) {
-		lock := th.AllocLines(1)
-
-		th.elisionSuppressed = true
-		if !th.XAcquireCAS(lock, 0, 1) {
-			t.Fatal("suppressed CAS on free lock failed")
-		}
-		if th.InTx() || th.Load(lock) != 1 {
-			t.Fatal("suppressed CAS did not execute for real")
-		}
-		th.Store(lock, 0)
-
-		ok, _ := th.RTM(func() {
-			if !th.XAcquireCAS(lock, 0, 3) {
-				t.Error("transactional CAS failed")
-			}
-			if th.InElision() {
-				t.Error("elision inside non-nesting RTM")
-			}
-		})
-		if !ok || th.Load(lock) != 3 {
-			t.Fatal("transactional CAS lost")
-		}
-	})
-
-	cfg := DefaultConfig(1)
-	cfg.SpuriousPerAccess = 0
-	cfg.NestHLEInRTM = true
-	m2 := NewMachine(cfg)
-	m2.RunOne(func(th *Thread) {
-		lock := th.AllocLines(1)
-		th.Store(lock, 9)
-		ok, _ := th.RTM(func() {
-			if th.XAcquireCAS(lock, 0, 1) {
-				t.Error("nested CAS against wrong value succeeded")
-			}
-			if th.InElision() {
-				t.Error("failed nested CAS started an elision")
-			}
-			if !th.XAcquireCAS(lock, 9, 1) {
-				t.Error("matching nested CAS failed")
-			}
-			if !th.InElision() {
-				t.Error("nested elision did not start")
-			}
-			th.XReleaseStore(lock, 9)
-		})
-		if !ok || th.Load(lock) != 9 {
-			t.Fatal("nested elided CAS region misbehaved")
-		}
-	})
-}
-
 // TestNonTxAtomics covers the plain (outside-transaction) RMW paths.
 func TestNonTxAtomics(t *testing.T) {
 	m := newTestMachine(1, 1)
@@ -261,27 +205,6 @@ func TestMachineAccessorsAndDefaults(t *testing.T) {
 		}
 	}()
 	NewMachine(Config{Procs: 100})
-}
-
-// TestXAcquireStoreNestedIdeal covers the store-variant nested path.
-func TestXAcquireStoreNestedIdeal(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.SpuriousPerAccess = 0
-	cfg.NestHLEInRTM = true
-	m := NewMachine(cfg)
-	m.RunOne(func(th *Thread) {
-		lock := th.AllocLines(1)
-		ok, _ := th.RTM(func() {
-			th.XAcquireStore(lock, 1)
-			if !th.InElision() {
-				t.Error("nested store elision did not start")
-			}
-			th.XReleaseStore(lock, 0)
-		})
-		if !ok || th.Load(lock) != 0 {
-			t.Fatal("nested elided store region misbehaved")
-		}
-	})
 }
 
 // TestStatusString is a smoke test that abort causes render in messages.

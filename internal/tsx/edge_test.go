@@ -16,7 +16,7 @@ func TestSecondElisionInsideElision(t *testing.T) {
 		outer := th.AllocLines(1)
 		inner := th.AllocLines(1)
 		th.HLERegion(func() {
-			th.XAcquireStore(outer, 1)
+			th.XAcquireSwap(outer, 1)
 			if !th.InElision() {
 				t.Fatal("outer elision did not start")
 			}
@@ -61,7 +61,7 @@ func TestXReleaseOnDifferentAddress(t *testing.T) {
 		other := th.AllocLines(1)
 		aborted := false
 		th.HLERegion(func() {
-			th.XAcquireStore(lock, 1)
+			th.XAcquireSwap(lock, 1)
 			if !th.InElision() {
 				// Re-issued second attempt: complete non-speculatively.
 				th.XReleaseStore(lock, 0)
@@ -90,7 +90,7 @@ func TestRMWOnElidedLockInsideTx(t *testing.T) {
 	m.RunOne(func(th *Thread) {
 		lock := th.AllocLines(1)
 		th.HLERegion(func() {
-			th.XAcquireStore(lock, 7)
+			th.XAcquireSwap(lock, 7)
 			if !th.InElision() {
 				th.XReleaseStore(lock, 0)
 				return

@@ -116,26 +116,6 @@ func (t *Thread) ReissuePending() bool {
 	return t.elisionSuppressed && t.tx == nil
 }
 
-// XAcquireStore is an XACQUIRE-prefixed store of v to a. With elision it
-// begins a transaction; after an abort it re-executes as a plain store.
-func (t *Thread) XAcquireStore(a mem.Addr, v uint64) {
-	if t.consumeSuppression() {
-		t.Store(a, v)
-		return
-	}
-	if tx := t.tx; tx != nil {
-		if t.m.cfg.NestHLEInRTM && !tx.elided {
-			t.Step(t.m.cfg.Costs.Store)
-			t.xacquireNested(tx, a, v)
-			return
-		}
-		t.Store(a, v) // prefix ignored inside a transaction (Haswell)
-		return
-	}
-	t.Step(t.m.cfg.Costs.Store + t.m.cfg.Costs.Begin)
-	t.xacquireStart(a, v)
-}
-
 // XAcquireSwap is an XACQUIRE-prefixed atomic exchange (the TTAS
 // test-and-set and the MCS tail swap). It returns the value the swap
 // observed; under elision that is the in-memory value at XACQUIRE time.
@@ -174,36 +154,6 @@ func (t *Thread) XAcquireFetchAdd(a mem.Addr, delta uint64) uint64 {
 	old, tx := t.xacquireStart(a, 0)
 	tx.elidedVal = old + delta
 	return old
-}
-
-// XAcquireCAS is an XACQUIRE-prefixed compare-and-swap. Elision begins only
-// if the CAS would succeed (a failing CMPXCHG performs no store, so there
-// is nothing to elide); a failing XAcquireCAS behaves like a plain failing
-// CAS.
-func (t *Thread) XAcquireCAS(a mem.Addr, old, new uint64) bool {
-	if t.consumeSuppression() {
-		return t.CAS(a, old, new)
-	}
-	if tx := t.tx; tx != nil {
-		if t.m.cfg.NestHLEInRTM && !tx.elided {
-			t.Step(t.m.cfg.Costs.RMW)
-			cur := t.txLoadValue(tx, a)
-			if cur != old {
-				t.txTouchWrite(tx, mem.LineOf(a))
-				return false
-			}
-			t.xacquireNested(tx, a, new)
-			return true
-		}
-		return t.CAS(a, old, new)
-	}
-	t.Step(t.m.cfg.Costs.RMW + t.m.cfg.Costs.Begin)
-	if t.m.Mem.Read(a) != old {
-		t.m.requestLine(mem.LineOf(a), t, true) // failed CAS still RFOs
-		return false
-	}
-	t.xacquireStart(a, new)
-	return true
 }
 
 // xreleaseEnd validates the HLE restore rule and ends the elision: if this

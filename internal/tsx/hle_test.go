@@ -49,7 +49,7 @@ func TestHLERestoreRule(t *testing.T) {
 		attempts := 0
 		th.HLERegion(func() {
 			attempts++
-			th.XAcquireStore(lock, 1)
+			th.XAcquireSwap(lock, 1)
 			if th.InElision() {
 				// Break the restore rule on purpose.
 				th.XReleaseStore(lock, 7)
@@ -58,7 +58,7 @@ func TestHLERestoreRule(t *testing.T) {
 			}
 			// Re-issued path: the store really happened.
 			if th.Load(lock) != 1 {
-				t.Error("re-issued XAcquireStore did not store")
+				t.Error("re-issued XAcquireSwap did not store")
 			}
 			th.XReleaseStore(lock, 0)
 		})
@@ -83,19 +83,19 @@ func TestReissueSemantics(t *testing.T) {
 			switch phase {
 			case 0:
 				phase = 1
-				th.XAcquireStore(lock, 1)
+				th.XAcquireSwap(lock, 1)
 				th.Abort(1) // force an abort mid-elision
 			case 1:
 				phase = 2
 				if !th.ReissuePending() {
 					t.Error("re-issue not pending after abort")
 				}
-				th.XAcquireStore(lock, 1) // executes for real
+				th.XAcquireSwap(lock, 1) // executes for real
 				if th.InTx() {
-					t.Error("re-issued store started a transaction")
+					t.Error("re-issued swap started a transaction")
 				}
 				if th.Load(lock) != 1 {
-					t.Error("re-issued store did not write")
+					t.Error("re-issued swap did not write")
 				}
 				th.XReleaseStore(lock, 0) // plain store
 			}
@@ -105,35 +105,12 @@ func TestReissueSemantics(t *testing.T) {
 		}
 		// A later region elides again (suppression was consumed).
 		th.HLERegion(func() {
-			th.XAcquireStore(lock, 1)
+			th.XAcquireSwap(lock, 1)
 			if !th.InElision() {
 				t.Error("subsequent region did not elide")
 			}
 			th.XReleaseStore(lock, 0)
 		})
-	})
-}
-
-// TestXAcquireCASFailureDoesNotElide: a failing XAcquireCAS performs no
-// store, so no transaction starts.
-func TestXAcquireCASFailureDoesNotElide(t *testing.T) {
-	m := newTestMachine(1, 1)
-	m.RunOne(func(th *Thread) {
-		lock := th.AllocLines(1)
-		th.Store(lock, 9)
-		if th.XAcquireCAS(lock, 0, 1) {
-			t.Fatal("CAS against wrong value succeeded")
-		}
-		if th.InTx() {
-			t.Fatal("failing XAcquireCAS started a transaction")
-		}
-		if !th.XAcquireCAS(lock, 9, 1) {
-			t.Fatal("matching XAcquireCAS failed")
-		}
-		if !th.InElision() {
-			t.Fatal("successful XAcquireCAS did not elide")
-		}
-		th.XReleaseStore(lock, 9)
 	})
 }
 
@@ -177,14 +154,14 @@ func TestNestHLEInRTM(t *testing.T) {
 }
 
 // TestHaswellIgnoresNestedXAcquire: without nesting support the prefix is
-// ignored and the store executes transactionally, really writing the lock
+// ignored and the swap executes transactionally, really writing the lock
 // at commit — the behaviour that forced the paper's implementation remark.
 func TestHaswellIgnoresNestedXAcquire(t *testing.T) {
 	m := newTestMachine(1, 1)
 	m.RunOne(func(th *Thread) {
 		lock := th.AllocLines(1)
 		ok, _ := th.RTM(func() {
-			th.XAcquireStore(lock, 1) // plain transactional store
+			th.XAcquireSwap(lock, 1) // plain transactional swap
 			if th.InElision() {
 				t.Error("elision started inside RTM on a non-nesting machine")
 			}
@@ -193,7 +170,7 @@ func TestHaswellIgnoresNestedXAcquire(t *testing.T) {
 			t.Fatal("transaction aborted")
 		}
 		if th.Load(lock) != 1 {
-			t.Error("ignored-prefix store was not published")
+			t.Error("ignored-prefix swap was not published")
 		}
 	})
 }
@@ -206,7 +183,7 @@ func TestElidedLockWrittenAsData(t *testing.T) {
 	m.RunOne(func(th *Thread) {
 		lock := th.AllocLines(1)
 		th.HLERegion(func() {
-			th.XAcquireStore(lock, 1)
+			th.XAcquireSwap(lock, 1)
 			th.Store(lock, 5) // data write to the lock word
 			if th.Load(lock) != 5 {
 				t.Error("data write to lock not visible in tx")

@@ -80,9 +80,6 @@ func (t *Thread) MarkSerial(on bool) {
 	}
 }
 
-// InSerial reports whether the thread is inside a MarkSerial region.
-func (t *Thread) InSerial() bool { return t.serial }
-
 // LabelLines attaches a symbolic label to the cache lines covering words
 // [a, a+n): profile heatmaps then print "mcs-tail" instead of a raw line
 // index. Labels are registered at allocation time by lock constructors and

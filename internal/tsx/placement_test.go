@@ -15,7 +15,7 @@ func placementWorkload(list, lock mem.Addr, rounds int) func(*Thread) {
 		for r := 0; r < rounds; r++ {
 			a := t.Alloc(r%5 + 1)
 			t.HLERegion(func() {
-				t.XAcquireCAS(lock, 0, 1)
+				t.XAcquireSwap(lock, 1)
 				t.Store(a, uint64(t.ID)<<8|uint64(r))
 				prev := t.Load(list)
 				t.Store(list, uint64(a))
