@@ -259,7 +259,16 @@ type Controller struct {
 func NewController(cfg Config) *Controller {
 	cfg = cfg.WithDefaults()
 	cfg.validate()
-	return &Controller{cfg: cfg, level: cfg.Start, probation: cfg.ProbationWindows}
+	c := &Controller{cfg: cfg}
+	c.Reset()
+	return c
+}
+
+// Reset returns the controller to the state NewController left it in: at
+// the start level, with no streaks, no embargo and an empty decision log.
+// The tuning is kept.
+func (c *Controller) Reset() {
+	*c = Controller{cfg: c.cfg, level: c.cfg.Start, probation: c.cfg.ProbationWindows}
 }
 
 // Config returns the controller's effective (defaulted) tuning.

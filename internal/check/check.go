@@ -52,6 +52,11 @@ func (r *Recorder) Fresh() *Recorder {
 	return &Recorder{seqCell: r.seqCell}
 }
 
+// Reset empties the log in place, keeping the ticket cell, so a reused
+// Recorder starts a forked run exactly like one from Fresh (the model
+// checker's replay rigs reuse theirs).
+func (r *Recorder) Reset() { r.log = r.log[:0] }
+
 // Ticket draws the next serialization ticket; call it inside the critical
 // section (it performs a transactional read-modify-write of the shared
 // cell, so it orders exactly like the operation's own accesses).

@@ -82,7 +82,7 @@ func NewAdaptive(main, aux locks.Lock, cfg AdaptiveConfig) *Adaptive {
 		panic("core: Adaptive requires a main and an auxiliary lock")
 	}
 	ctl := adapt.NewController(cfg.Controller)
-	s := &Adaptive{ctl: ctl, cur: ctl.Level(), rtm: rtm{main: main, check: checkEntry,
+	s := &Adaptive{ctl: ctl, rtm: rtm{main: main, check: checkEntry,
 		aux: []locks.Lock{aux}, retries: cfg.SCM.maxRetries(), hardStop: true, heldWait: scmHeldWaitBound}}
 	s.feed = obs.NewFeed(ctl.Config().WindowCycles, func(w obs.WindowStats) {
 		ctl.Observe(w)
@@ -90,10 +90,22 @@ func NewAdaptive(main, aux locks.Lock, cfg AdaptiveConfig) *Adaptive {
 			s.tap(w)
 		}
 	})
+	s.Reset()
+	return s
+}
+
+// Reset returns the scheme to the state NewAdaptive left it in: zero
+// statistics, the controller back at its start level with an empty
+// decision log, an idle feed, no swap draining and no section in flight.
+// An installed window tap stays installed.
+func (s *Adaptive) Reset() {
+	s.statsBase.Reset()
+	s.ctl.Reset()
+	s.feed.Reset()
+	s.cur, s.prev, s.draining = s.ctl.Level(), 0, 0
 	for i := range s.inflight {
 		s.inflight[i] = -1
 	}
-	return s
 }
 
 // Name implements Scheme.

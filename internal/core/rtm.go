@@ -70,9 +70,12 @@ type rtm struct {
 	// feed, when non-nil, sees every commit, abort and non-speculative
 	// completion — the adaptive controller's input.
 	feed *obs.Feed
-	// lazy holds checkLazy's per-thread predicate, pre-bound in setup so
-	// the transactional hot path allocates nothing.
-	lazy [locks.MaxThreads]func() bool
+	// lazy holds checkLazy's per-thread predicate over lazyT, the thread
+	// the ID's latest setup ran on. Each predicate is bound once, on the
+	// ID's first setup, so neither the transactional hot path nor a reused
+	// scheme's setup allocates.
+	lazy  [locks.MaxThreads]func() bool
+	lazyT [locks.MaxThreads]*tsx.Thread
 
 	// manage's knobs: the aux locks conflicting threads serialize on,
 	// the aux holder's retry budget, whether an abort the hardware marks
@@ -87,7 +90,11 @@ type rtm struct {
 func (a *rtm) setup(t *tsx.Thread) {
 	if a.check == checkLazy {
 		t.SetSubscription(tsx.SubLazy)
-		a.lazy[t.ID] = func() bool { return !a.main.Held(t) }
+		id := t.ID
+		a.lazyT[id] = t
+		if a.lazy[id] == nil {
+			a.lazy[id] = func() bool { return !a.main.Held(a.lazyT[id]) }
+		}
 	}
 	a.main.Prepare(t)
 	for _, l := range a.aux {

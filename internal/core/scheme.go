@@ -119,6 +119,15 @@ func (b *SchemeStats) Record(id int, r Result) { b.record(id, r) }
 // Stats implements Scheme.
 func (b *SchemeStats) Stats(threadID int) OpStats { return b.perThread[threadID] }
 
+// Reset zeroes the statistics. Promoted into every scheme of this package,
+// it returns the scheme to the state its constructor left it in: the
+// statistics are a scheme's only Go-side state that running changes
+// (Adaptive, which also keeps a controller, overrides it). The locks'
+// state lives in simulated memory and in the lock values, which are the
+// caller's to restore — the model checker's replay rigs restore both and
+// then Reset, instead of constructing a scheme per replay.
+func (b *SchemeStats) Reset() { clear(b.perThread[:]) }
+
 // TotalStats implements Scheme.
 func (b *SchemeStats) TotalStats() OpStats {
 	var total OpStats

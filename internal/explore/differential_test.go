@@ -170,15 +170,16 @@ func TestForkCountersPinned(t *testing.T) {
 
 // TestReusedRigMatchesFresh: a search rig reset in place replay after
 // replay reports exactly what a freshly forked replayer reports for the
-// same prefix — the same outcome and the same banked chain — on every
-// quick-battery configuration and one mutant. Consecutive prefixes come
-// from different schedules and depths, so each replay starts on a rig the
-// previous one left stopped mid-run, often mid-transaction; the mutant's
+// same prefix — the same outcome, the same banked chain and the same
+// scheme statistics — on every quick-battery configuration and every
+// mutant, among them MutantSCMLazy's stateless scheme and
+// MutantCLHBlindRelease's broken lock. Consecutive prefixes come from
+// different schedules and depths, so each replay starts on a rig the
+// previous one left stopped mid-run, often mid-transaction; each mutant's
 // counterexample schedule is among its prefixes, so a rig also serves a
 // replay right after one that found a violation.
 func TestReusedRigMatchesFresh(t *testing.T) {
-	mutant := Mutants()[2] // HLE-HWExt without suspend: elided transactions on unsound hardware
-	for _, cfg := range append(Battery(true), mutant) {
+	for _, cfg := range append(Battery(true), Mutants()...) {
 		c := cfg.withDefaults()
 		e := newExplorer(&c)
 		prefixes := rigPrefixes(e)
@@ -192,6 +193,7 @@ func TestReusedRigMatchesFresh(t *testing.T) {
 		}
 		for _, p := range prefixes {
 			got, gotChain := e.replayNode(&node{prefix: p}, nil, 2)
+			rig := e.rigs.free[len(e.rigs.free)-1]
 			f := e.newReplayer(e.tmpl, p)
 			f.chainLeft = 2
 			f.run()
@@ -199,9 +201,66 @@ func TestReusedRigMatchesFresh(t *testing.T) {
 				t.Errorf("%s: prefix %s: reused rig differs from a fresh fork", cfg.Label(), FormatSchedule(p))
 				break
 			}
+			if a, b := rig.scheme.TotalStats(), f.scheme.TotalStats(); a != b {
+				t.Errorf("%s: prefix %s: reused rig's scheme stats %+v, fresh fork's %+v", cfg.Label(), FormatSchedule(p), a, b)
+				break
+			}
 		}
 		if n := len(e.rigs.free); n != 1 {
 			t.Errorf("%s: %d rigs after one-at-a-time replays, want 1", cfg.Label(), n)
+		}
+	}
+}
+
+// TestWarmRigAllocations pins what one replay of a fixed frontier prefix
+// allocates on a warmed rig: only the per-Run threads — sim.Run's
+// scheduler, its panics, choices, procs and running slices and one Proc
+// per thread; tsx.Machine.Run's thread slice, its body closure, the
+// observer's and injector's grant hooks and one Thread per thread whose
+// body started before the frontier — and
+// the outcome's own slices (enabled, and the final edge's footprints when
+// non-empty). The rig's machine, locks, scheme, recorder, closures and
+// scratch slices are all reused, so nothing in core, locks or the lock
+// copy allocates. The configurations cover every kind of rig-owned state:
+// a queue lock with per-thread arrays, aux locks, a lazy predicate table,
+// the mutant lock and the mutant scheme.
+func TestWarmRigAllocations(t *testing.T) {
+	for _, cfg := range []Config{
+		{Scheme: "HLE-SCM", Lock: "MCS", Threads: 2, Ops: 1},
+		{Scheme: "HLE-SCM-multi", Lock: "AdjTicket", Threads: 2, Ops: 1},
+		{Scheme: "RTM-LE-lazy", Lock: "AdjCLH", Threads: 2, Ops: 1},
+		{Scheme: "Opt-SLR", Lock: "TTAS", Threads: 2, Ops: 1},
+		{Scheme: "Standard", Lock: "TTAS", Threads: 3, Ops: 1},
+		Mutants()[0],
+		Mutants()[1],
+	} {
+		c := cfg.withDefaults()
+		e := newExplorer(&c)
+		// The deepest frontier among the walks' prefixes, where every
+		// thread has usually started.
+		var nd *node
+		var out runOutcome
+		prefixes := rigPrefixes(e)
+		for k := len(prefixes) - 1; k >= 0; k-- {
+			nd = &node{prefix: prefixes[k]}
+			if out, _ = e.replayNode(nd, nil, 0); !out.terminal && !out.truncated {
+				break
+			}
+		}
+		want := 9 + c.Threads + 1 // per-Run threads, the enabled slice
+		for _, th := range e.rigs.free[0].threads {
+			if th != nil {
+				want++
+			}
+		}
+		for _, fp := range [][]access{out.lastEdge.accesses, out.lastEdge.txLines} {
+			if fp != nil {
+				want++
+			}
+		}
+		if got := testing.AllocsPerRun(50, func() { e.replayNode(nd, nil, 0) }); got != float64(want) {
+			t.Errorf("%s: warm replay allocates %.0f objects, want %d (per-Run threads and the outcome only)",
+				cfg.Label(), got, want)
 		}
 	}
 }

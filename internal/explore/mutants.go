@@ -181,4 +181,7 @@ func (s *lazySCM) Run(t *tsx.Thread, cs func()) core.Result {
 
 func (s *lazySCM) Stats(int) core.OpStats { return core.OpStats{} }
 
+// Reset is a no-op: the scheme keeps no statistics.
+func (s *lazySCM) Reset() {}
+
 func (s *lazySCM) TotalStats() core.OpStats { return core.OpStats{} }

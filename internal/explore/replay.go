@@ -143,10 +143,11 @@ type explorer struct {
 	// violation needs it.
 	tmpl, diagTmpl *replayTemplate
 	// rigs is the free list of search replayers (see replayNode): each
-	// owns a machine, its memory arrays and transaction contexts, and
-	// its scratch slices, and is reset to tmpl in place for every
-	// replay. A replay takes one and returns it when it ends, so the list
-	// never holds more rigs than replays ever ran at the same time.
+	// owns a machine, its memory arrays and transaction contexts, its
+	// locks and scheme, and its scratch slices, and is reset to tmpl in
+	// place for every replay. A replay takes one and returns it when it
+	// ends, so the list never holds more rigs than replays ever ran at
+	// the same time.
 	rigs struct {
 		sync.Mutex
 		free []*replayer
@@ -162,10 +163,10 @@ func newExplorer(cfg *Config) *explorer {
 
 // replayTemplate is a config's post-construction machine image. The
 // simulated-memory half — lock cells, scheme state, the recorder's ticket
-// cell, the counter lines — lives in the checkpoint; the Go-side driver
-// objects are value-cloned per fork (cloneLock, Recorder.Fresh,
-// assemble), so a fork costs a memory copy instead of re-executing
-// every constructor through the engine.
+// cell, the counter lines — lives in the checkpoint; the Go-side half is
+// the constructed lock values, which a rig copies into its own locks
+// (copyLock) for every replay, so a fork costs memory copies instead of
+// re-executing every constructor through the engine.
 type replayTemplate struct {
 	cp        *tsx.Checkpoint
 	main      locks.Lock
@@ -267,10 +268,16 @@ type replayer struct {
 
 	m       *tsx.Machine
 	threads []*tsx.Thread
-	lock    locks.Lock
-	scheme  core.Scheme
 	rec     *check.Recorder
 	x, y    mem.Addr
+
+	// tp is the template the rig's locks and scheme were built for. While
+	// it serves tp, every reset copies tp's constructed lock values into
+	// lock and aux and resets the scheme, which wraps them, in place.
+	tp     *replayTemplate
+	lock   locks.Lock
+	aux    []locks.Lock
+	scheme rigScheme
 
 	// lockWords/preLock hold the adjusted lock's word addresses and their
 	// pre-run values for the Theorems 1-2 restoration check.
@@ -285,6 +292,12 @@ type replayer struct {
 	// overlap, and a speculative run that breaks isolation is caught by
 	// the serializability and snapshot checks instead.
 	nonSpecDepth int
+
+	// work is the body method value and cs each thread's critical-section
+	// closure (it reads the thread from threads), bound once per rig so
+	// starting a replay or an operation allocates nothing.
+	work func(*tsx.Thread)
+	cs   []func()
 
 	// Per-thread completing-attempt scratch (ticket, result, observed
 	// x != y), rewritten by every attempt; the values of the completing
@@ -329,12 +342,20 @@ func (e *explorer) newReplayer(tp *replayTemplate, prefix []uint8) *replayer {
 	return r
 }
 
+// rigScheme is a scheme a rig keeps across replays: Reset returns it to
+// its just-constructed state (core.SchemeStats.Reset, Adaptive.Reset).
+type rigScheme interface {
+	core.Scheme
+	Reset()
+}
+
 // reset readies r to replay prefix on a fork of template tp: its machine
-// is reset to the checkpoint in place (or forked, the first time), the
-// locks are value-cloned and the scheme assembled afresh, and every other
-// field starts as in a new replayer, with the scratch slices keeping
-// their storage. A fresh fork is an empty replayer plus reset, so a reused
-// rig cannot start differently from one.
+// is reset to the checkpoint in place (or forked, the first time), its
+// locks get tp's constructed values and its scheme is reset (both built
+// the first time r serves tp), and every other field starts as in a new
+// replayer, with the scratch slices keeping their storage. A fresh fork is
+// an empty replayer plus reset, so a reused rig cannot start differently
+// from one.
 func (e *explorer) reset(r *replayer, tp *replayTemplate, prefix []uint8) {
 	m := r.m
 	if m == nil {
@@ -342,7 +363,34 @@ func (e *explorer) reset(r *replayer, tp *replayTemplate, prefix []uint8) {
 	} else {
 		m.Reset(tp.cp)
 	}
+	if r.tp != tp {
+		r.tp = tp
+		r.lock = newLockLike(tp.main)
+		r.aux = make([]locks.Lock, len(tp.aux))
+		for i, a := range tp.aux {
+			r.aux[i] = newLockLike(a)
+		}
+		sc, ok := e.assemble(r.lock, r.aux).(rigScheme)
+		if !ok {
+			panic(fmt.Sprintf("explore: scheme %s cannot be reset in place", e.cfg.Scheme))
+		}
+		r.scheme = sc
+		r.rec = tp.rec.Fresh()
+	}
 	n := e.cfg.Threads
+	if r.work == nil {
+		r.work = r.body
+		r.cs = make([]func(), n)
+		for id := range r.cs {
+			r.cs[id] = func() { r.criticalSection(r.threads[id]) }
+		}
+	}
+	copyLock(r.lock, tp.main)
+	for i, a := range tp.aux {
+		copyLock(r.aux[i], a)
+	}
+	r.scheme.Reset()
+	r.rec.Reset()
 	txf := r.txf
 	if len(txf) != n {
 		txf = make([][]access, n)
@@ -362,21 +410,18 @@ func (e *explorer) reset(r *replayer, tp *replayTemplate, prefix []uint8) {
 		txf:        txf,
 		cur:        edge{accesses: r.cur.accesses[:0], txLines: r.cur.txLines[:0]},
 		allSpec:    true,
-		lock:       cloneLock(tp.main),
-		rec:        tp.rec.Fresh(),
+		work:       r.work,
+		cs:         r.cs,
+		rec:        r.rec,
 		x:          tp.x,
 		y:          tp.y,
+		tp:         tp,
+		lock:       r.lock,
+		aux:        r.aux,
+		scheme:     r.scheme,
 		lockWords:  tp.lockWords,
 		preLock:    tp.preLock,
 	}
-	var aux []locks.Lock
-	if len(tp.aux) > 0 {
-		aux = make([]locks.Lock, len(tp.aux))
-		for i, a := range tp.aux {
-			aux[i] = cloneLock(a)
-		}
-	}
-	r.scheme = e.assemble(r.lock, aux)
 }
 
 // zeroed returns s resized to n zero elements, in s's storage when it fits.
@@ -395,7 +440,7 @@ func (r *replayer) run() {
 	m.SetObserver((*monitor)(r))
 	m.SetInjector((*monInj)(r))
 	m.SetStrategy(r)
-	m.Run(r.cfg.Threads, r.body)
+	m.Run(r.cfg.Threads, r.work)
 	m.SetStrategy(nil)
 	m.SetInjector(nil)
 	m.SetObserver(nil)
@@ -497,7 +542,7 @@ func buildLock(c *Config, t *tsx.Thread) locks.Lock {
 // auxLocks and assemble split scheme construction as harness.SchemeSpec
 // does — allocation in simulated memory, then pure-Go assembly — so the
 // allocations are captured once in the template image while assembly runs
-// per fork. MutantSCMLazy substitutes its broken scheme.
+// once per rig. MutantSCMLazy substitutes its broken scheme.
 func (e *explorer) auxLocks(t *tsx.Thread) []locks.Lock {
 	if e.cfg.Mutant == MutantSCMLazy {
 		return nil
@@ -512,36 +557,37 @@ func (e *explorer) assemble(main locks.Lock, aux []locks.Lock) core.Scheme {
 	return e.spec.Assemble(main, aux)
 }
 
-// cloneLock value-copies a constructed lock. Every stock lock is a plain
-// value type — simulated-memory addresses plus fixed-size per-thread
-// scratch arrays — so a struct copy yields an independent Go-side handle
-// onto the same simulated-memory lock, exactly as the constructor left it.
-// The MutantCLHBlindRelease lock is a plain value type too.
-func cloneLock(l locks.Lock) locks.Lock {
-	switch l := l.(type) {
+// copyLock restores dst, a lock of src's concrete type, to src's value.
+// Every stock lock is a plain value type — simulated-memory addresses plus
+// fixed-size per-thread scratch arrays — so a struct copy makes dst an
+// independent Go-side handle onto the same simulated-memory lock, exactly
+// as the constructor left it, without allocating. The
+// MutantCLHBlindRelease lock is a plain value type too.
+func copyLock(dst, src locks.Lock) {
+	switch s := src.(type) {
 	case *locks.TTAS:
-		c := *l
-		return &c
+		*dst.(*locks.TTAS) = *s
 	case *locks.MCS:
-		c := *l
-		return &c
+		*dst.(*locks.MCS) = *s
 	case *locks.Ticket:
-		c := *l
-		return &c
+		*dst.(*locks.Ticket) = *s
 	case *locks.AdjustedTicket:
-		c := *l
-		return &c
+		*dst.(*locks.AdjustedTicket) = *s
 	case *locks.CLH:
-		c := *l
-		return &c
+		*dst.(*locks.CLH) = *s
 	case *locks.AdjustedCLH:
-		c := *l
-		return &c
+		*dst.(*locks.AdjustedCLH) = *s
 	case *brokenCLH:
-		c := *l
-		return &c
+		*dst.(*brokenCLH) = *s
+	default:
+		panic(fmt.Sprintf("explore: cannot copy lock %T", src))
 	}
-	panic(fmt.Sprintf("explore: cannot clone lock %T", l))
+}
+
+// newLockLike returns a zero lock of l's concrete type, for copyLock to
+// fill: a rig's own lock, built once per template.
+func newLockLike(l locks.Lock) locks.Lock {
+	return reflect.New(reflect.TypeOf(l).Elem()).Interface().(locks.Lock)
 }
 
 // adjustedLockWords returns the lock words the adjusted-lock invariant
@@ -756,7 +802,7 @@ func (r *replayer) body(t *tsx.Thread) {
 	r.threads[id] = t
 	r.scheme.Setup(t)
 	for op := 0; op < r.cfg.Ops; op++ {
-		res := r.scheme.Run(t, func() { r.criticalSection(t) })
+		res := r.scheme.Run(t, r.cs[id])
 		r.rec.Record(check.Op{Seq: r.seqScratch[id], Thread: id, Kind: "inc", Result: r.resScratch[id]})
 		r.opsDone[id]++
 		if !res.Spec {

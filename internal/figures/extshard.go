@@ -246,12 +246,19 @@ func ShardSweep(o Options) (*ShardBench, []*stats.Table) {
 // hottest configuration (moderate mix, max skew, max shards): one row per
 // label-prefix group (shard), one column per scheme, counting conflict
 // aborts on the group's lines with the lock-line subset in parentheses.
-// Skew should light up few shards; uniform load spreads the heat.
-// profiles holds one profile per entry of shardSchemes, in order.
+// Skew should light up few shards; uniform load spreads the heat. Only the
+// shards' own prefixes (shard.ShardLabel) make rows: unlabelled lines and
+// labelled lines outside any shard (the per-thread lock queue nodes) are
+// not a shard. profiles holds one profile per entry of shardSchemes, in
+// order.
 func shardHeatmap(profiles []*obs.Profile, mix harness.Mix, skew float64, shards int) *stats.Table {
 	heats := make([]map[string]obs.PrefixHeat, len(shardSchemes))
 	var prefixes []string
 	seen := make(map[string]bool)
+	isShard := make(map[string]bool, shards)
+	for si := range shards {
+		isShard[shard.ShardLabel(si)] = true
+	}
 	for ki := range shardSchemes {
 		if profiles[ki] == nil {
 			return nil
@@ -259,7 +266,7 @@ func shardHeatmap(profiles []*obs.Profile, mix harness.Mix, skew float64, shards
 		heats[ki] = make(map[string]obs.PrefixHeat)
 		for _, g := range profiles[ki].HeatByPrefix() {
 			heats[ki][g.Prefix] = g
-			if !seen[g.Prefix] && g.Prefix != "?" {
+			if isShard[g.Prefix] && !seen[g.Prefix] {
 				seen[g.Prefix] = true
 				prefixes = append(prefixes, g.Prefix)
 			}

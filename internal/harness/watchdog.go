@@ -140,6 +140,14 @@ type Watchdog struct {
 	ndone  int
 	checks int
 
+	// expiry caches the earliest minimum clock at which a liveness
+	// window can expire, given lastOp and done; below it Check skips the
+	// scan. NoteOp and NoteDone zero it, which makes the next Check scan
+	// and recompute it: progress moves the deadlines, and can make one
+	// that already passed without tripping trip now (a starving thread's
+	// window only counts once someone else has progressed).
+	expiry uint64
+
 	tripped   bool
 	reason    string
 	victim    int
@@ -161,6 +169,7 @@ func NewWatchdog(cfg WatchdogConfig, n int) *Watchdog {
 // NoteOp records that thread id completed an operation at the given clock.
 func (wd *Watchdog) NoteOp(id int, clock uint64) {
 	wd.lastOp[id] = clock
+	wd.expiry = 0
 }
 
 // NoteDone records that thread id finished its measurement loop; finished
@@ -169,6 +178,7 @@ func (wd *Watchdog) NoteDone(id int) {
 	if !wd.done[id] {
 		wd.done[id] = true
 		wd.ndone++
+		wd.expiry = 0
 	}
 }
 
@@ -192,14 +202,10 @@ func (wd *Watchdog) Check(minClock uint64) bool {
 			return true
 		}
 	}
-	// lastAny is the most recent completed operation machine-wide,
-	// over unfinished threads' last ops and finished threads alike.
-	var lastAny uint64
-	for id := 0; id < wd.n; id++ {
-		if wd.lastOp[id] > lastAny {
-			lastAny = wd.lastOp[id]
-		}
+	if minClock < wd.expiry {
+		return false
 	}
+	lastAny := wd.lastAny()
 	if w := wd.cfg.StarvationWindow; w > 0 {
 		for id := 0; id < wd.n; id++ {
 			if wd.done[id] || wd.lastOp[id]+w > minClock {
@@ -217,7 +223,41 @@ func (wd *Watchdog) Check(minClock uint64) bool {
 		wd.trip(ReasonLivelock, -1, nil, minClock)
 		return true
 	}
+	wd.expiry = wd.nextExpiry()
 	return false
+}
+
+// lastAny is the most recent completed operation machine-wide, over
+// unfinished threads' last ops and finished threads alike.
+func (wd *Watchdog) lastAny() uint64 {
+	var last uint64
+	for id := 0; id < wd.n; id++ {
+		last = max(last, wd.lastOp[id])
+	}
+	return last
+}
+
+// nextExpiry is the smallest minClock at which Check's scan would trip on
+// the current progress state: the earliest starvation deadline among
+// unfinished threads someone else has progressed past, or the livelock
+// deadline. The deadlines are the scan's own (wrapping) sums, so the scan
+// trips at exactly the clocks where it would without the cache, and a
+// cached expiry is only ever reached by a Check that trips; with no window
+// armed nothing ever expires.
+func (wd *Watchdog) nextExpiry() uint64 {
+	expiry := ^uint64(0)
+	lastAny := wd.lastAny()
+	if w := wd.cfg.StarvationWindow; w > 0 {
+		for id := 0; id < wd.n; id++ {
+			if !wd.done[id] && lastAny > wd.lastOp[id] {
+				expiry = min(expiry, wd.lastOp[id]+w)
+			}
+		}
+	}
+	if w := wd.cfg.LivelockWindow; w > 0 {
+		expiry = min(expiry, lastAny+w)
+	}
+	return expiry
 }
 
 func (wd *Watchdog) trip(reason string, victim int, cycle []int, clock uint64) {

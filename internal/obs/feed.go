@@ -66,6 +66,10 @@ func NewFeed(windowCycles uint64, sink func(WindowStats)) *Feed {
 	return &Feed{window: windowCycles, sink: sink}
 }
 
+// Reset returns the feed to the state NewFeed left it in: no window
+// started, nothing accumulated. The window size and sink are kept.
+func (f *Feed) Reset() { f.cur, f.started = WindowStats{}, false }
+
 // WindowCycles returns the feed's window size in virtual cycles.
 func (f *Feed) WindowCycles() uint64 { return f.window }
 

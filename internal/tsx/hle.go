@@ -28,10 +28,8 @@ func (t *Thread) HLERegion(body func()) {
 
 func (t *Thread) tryHLE(body func()) (done bool) {
 	defer func() {
-		if r := recover(); r != nil {
-			if _, isAbort := r.(txAbortSignal); !isAbort {
-				panic(r)
-			}
+		if t.aborting {
+			t.endAbort(recover())
 			t.finishAbort()
 			done = false
 		}

@@ -23,13 +23,12 @@ func (t *Thread) RTM(body func()) (committed bool, st Status) {
 }
 
 // runTxBody executes body inside the already-begun transaction, committing
-// on return and converting an abort unwind into a Status.
+// on return and converting an abort unwind into a Status. Any other unwind
+// (a scheduler stop order, a foreign panic) passes through unrecovered.
 func (t *Thread) runTxBody(body func()) (committed bool, st Status) {
 	defer func() {
-		if r := recover(); r != nil {
-			if _, isAbort := r.(txAbortSignal); !isAbort {
-				panic(r)
-			}
+		if t.aborting {
+			t.endAbort(recover())
 			st = t.finishAbort()
 			committed = false
 		}

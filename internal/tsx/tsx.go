@@ -507,6 +507,12 @@ type Thread struct {
 	// acquiring store is re-issued once, non-transactionally.
 	elisionSuppressed bool
 
+	// aborting marks an abort unwind in flight: abortNow sets it before
+	// panicking, and the recover at the transaction's begin point (RTM or
+	// HLE region) acts only while it is set, so a scheduler stop order or
+	// a foreign panic unwinds through an open transaction untouched.
+	aborting bool
+
 	// serial tracks whether the thread is inside a MarkSerial region (a
 	// critical section run under a really-held lock). Pure annotation
 	// for the profiling observer; the engine never reads it.

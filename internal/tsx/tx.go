@@ -186,7 +186,22 @@ func (t *Thread) abortNow(cause Cause, code uint8) {
 		tx.abortCause = cause
 		tx.abortCode = code
 	}
+	t.aborting = true
 	panic(txAbortSignal{})
+}
+
+// endAbort takes over an abort unwind at the transaction's begin point:
+// the deferred function of RTM's and HLE's region frames recovers only
+// while t.aborting is set (so a stop order or a foreign panic keeps
+// unwinding without being caught and raised again) and hands the value
+// here. A stop order can still replace an abort's panic mid-unwind (a
+// deferred call that yields the scheduler), so anything but the abort
+// signal is raised again.
+func (t *Thread) endAbort(r any) {
+	if _, isAbort := r.(txAbortSignal); !isAbort {
+		panic(r)
+	}
+	t.aborting = false
 }
 
 // finishAbort performs rollback bookkeeping after an abort unwound to the

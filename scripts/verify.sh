@@ -29,10 +29,12 @@ go test -race -short -count=1 -timeout 600s ./internal/explore
 # exercises the whole replay/branch/check loop through the CLI entry point.
 # Run it chained (replays resume from banked checkpoints) and from scratch
 # (-chain -1: every node replays from the start); the two must print the
-# same output. Run it once more on one worker: replays reuse machines reset
-# in place, and which one serves a replay depends on worker timing, so
-# state leaking from one replay into the next shows up as output that
-# changes with -parallel.
+# same output. Run it once more on one worker: replays run on per-worker
+# rigs that keep their machine, locks and scheme and reset all three in
+# place, and which rig serves a replay depends on worker timing, so state
+# leaking from one replay into the next — a lock value not copied back, a
+# scheme statistic not zeroed — shows up as output that changes with
+# -parallel. This diff is the rigs' leak detector.
 explore_out=$(mktemp -d)
 trap 'rm -rf "$explore_out"' EXIT
 go build -o "$explore_out/hle-bench" ./cmd/hle-bench
