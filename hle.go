@@ -324,8 +324,9 @@ func (s *System) Init(f func(t *Thread)) {
 }
 
 // Parallel simulates n hardware threads running body and returns them
-// (each thread's Clock and Stats are inspectable afterwards). Memory
-// contents persist across calls.
+// (each thread's Clock and Stats are inspectable afterwards, until the
+// system's next Init or Parallel, which reuses them). Memory contents
+// persist across calls.
 func (s *System) Parallel(n int, body func(t *Thread)) []*Thread {
 	return s.m.Run(n, body)
 }

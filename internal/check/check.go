@@ -12,8 +12,9 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hle/internal/core"
 	"hle/internal/mem"
@@ -37,6 +38,10 @@ type Op struct {
 type Recorder struct {
 	seqCell mem.Addr
 	log     []Op
+	// sorted is Verify's scratch copy of the log, kept so that verifying
+	// again (the model checker verifies every terminal replay) allocates
+	// nothing once it has grown.
+	sorted []Op
 }
 
 // NewRecorder allocates the ticket cell in simulated memory.
@@ -83,10 +88,9 @@ type Model func(kind string, key uint64) uint64
 // error describing the first divergence, or nil if the history is
 // serializable with respect to the model.
 func (r *Recorder) Verify(model Model) error {
-	log := make([]Op, len(r.log))
-	copy(log, r.log)
-	sort.Slice(log, func(i, j int) bool { return log[i].Seq < log[j].Seq })
-	for i, op := range log {
+	r.sorted = append(r.sorted[:0], r.log...)
+	slices.SortFunc(r.sorted, func(a, b Op) int { return cmp.Compare(a.Seq, b.Seq) })
+	for i, op := range r.sorted {
 		if uint64(i) != op.Seq {
 			return fmt.Errorf("ticket %d missing or duplicated (position %d held by %+v)", i, i, op)
 		}

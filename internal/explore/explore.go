@@ -263,11 +263,12 @@ func (r *Result) Line() string {
 }
 
 // node is one frontier entry: a schedule prefix plus the bookkeeping the
-// prunings need when it is processed.
+// prunings need when it is processed. Its slices point into the arenas of
+// the merge that enqueued it (see Run), so a node costs no allocation.
 type node struct {
 	prefix []uint8
 	// inherit is the parent's final sleep set, to be filtered against
-	// this node's own incoming edge.
+	// this node's own incoming edge. Siblings share one copy.
 	inherit []sleepEntry
 	// firstSib is the wave index of the first enqueued child of the same
 	// parent; earlier siblings occupy [firstSib, own index).
@@ -294,10 +295,13 @@ type childChoice struct {
 	// stutter is the node's stutter counters with its own incoming grant
 	// folded in.
 	stutter [maxExploreProcs]uint8
-	// sleep is the node's final sleep set, inherited by its children.
+	// sleep is the caller's buffer with the node's final sleep set, which
+	// its children inherit, appended.
 	sleep []sleepEntry
-	// children are the admissible child procs, in enabled order.
-	children []uint8
+	// children[:nChildren] are the admissible child procs, in enabled
+	// order.
+	children  [maxExploreProcs]uint8
+	nChildren int
 	// sleepPruned and stutterPruned count the enabled procs each pruning
 	// skipped.
 	sleepPruned, stutterPruned uint64
@@ -308,7 +312,8 @@ type childChoice struct {
 // predictor (specNext) both apply it, so a chained replay follows exactly
 // the child the merge would enqueue first whenever it knows what the merge
 // knows. sibs are the sleep entries of nd's earlier siblings (unfiltered);
-// done is the mask of procs already expanded from the frontier state.
+// done is the mask of procs already expanded from the frontier state. The
+// final sleep set is appended to buf, whose storage the caller owns.
 //
 // The node's incoming grant is folded into the stutter counters: a
 // write-free grant bumps its thread, a state-changing one resets everyone
@@ -316,8 +321,9 @@ type childChoice struct {
 // is the inherited one plus the siblings', minus everything dependent with
 // the grant just taken. A child is admissible unless it sleeps, is
 // stutter-capped or was already expanded.
-func (c *Config) chooseChildren(nd *node, last *edge, sibs []sleepEntry, enabled []uint8, done uint64) childChoice {
-	ch := childChoice{stutter: nd.stutter}
+func (c *Config) chooseChildren(nd *node, last *edge, sibs []sleepEntry, enabled []uint8, done uint64, buf []sleepEntry) childChoice {
+	ch := childChoice{stutter: nd.stutter, sleep: buf}
+	start := len(buf)
 	if n := len(nd.prefix); n > 0 {
 		if writeFree(last) {
 			ch.stutter[nd.prefix[n-1]]++
@@ -325,12 +331,13 @@ func (c *Config) chooseChildren(nd *node, last *edge, sibs []sleepEntry, enabled
 			ch.stutter = [maxExploreProcs]uint8{}
 		}
 		if !c.NoSleepSets {
-			// A fresh slice: the inherited set is shared with sibling
-			// nodes, which chained replays read concurrently.
+			// The inherited set is shared with sibling nodes, which
+			// chained replays read concurrently: only a caller that owns
+			// it (specNext's chain) may hand its storage back as buf.
 			for _, set := range [2][]sleepEntry{nd.inherit, sibs} {
-				for _, se := range set {
-					if !dependent(&se.e, last) {
-						ch.sleep = append(ch.sleep, se)
+				for i := range set {
+					if !dependent(&set[i].e, last) {
+						ch.sleep = append(ch.sleep, set[i])
 					}
 				}
 			}
@@ -338,12 +345,13 @@ func (c *Config) chooseChildren(nd *node, last *edge, sibs []sleepEntry, enabled
 	}
 	for _, p := range enabled {
 		switch {
-		case inSleep(ch.sleep, p):
+		case inSleep(ch.sleep[start:], p):
 			ch.sleepPruned++
 		case ch.stutter[p] >= stutterBound:
 			ch.stutterPruned++
 		case done&(1<<p) == 0:
-			ch.children = append(ch.children, p)
+			ch.children[ch.nChildren] = p
+			ch.nChildren++
 		}
 	}
 	return ch
@@ -351,6 +359,13 @@ func (c *Config) chooseChildren(nd *node, last *edge, sibs []sleepEntry, enabled
 
 // Run explores one configuration exhaustively (up to its bounds) and
 // returns the counts and the first violation, if any.
+//
+// The search allocates nothing per node once its buffers have grown.
+// Waves are double-buffered: merging wave d builds wave d+1 in the other
+// buffer, together with that wave's two arenas — the children's prefixes
+// and their shared sleep sets — so reusing a buffer two waves later
+// overwrites only storage that no live node, banked outcome or running
+// replay still reads.
 func Run(cfg Config) *Result {
 	c := cfg.withDefaults()
 	if c.Threads > maxExploreProcs {
@@ -359,14 +374,19 @@ func Run(cfg Config) *Result {
 	res := &Result{Config: c}
 	ex := newExplorer(&c)
 
-	wave := []node{{prefix: nil, firstSib: 0}}
+	var (
+		waves    [2][]node
+		prefixes [2][]uint8
+		sleeps   [2][]sleepEntry
+	)
+	wave := []node{{}}
 	outs := make([]runOutcome, 0, 64)
 	visited := make(map[uint64]uint64) // fingerprint -> expanded-procs mask
 	budget := c.MaxReplays
 	chainDepth := max(c.ChainDepth, 0)
-	cache := &specCache{byLen: make(map[int]map[string]runOutcome)}
+	cache := newSpecCache()
 	var miss []int
-	var chains [][]chainOut
+	var chains []chainBuf
 	var sibs []sleepEntry
 
 	for depth := 0; len(wave) > 0 && depth <= maxDepth; depth++ {
@@ -377,10 +397,7 @@ func Run(cfg Config) *Result {
 			break
 		}
 		budget -= len(wave)
-		outs = outs[:0]
-		for range wave {
-			outs = append(outs, runOutcome{})
-		}
+		outs = zeroed(outs, len(wave))
 		// Fork nodes whose outcome a chained replay already banked; only
 		// the misses replay. A banked outcome is bit-identical to the
 		// scratch replay it replaces, so forking changes wall clock,
@@ -393,7 +410,7 @@ func Run(cfg Config) *Result {
 				continue
 			}
 			if c.ValidateForks {
-				scratch, _ := ex.replayNode(&wave[i], visited, 0)
+				scratch := ex.replayNode(&wave[i], visited, 0, nil)
 				if !outcomesEqual(&o, &scratch) {
 					res.ForkMismatches++
 					o = scratch
@@ -403,13 +420,12 @@ func Run(cfg Config) *Result {
 			res.Forks++
 		}
 		mi := miss
-		chains = chains[:0]
-		for range mi {
-			chains = append(chains, nil)
+		for len(chains) < len(mi) {
+			chains = append(chains, chainBuf{})
 		}
 		harness.ParallelFor(c.Parallel, len(mi), func(k int) {
 			i := mi[k]
-			outs[i], chains[k] = ex.replayNode(&wave[i], visited, chainDepth)
+			outs[i] = ex.replayNode(&wave[i], visited, chainDepth, &chains[k])
 		})
 		res.Replays += uint64(len(wave))
 		res.ScratchReplays += uint64(len(mi))
@@ -420,15 +436,20 @@ func Run(cfg Config) *Result {
 		// each prefix length exactly once, so unconsumed entries at this
 		// wave's length are unreachable forever.
 		for k := range mi {
-			for _, co := range chains[k] {
-				cache.put(co.prefix, co.out)
+			for j := range chains[k].outs {
+				co := &chains[k].outs[j]
+				if testCorruptBank != nil {
+					testCorruptBank(co.prefix, &co.out)
+				}
+				cache.put(co.prefix, &co.out)
 			}
 		}
 		cache.purgeLen(depth, &res.SpecWasted)
 
 		// Sequential merge in declaration order: deterministic at any
 		// Parallel, and breadth-first, so the first violation is minimal.
-		var next []node
+		nb := (depth + 1) & 1
+		next, pre, sleep := waves[nb][:0], prefixes[nb][:0], sleeps[nb][:0]
 		for i := range wave {
 			nd := &wave[i]
 			out := &outs[i]
@@ -456,14 +477,19 @@ func Run(cfg Config) *Result {
 				sib := wave[j].prefix
 				sibs = append(sibs, sleepEntry{proc: sib[len(sib)-1], e: outs[j].lastEdge})
 			}
-			ch := c.chooseChildren(nd, &out.lastEdge, sibs, out.enabled, visited[out.fp])
+			enabled := out.enabledProcs()
+			start := len(sleep)
+			ch := c.chooseChildren(nd, &out.lastEdge, sibs, enabled, visited[out.fp], sleep)
+			// The children's shared sleep set, or nothing if the node
+			// enqueues no child.
+			sleep = ch.sleep[:start]
 
 			// Deadlock rule: if every unfinished thread has exhausted
 			// its write-free budget, no thread can change shared state
 			// again — re-polls are idempotent — so the configuration
 			// can never finish from here.
 			allCapped := true
-			for _, p := range out.enabled {
+			for _, p := range enabled {
 				if ch.stutter[p] < stutterBound {
 					allCapped = false
 					break
@@ -481,7 +507,8 @@ func Run(cfg Config) *Result {
 			res.SleepPruned += ch.sleepPruned
 			res.StutterPruned += ch.stutterPruned
 			var newMask uint64
-			for _, p := range ch.children {
+			children := ch.children[:ch.nChildren]
+			for _, p := range children {
 				newMask |= 1 << p
 			}
 			if mask, seen := visited[out.fp]; seen {
@@ -503,19 +530,21 @@ func Run(cfg Config) *Result {
 				}
 			}
 
+			sleep = ch.sleep
+			inherit := sleep[start:len(sleep):len(sleep)]
 			firstSib := len(next)
-			for _, p := range ch.children {
-				pre := make([]uint8, len(nd.prefix)+1)
-				copy(pre, nd.prefix)
-				pre[len(nd.prefix)] = p
+			for _, p := range children {
+				at := len(pre)
+				pre = append(append(pre, nd.prefix...), p)
 				next = append(next, node{
-					prefix:   pre,
-					inherit:  ch.sleep,
+					prefix:   pre[at:len(pre):len(pre)],
+					inherit:  inherit,
 					firstSib: firstSib,
 					stutter:  ch.stutter,
 				})
 			}
 		}
+		waves[nb], prefixes[nb], sleeps[nb] = next, pre, sleep
 		if res.Violation != nil {
 			res.Truncated += uint64(len(next))
 			break

@@ -15,36 +15,51 @@ import (
 	"hle/internal/tsx"
 )
 
-// access is one simulated memory access observed during a grant.
-type access struct {
-	line  int
-	write bool
+// maxLines is the most cache lines an edge's masks cover: one bit per line
+// of the exploration machine (exploreWords in 8-word lines).
+const maxLines = 64
+
+// exploreWords sizes the exploration machine's memory. The workloads use a
+// few dozen words; small memory keeps per-replay setup cheap, and its 64
+// lines are exactly what an edge's line masks cover. It is a variable only
+// so a test can prove that newExplorer refuses a larger machine.
+var exploreWords = 1 << 9
+
+// lineSet is a set of cache lines, with the subset that was written.
+type lineSet struct {
+	lines, written uint64
 }
 
-// edge is the footprint of one grant: the accesses it performed, the
-// granted thread's pre-existing transactional footprint (a foreign access
-// to any of those lines dooms the transaction, so it matters for
+// add records an access to line.
+func (s *lineSet) add(line int, write bool) {
+	bit := uint64(1) << line
+	s.lines |= bit
+	if write {
+		s.written |= bit
+	}
+}
+
+// conflicts reports whether s and o share a line that either side wrote.
+func (s *lineSet) conflicts(o *lineSet) bool {
+	return s.written&o.lines|s.lines&o.written != 0
+}
+
+// edge is the footprint of one grant: the lines it accessed (and wrote),
+// the granted thread's pre-existing transactional footprint (a foreign
+// access to any of those lines dooms the transaction, so it matters for
 // commutativity), and whether the grant crossed a transaction boundary
 // (begin/commit/abort touch line metadata wholesale and are treated as
-// dependent with everything).
+// dependent with everything). It is four line masks and a flag, so
+// capturing, copying and comparing one allocates nothing.
 type edge struct {
-	accesses []access
-	txLines  []access
+	acc, tx  lineSet
 	boundary bool
 }
 
 // writeFree reports whether the grant performed no write and crossed no
 // transaction boundary — the stutter bound only caps runs of such grants.
 func writeFree(e *edge) bool {
-	if e.boundary {
-		return false
-	}
-	for _, a := range e.accesses {
-		if a.write {
-			return false
-		}
-	}
-	return true
+	return !e.boundary && e.acc.written == 0
 }
 
 // dependent conservatively decides whether two grants from the same state
@@ -56,67 +71,32 @@ func writeFree(e *edge) bool {
 // either side, counting the threads' transactional footprints as touched
 // (a foreign write dooms the transaction).
 func dependent(a, b *edge) bool {
-	if a.boundary || b.boundary {
+	if a.boundary || b.boundary || a.acc.lines == 0 || b.acc.lines == 0 {
 		return true
 	}
-	if len(a.accesses) == 0 || len(b.accesses) == 0 {
-		return true
-	}
-	for _, x := range a.accesses {
-		if hits(b, x) {
-			return true
-		}
-	}
-	for _, y := range b.accesses {
-		if hits(a, y) {
-			return true
-		}
-	}
-	return false
-}
-
-func hits(e *edge, x access) bool {
-	for _, a := range e.accesses {
-		if a.line == x.line && (a.write || x.write) {
-			return true
-		}
-	}
-	for _, a := range e.txLines {
-		if a.line == x.line && (a.write || x.write) {
-			return true
-		}
-	}
-	return false
-}
-
-func addFootprint(s *[]access, line int, write bool) {
-	for i := range *s {
-		if (*s)[i].line == line {
-			if write {
-				(*s)[i].write = true
-			}
-			return
-		}
-	}
-	*s = append(*s, access{line: line, write: write})
+	return a.acc.conflicts(&b.acc) || a.acc.conflicts(&b.tx) || b.acc.conflicts(&a.tx)
 }
 
 // runOutcome is what one prefix replay reports back to the search.
 type runOutcome struct {
 	// fp and enabled describe the frontier state (prefix consumed, next
 	// decision pending); meaningful only when neither terminal nor
-	// truncated.
-	fp      uint64
-	enabled []uint8
+	// truncated. The enabled procs are enabled[:nEnabled], ascending.
+	fp uint64
+	// violation is the first property failure observed, or nil.
+	violation *Violation
 	// lastEdge is the footprint of the final prefix grant.
 	lastEdge edge
+	enabled  [maxExploreProcs]uint8
+	nEnabled uint8
 	// terminal: every thread finished and the terminal checks ran.
 	terminal bool
 	// truncated: a replay bound stopped the run.
 	truncated bool
-	// violation is the first property failure observed, or nil.
-	violation *Violation
 }
+
+// enabledProcs returns the procs enabled at the frontier.
+func (o *runOutcome) enabledProcs() []uint8 { return o.enabled[:o.nEnabled] }
 
 // chainOut is one outcome banked by a chained replay beyond its own node:
 // exactly what a scratch replay of prefix would report. A chained replay is
@@ -128,6 +108,17 @@ type runOutcome struct {
 type chainOut struct {
 	prefix []uint8
 	out    runOutcome
+}
+
+// chainBuf receives one replay's banked chain outcomes. The search keeps
+// one per replay slot of a wave and reuses it wave after wave: the merge
+// banks its contents (copying each prefix into a cache key) before the
+// next wave's replays overwrite it.
+type chainBuf struct {
+	outs []chainOut
+	// prefixes holds the bytes the outs' prefixes slice; a prefix stays
+	// valid when a later append moves the buffer.
+	prefixes []uint8
 }
 
 type explorer struct {
@@ -193,6 +184,12 @@ func (e *explorer) buildTemplate(mcfg tsx.Config) *replayTemplate {
 			tp.preLock = append(tp.preLock, m.Mem.Read(a))
 		}
 	})
+	// A replay's own allocations (per-thread queue-lock nodes) land in
+	// these lines too unless they grow memory, which the access tap
+	// (monInj) refuses.
+	if n := m.Mem.NumLines(); n > maxLines {
+		panic(fmt.Sprintf("explore: the exploration machine has %d cache lines, but edge footprints are %d-bit line masks", n, maxLines))
+	}
 	tp.cp = m.Checkpoint()
 	return tp
 }
@@ -239,7 +236,7 @@ func machineConfig(c *Config, spec harness.SchemeSpec) tsx.Config {
 	mcfg := tsx.Config{
 		Procs:         c.Threads,
 		Seed:          1,
-		MemWords:      1 << 9, // the workloads use a few dozen words; small memory keeps per-replay setup cheap
+		MemWords:      exploreWords,
 		WriteSetLines: 512,
 		L1ReadLines:   512,
 		ReadSetLines:  131072,
@@ -293,11 +290,14 @@ type replayer struct {
 	// the serializability and snapshot checks instead.
 	nonSpecDepth int
 
-	// work is the body method value and cs each thread's critical-section
-	// closure (it reads the thread from threads), bound once per rig so
-	// starting a replay or an operation allocates nothing.
-	work func(*tsx.Thread)
-	cs   []func()
+	// work is the body method value, cs each thread's critical-section
+	// closure (it reads the thread from threads) and probe terminalChecks'
+	// lock probe, which sets held; all are bound once per rig so starting
+	// a replay, an operation or a probe allocates nothing.
+	work  func(*tsx.Thread)
+	cs    []func()
+	probe func(*tsx.Thread)
+	held  bool
 
 	// Per-thread completing-attempt scratch (ticket, result, observed
 	// x != y), rewritten by every attempt; the values of the completing
@@ -310,7 +310,7 @@ type replayer struct {
 	// per-thread live transactional footprints, lastEdge the closed
 	// footprint of the most recent frontier-bound grant.
 	cur       edge
-	txf       [][]access
+	txf       [maxExploreProcs]lineSet
 	finalNext bool
 	finalOpen bool
 	lastEdge  edge
@@ -321,18 +321,28 @@ type replayer struct {
 	// vio is the first property failure observed anywhere in the run;
 	// every outcome emitted from then on carries it.
 	vio *Violation
+	// final holds each thread's state at the end of the workload run, for
+	// violation dumps: terminalChecks' lock probe is a Run of its own,
+	// which resets the machine's threads. probed marks it filled.
+	final  [maxExploreProcs]harness.ThreadState
+	probed bool
 
 	// Chain state (zero: plain scratch replay). chainLeft budgets how many
 	// frontiers past its own node this replay may bank; sleep, stutter and
 	// visited carry the node's search bookkeeping so the chain can mirror
 	// the merge loop's child selection. visited is shared and read-only:
-	// the merge only writes it after the wave's replays have joined.
+	// the merge only writes it after the wave's replays have joined. chain
+	// receives the banked outcomes (nil without a chain budget). sleepBuf
+	// and prefixBuf are the rig's storage for the chain's own sleep set
+	// and extended prefix, so extending a chain allocates nothing.
 	chainLeft int
 	sleep     []sleepEntry
 	stutter   [maxExploreProcs]uint8
 	visited   map[uint64]uint64
-	chain     []chainOut
+	chain     *chainBuf
 	outSet    bool
+	sleepBuf  []sleepEntry
+	prefixBuf []uint8
 }
 
 // newReplayer builds a replayer on a fresh fork of template tp.
@@ -384,6 +394,7 @@ func (e *explorer) reset(r *replayer, tp *replayTemplate, prefix []uint8) {
 		for id := range r.cs {
 			r.cs[id] = func() { r.criticalSection(r.threads[id]) }
 		}
+		r.probe = func(t *tsx.Thread) { r.held = r.lock.Held(t) }
 	}
 	copyLock(r.lock, tp.main)
 	for i, a := range tp.aux {
@@ -391,13 +402,6 @@ func (e *explorer) reset(r *replayer, tp *replayTemplate, prefix []uint8) {
 	}
 	r.scheme.Reset()
 	r.rec.Reset()
-	txf := r.txf
-	if len(txf) != n {
-		txf = make([][]access, n)
-	}
-	for i := range txf {
-		txf[i] = txf[i][:0]
-	}
 	*r = replayer{
 		cfg:        e.cfg,
 		prefix:     prefix,
@@ -407,8 +411,6 @@ func (e *explorer) reset(r *replayer, tp *replayTemplate, prefix []uint8) {
 		seqScratch: zeroed(r.seqScratch, n),
 		resScratch: zeroed(r.resScratch, n),
 		incon:      zeroed(r.incon, n),
-		txf:        txf,
-		cur:        edge{accesses: r.cur.accesses[:0], txLines: r.cur.txLines[:0]},
 		allSpec:    true,
 		work:       r.work,
 		cs:         r.cs,
@@ -421,15 +423,17 @@ func (e *explorer) reset(r *replayer, tp *replayTemplate, prefix []uint8) {
 		scheme:     r.scheme,
 		lockWords:  tp.lockWords,
 		preLock:    tp.preLock,
+		sleepBuf:   r.sleepBuf[:0],
+		prefixBuf:  r.prefixBuf[:0],
+		probe:      r.probe,
 	}
 }
 
-// zeroed returns s resized to n zero elements, in s's storage when it fits.
+// zeroed returns s resized to n zero elements, in s's storage when it fits
+// and otherwise grown as append grows, so a buffer resized again and again
+// reallocates only logarithmically often.
 func zeroed[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
+	s = slices.Grow(s[:0], n)[:n]
 	clear(s)
 	return s
 }
@@ -449,7 +453,7 @@ func (r *replayer) run() {
 		// terminal at the prefix consumed so far (which a chained replay
 		// may have extended past its own node).
 		r.terminalChecks()
-		r.emit(runOutcome{terminal: true})
+		r.emit(&runOutcome{terminal: true})
 	}
 }
 
@@ -457,27 +461,28 @@ func (r *replayer) run() {
 // closed final-grant footprint — and routes it: the first outcome belongs
 // to the replay's own node, every later one is banked for the prefix the
 // chain had reached.
-func (r *replayer) emit(o runOutcome) {
+func (r *replayer) emit(o *runOutcome) {
 	o.violation = r.vio
 	o.lastEdge = r.lastEdge
 	if !r.outSet {
-		r.out = o
+		r.out = *o
 		r.outSet = true
 		return
 	}
-	r.chain = append(r.chain, chainOut{
-		prefix: append([]uint8(nil), r.prefix...),
-		out:    o,
-	})
+	c := r.chain
+	start := len(c.prefixes)
+	c.prefixes = append(c.prefixes, r.prefix...)
+	c.outs = append(c.outs, chainOut{prefix: c.prefixes[start:len(c.prefixes):len(c.prefixes)], out: *o})
 }
 
 // replayNode replays one frontier node and, chain budget permitting, keeps
 // executing along the merge loop's predicted first-child line, banking one
-// outcome per extra frontier. With chainDepth 0 it is a plain scratch
-// replay of the node. It runs on a rig from the free list, reset to the
-// template in place; the outcomes it returns share no storage with the
-// rig, which the next replay overwrites.
-func (e *explorer) replayNode(nd *node, visited map[uint64]uint64, chainDepth int) (runOutcome, []chainOut) {
+// outcome per extra frontier into chain (emptied first; nil is allowed
+// with chainDepth 0). With chainDepth 0 it is a plain scratch replay of
+// the node. It runs on a rig from the free list, reset to the template in
+// place; the outcomes it returns share no storage with the rig, which the
+// next replay overwrites.
+func (e *explorer) replayNode(nd *node, visited map[uint64]uint64, chainDepth int, chain *chainBuf) runOutcome {
 	e.rigs.Lock()
 	var r *replayer
 	if k := len(e.rigs.free); k > 0 {
@@ -489,17 +494,21 @@ func (e *explorer) replayNode(nd *node, visited map[uint64]uint64, chainDepth in
 	e.rigs.Unlock()
 
 	e.reset(r, e.tmpl, nd.prefix)
+	if chainDepth > 0 {
+		chain.outs, chain.prefixes = chain.outs[:0], chain.prefixes[:0]
+		r.chain = chain
+	}
 	r.chainLeft = chainDepth
 	r.sleep = nd.inherit
 	r.stutter = nd.stutter
 	r.visited = visited
 	r.run()
-	out, chain := r.out, r.chain
+	out := r.out
 
 	e.rigs.Lock()
 	e.rigs.free = append(e.rigs.free, r)
 	e.rigs.Unlock()
-	return out, chain
+	return out
 }
 
 // diagnose re-replays a prefix solely to attach a machine-state dump to a
@@ -626,7 +635,7 @@ func (r *replayer) Pick(choices []sim.Choice) sim.Decision {
 			r.setViolation("progress", fmt.Sprintf(
 				"thread %d cannot finish alone within %d large slices (every other thread is done: a correct scheme must terminate)",
 				choices[0].ProcID, soloBound))
-			r.emit(runOutcome{truncated: true})
+			r.emit(&runOutcome{truncated: true})
 			r.stopped = true
 			return sim.Decision{Stop: true}
 		}
@@ -662,22 +671,19 @@ func (r *replayer) Pick(choices []sim.Choice) sim.Decision {
 		panic(fmt.Sprintf("explore: replay diverged: proc %d not among %d choices", p, len(choices)))
 	}
 	// Frontier: capture the state for the prefix consumed so far.
-	o := runOutcome{
-		fp:      r.fingerprint(),
-		enabled: make([]uint8, len(choices)),
-	}
+	o := runOutcome{fp: r.fingerprint(), nEnabled: uint8(len(choices))}
 	for i, c := range choices {
 		o.enabled[i] = uint8(c.ProcID)
 	}
-	r.emit(o)
+	r.emit(&o)
 	if i, ok := r.specNext(&o); ok {
 		// Keep going along the predicted first child: extend the prefix
-		// (the append never aliases the node's slice — node prefixes are
-		// built at exact capacity, and the full-slice expression forces a
-		// copy regardless) and play the child as one more single-step,
-		// edge-captured grant.
+		// in the rig's own buffer (the node's prefix lives in the wave's
+		// arena, shared with the search) and play the child as one more
+		// single-step, edge-captured grant.
 		r.chainLeft--
-		r.prefix = append(r.prefix[:len(r.prefix):len(r.prefix)], o.enabled[i])
+		r.prefixBuf = append(append(r.prefixBuf[:0], r.prefix...), o.enabled[i])
+		r.prefix = r.prefixBuf
 		r.pos = len(r.prefix)
 		r.finalNext = true
 		r.openEdge(int(o.enabled[i]))
@@ -702,18 +708,21 @@ func (r *replayer) specNext(o *runOutcome) (int, bool) {
 		return 0, false
 	}
 	nd := node{prefix: r.prefix, inherit: r.sleep, stutter: r.stutter}
-	ch := r.cfg.chooseChildren(&nd, &r.lastEdge, nil, o.enabled, r.visited[o.fp])
-	if len(ch.children) == 0 {
+	// The chain's sleep set goes to the rig's buffer. From the second
+	// extension on, the inherited set IS that buffer: the rule keeps a
+	// subsequence of it (no siblings here), so filtering in place never
+	// overwrites an entry before reading it.
+	ch := r.cfg.chooseChildren(&nd, &r.lastEdge, nil, o.enabledProcs(), r.visited[o.fp], r.sleepBuf[:0])
+	if ch.nChildren == 0 {
 		return 0, false
 	}
+	r.sleepBuf = ch.sleep
 	r.sleep, r.stutter = ch.sleep, ch.stutter
-	return slices.Index(o.enabled, ch.children[0]), true
+	return slices.Index(o.enabledProcs(), ch.children[0]), true
 }
 
 func (r *replayer) openEdge(proc int) {
-	r.cur.accesses = r.cur.accesses[:0]
-	r.cur.txLines = append(r.cur.txLines[:0], r.txf[proc]...)
-	r.cur.boundary = false
+	r.cur = edge{tx: r.txf[proc]}
 	r.finalOpen = r.finalNext
 	r.finalNext = false
 	if r.finalOpen {
@@ -728,11 +737,7 @@ func (r *replayer) closeEdge() {
 	if !r.finalOpen {
 		return
 	}
-	r.lastEdge = edge{
-		accesses: append([]access(nil), r.cur.accesses...),
-		txLines:  append([]access(nil), r.cur.txLines...),
-		boundary: r.cur.boundary,
-	}
+	r.lastEdge = r.cur
 	r.finalOpen = false
 }
 
@@ -868,9 +873,12 @@ func (r *replayer) terminalChecks() {
 		r.setViolation("serializability", fmt.Sprintf(
 			"final counters x=%d y=%d, want %d: updates were lost or duplicated", fx, fy, total))
 	}
-	held := false
-	r.m.RunOne(func(t *tsx.Thread) { held = r.lock.Held(t) })
-	if held {
+	for i := 0; i < r.cfg.Threads; i++ {
+		r.final[i] = r.threadState(i)
+	}
+	r.probed = true
+	r.m.RunOne(r.probe)
+	if r.held {
 		r.setViolation("lock-restore", "main lock still held after every thread finished")
 	}
 	if r.allSpec {
@@ -906,16 +914,11 @@ func (r *replayer) setViolation(kind, detail string) {
 		Events:  r.m.TraceEvents(),
 	}
 	for i := 0; i < r.cfg.Threads; i++ {
-		ts := harness.ThreadState{ID: i}
-		if t := r.threads[i]; t != nil {
-			ts.Clock = t.Clock()
-			ts.Done = r.opsDone[i] == r.cfg.Ops
-			ts.InTx = t.InTx()
-			ts.Stats = t.Stats
-			if ts.Clock > f.Clock {
-				f.Clock = ts.Clock
-			}
+		ts := r.final[i]
+		if !r.probed {
+			ts = r.threadState(i)
 		}
+		f.Clock = max(f.Clock, ts.Clock)
 		f.Threads = append(f.Threads, ts)
 	}
 	r.vio = &Violation{
@@ -924,6 +927,18 @@ func (r *replayer) setViolation(kind, detail string) {
 		Schedule: append([]uint8(nil), r.prefix...),
 		Failure:  f,
 	}
+}
+
+// threadState is thread i's state for a violation dump.
+func (r *replayer) threadState(i int) harness.ThreadState {
+	ts := harness.ThreadState{ID: i}
+	if t := r.threads[i]; t != nil {
+		ts.Clock = t.Clock()
+		ts.Done = r.opsDone[i] == r.cfg.Ops
+		ts.InTx = t.InTx()
+		ts.Stats = t.Stats
+	}
+	return ts
 }
 
 // outcomesEqual reports whether two outcomes for the same prefix are
@@ -939,22 +954,17 @@ type monitor replayer
 
 func (mo *monitor) BindMachine(*tsx.Machine) {}
 
-func (mo *monitor) TxBegin(thread int, _ uint64) {
-	r := (*replayer)(mo)
-	r.cur.boundary = true
-	r.txf[thread] = r.txf[thread][:0]
-}
+func (mo *monitor) TxBegin(thread int, _ uint64) { mo.boundary(thread) }
 
-func (mo *monitor) TxCommit(thread int, _, _ uint64, _ int) {
-	r := (*replayer)(mo)
-	r.cur.boundary = true
-	r.txf[thread] = r.txf[thread][:0]
-}
+func (mo *monitor) TxCommit(thread int, _, _ uint64, _ int) { mo.boundary(thread) }
 
 func (mo *monitor) TxAbort(thread int, _, _ uint64, _ tsx.Cause, _, _ int, _, _ bool) {
-	r := (*replayer)(mo)
-	r.cur.boundary = true
-	r.txf[thread] = r.txf[thread][:0]
+	mo.boundary(thread)
+}
+
+func (mo *monitor) boundary(thread int) {
+	mo.cur.boundary = true
+	mo.txf[thread] = lineSet{}
 }
 
 func (mo *monitor) Serial(int, uint64, bool) {}
@@ -967,10 +977,12 @@ func (mo *monitor) Grant(int, uint64) {}
 type monInj replayer
 
 func (mi *monInj) Access(thread int, _ uint64, line int, write, inTx bool) (uint64, bool) {
-	r := (*replayer)(mi)
-	r.cur.accesses = append(r.cur.accesses, access{line: line, write: write})
+	if line >= maxLines {
+		panic(fmt.Sprintf("explore: access to cache line %d, but edge footprints are %d-bit line masks", line, maxLines))
+	}
+	mi.cur.acc.add(line, write)
 	if inTx {
-		addFootprint(&r.txf[thread], line, write)
+		mi.txf[thread].add(line, write)
 	}
 	return 0, false
 }

@@ -40,7 +40,12 @@ func hashSchedule(cfg Config, n int, body func(p *Proc)) uint64 {
 		}
 	}
 	defer func() { grantHook = nil }()
-	procs := Run(cfg, n, body)
+	var procs []*Proc
+	if hashRunner != nil {
+		procs = hashRunner.Run(cfg, n, body)
+	} else {
+		procs = Run(cfg, n, body)
+	}
 	for _, p := range procs {
 		mix(p.Clock())
 		if p.Stopped() {
@@ -51,6 +56,10 @@ func hashSchedule(cfg Config, n int, body func(p *Proc)) uint64 {
 	}
 	return h
 }
+
+// hashRunner, when non-nil, is the Runner hashSchedule runs on in place of
+// a one-shot Run.
+var hashRunner *Runner
 
 // goldenSchedules are representative workloads whose schedule hashes were
 // recorded against the pre-direct-handoff central scheduler. The direct
@@ -165,6 +174,26 @@ func TestGoldenScheduleHash(t *testing.T) {
 		}
 		if got != g.want {
 			t.Errorf("%s: schedule hash = 0x%016x, want 0x%016x (schedule changed!)", g.name, got, g.want)
+		}
+	}
+}
+
+// TestRunnerReuseKeepsGoldenSchedules runs every golden workload on one
+// shared Runner, forwards and then backwards, so each Run starts on
+// scheduler state, procs and generators the previous workload left behind
+// — more procs or fewer, stopped by a watchdog or finished — and must
+// still reproduce its golden hash.
+func TestRunnerReuseKeepsGoldenSchedules(t *testing.T) {
+	hashRunner = new(Runner)
+	defer func() { hashRunner = nil }()
+	n := len(goldenSchedules)
+	for k := 0; k < 2*n; k++ {
+		g := goldenSchedules[k%n]
+		if k >= n {
+			g = goldenSchedules[2*n-1-k]
+		}
+		if got := g.run(); got != g.want {
+			t.Errorf("%s on a reused Runner: schedule hash = 0x%016x, want 0x%016x", g.name, got, g.want)
 		}
 	}
 }

@@ -21,9 +21,11 @@
 // one goroutine park/ready pair and leave no idle P spinning for work. A
 // proc that picks itself (a sole runner under an armed watchdog, mainly)
 // keeps running with no switch at all. Coroutines are pooled: each runs
-// one body per Run and parks between Runs. See DESIGN.md for why this
-// preserves byte-identical schedules with the central-scheduler
-// formulation the simulator started from.
+// one body per Run and parks between Runs. A Runner keeps the scheduler
+// state, the procs and their buffers between Runs too, so a loop of many
+// short Runs (the model checker's replays) allocates nothing once warm.
+// See DESIGN.md for why this preserves byte-identical schedules with the
+// central-scheduler formulation the simulator started from.
 //
 // Upper layers (the TSX engine in internal/tsx) perform all shared-state
 // manipulation between a grant and the following yield, so they need no
@@ -132,7 +134,9 @@ type Strategy interface {
 const DefaultQuantum = 12
 
 // Proc is one simulated hardware thread. A Proc is only valid inside the
-// body function passed to Run, and must not be shared across bodies.
+// body function passed to Run, and must not be shared across bodies. After
+// Run returns, its clock and Stopped flag stay readable until the next Run
+// on the same Runner, which reuses the Proc.
 type Proc struct {
 	// ID is the hardware thread index, in [0, Config.Procs).
 	ID int
@@ -144,7 +148,8 @@ type Proc struct {
 	sched   *sched
 	coro    *coro // runs the body; its yield suspends the proc back to Run
 	rngSeed int64
-	rng     *rand.Rand // lazily built from rngSeed on first Rand()
+	rng     *rand.Rand // nil until the Run's first Rand(), then rngBuf seeded from rngSeed
+	rngBuf  *rand.Rand // the generator's storage, kept across Runs
 	stopped bool
 }
 
@@ -180,7 +185,8 @@ func Grants() uint64 { return grantCount.Load() }
 
 // sched is the shared scheduling state of one Run. It has no lock: only the
 // running proc's coroutine or Run's driver loop touches it, and the
-// coroutine switches between them order those accesses.
+// coroutine switches between them order those accesses. A Runner resets it
+// for every Run, keeping its buffers.
 type sched struct {
 	quantum  uint64
 	grantFn  func(procID int, clock, slice uint64) uint64
@@ -189,7 +195,8 @@ type sched struct {
 	strategy Strategy
 	choices  []Choice // reused presentation buffer (strategy mode only)
 	rngSeed  int64
-	rng      *rand.Rand // lazily built from rngSeed on first default-policy pick
+	rng      *rand.Rand // nil until the Run's first default-policy pick, then rngBuf seeded from rngSeed
+	rngBuf   *rand.Rand // the generator's storage, kept across Runs
 	running  []*Proc
 	next     *Proc // the proc the driver loop resumes next
 	stopping bool
@@ -247,7 +254,7 @@ func (s *sched) pick() (*Proc, grantMsg) {
 				// picks never draw: a model-checking replay that makes
 				// millions of Run calls would otherwise spend most of
 				// its time filling rand's 607-word state tables.
-				s.rng = rand.New(rand.NewSource(s.rngSeed))
+				s.rng = seeded(&s.rngBuf, s.rngSeed)
 			}
 			slice := 1 + uint64(s.rng.Int63n(int64(s.quantum)))
 			if s.grantFn != nil {
@@ -446,9 +453,21 @@ func (p *Proc) Clock() uint64 { return p.clock }
 // with spurious aborts and jitter disabled) skip the seeding cost.
 func (p *Proc) Rand() *rand.Rand {
 	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.rngSeed))
+		p.rng = seeded(&p.rngBuf, p.rngSeed)
 	}
 	return p.rng
+}
+
+// seeded returns *buf reset to seed's stream, building it the first time.
+// Reseeding in place leaves a generator in exactly the state a new one
+// from rand.NewSource(seed) starts in, without allocating its tables.
+func seeded(buf **rand.Rand, seed int64) *rand.Rand {
+	if *buf == nil {
+		*buf = rand.New(rand.NewSource(seed))
+	} else {
+		(*buf).Seed(seed)
+	}
+	return *buf
 }
 
 // Stopped reports whether the proc was unwound by a watchdog stop rather
@@ -506,7 +525,27 @@ func (p *Proc) obeyStop() {
 // A panic in a body is re-raised on the caller's goroutine. A panic in a
 // scheduling hook that runs on the caller's goroutine propagates as is,
 // after every unfinished body has been unwound.
+//
+// Run is a one-shot Runner: callers that run many simulations one after
+// another keep a Runner instead.
 func Run(cfg Config, n int, body func(p *Proc)) []*Proc {
+	return new(Runner).Run(cfg, n, body)
+}
+
+// Runner runs simulations one at a time, keeping the scheduler, the procs,
+// the run queue and the strategy-choice and panic buffers between Runs, so
+// a warm Runner's Run allocates nothing. The zero value is ready to use. A
+// Runner must not be copied once used, and must not start a Run from
+// inside one of its own.
+type Runner struct {
+	s     sched
+	procs []*Proc
+}
+
+// Run is the package-level Run on the Runner's reused state. The returned
+// procs are the Runner's own: they stay valid until its next Run, which
+// resets and reuses them.
+func (r *Runner) Run(cfg Config, n int, body func(p *Proc)) []*Proc {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: Run with n = %d", n))
 	}
@@ -515,31 +554,35 @@ func Run(cfg Config, n int, body func(p *Proc)) []*Proc {
 		quantum = DefaultQuantum
 	}
 
-	s := &sched{
+	s := &r.s
+	*s = sched{
 		quantum:  quantum,
 		grantFn:  cfg.Grant,
 		onGrant:  cfg.OnGrant,
 		watchdog: cfg.Watchdog,
 		strategy: cfg.Strategy,
+		choices:  s.choices[:0],
 		rngSeed:  cfg.Seed*2_654_435_761 + 97,
-		panics:   make([]any, n),
+		rngBuf:   s.rngBuf,
+		running:  s.running[:0],
+		panics:   s.panics[:0],
 	}
-	if s.strategy != nil {
-		s.choices = make([]Choice, 0, n)
+	for len(r.procs) < n {
+		r.procs = append(r.procs, new(Proc))
 	}
-	procs := make([]*Proc, n)
-	for i := range procs {
-		p := &Proc{
+	procs := r.procs[:n]
+	for i, p := range procs {
+		*p = Proc{
 			ID:      i,
 			sched:   s,
 			coro:    takeCoro(),
 			rngSeed: cfg.Seed*1_000_003 + int64(i)*7919 + 1,
+			rngBuf:  p.rngBuf,
 		}
 		p.coro.p, p.coro.body = p, body
-		procs[i] = p
+		s.panics = append(s.panics, nil)
 	}
-	s.running = make([]*Proc, n)
-	copy(s.running, procs)
+	s.running = append(s.running, procs...)
 
 	defer func() {
 		if len(s.running) > 0 {

@@ -515,3 +515,27 @@ func TestBodyGoexitKeepsPoolSound(t *testing.T) {
 		}
 	}
 }
+
+// firstChoice is a Strategy that always grants the lowest-ID runnable proc
+// a single step.
+type firstChoice struct{}
+
+func (firstChoice) Pick(cs []Choice) Decision { return Decision{Target: cs[0].Clock + 1} }
+
+// TestWarmRunnerAllocatesNothing: once a Runner has run a configuration,
+// running it again allocates nothing, under a strategy and under the
+// default policy with per-proc random draws alike.
+func TestWarmRunnerAllocatesNothing(t *testing.T) {
+	body := func(p *Proc) {
+		for i := 0; i < 20; i++ {
+			p.Step(uint64(p.Rand().Intn(3) + 1))
+		}
+	}
+	for _, cfg := range []Config{{Seed: 3}, {Seed: 3, Strategy: firstChoice{}}} {
+		var r Runner
+		r.Run(cfg, 3, body)
+		if got := testing.AllocsPerRun(20, func() { r.Run(cfg, 3, body) }); got != 0 {
+			t.Errorf("strategy %v: warm Run allocates %.0f objects, want 0", cfg.Strategy != nil, got)
+		}
+	}
+}

@@ -39,7 +39,7 @@ type Injector interface {
 // byte-identical to a build without injection hooks. Checkpoints and clones
 // do not carry the injector: a forked machine starts fault-free.
 func (m *Machine) SetInjector(inj Injector) {
-	if m.threads != nil {
+	if m.running {
 		panic("tsx: SetInjector while the machine is running")
 	}
 	m.inj = inj
@@ -53,7 +53,7 @@ func (m *Machine) SetInjector(inj Injector) {
 // (open transactions, un-flushed allocator caches) and is only good for
 // diagnostics — discard it after reading the trace ring and thread state.
 func (m *Machine) SetWatchdog(wd func(minClock uint64) bool) {
-	if m.threads != nil {
+	if m.running {
 		panic("tsx: SetWatchdog while the machine is running")
 	}
 	m.watchdog = wd

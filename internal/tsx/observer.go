@@ -51,7 +51,7 @@ type Observer interface {
 // per-experiment, and a shared collector would race under the
 // host-parallel pool.
 func (m *Machine) SetObserver(o Observer) {
-	if m.threads != nil {
+	if m.running {
 		panic("tsx: SetObserver while the machine is running")
 	}
 	m.obs = o

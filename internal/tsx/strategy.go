@@ -11,7 +11,7 @@ import "hle/internal/sim"
 // every grant and may stop the run itself. Like injectors and observers,
 // a strategy is per-experiment state: forks and Reset start without it.
 func (m *Machine) SetStrategy(st sim.Strategy) {
-	if m.threads != nil {
+	if m.running {
 		panic("tsx: SetStrategy while the machine is running")
 	}
 	m.strategy = st

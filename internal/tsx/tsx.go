@@ -225,9 +225,24 @@ const MaxProcs = 64
 // its simulated memory persists across Run calls, so a workload can be
 // populated non-transactionally and then exercised by many threads.
 type Machine struct {
-	cfg     Config
-	Mem     *mem.Memory
-	threads []*Thread
+	cfg Config
+	Mem *mem.Memory
+
+	// threads is the thread table Run returns: entry i points at
+	// threadStore[i] once proc i's body has started, nil before. Both are
+	// reused by every Run, so a Thread stays valid only until the next Run.
+	threads     []*Thread
+	threadStore []Thread
+	// running is set for the duration of a Run.
+	running bool
+	// runner is the scheduler every Run reuses; procBody, grantHook and
+	// onGrantHook are bound once, on the first Run, so starting a Run
+	// allocates nothing. body is the current Run's workload.
+	runner      sim.Runner
+	procBody    func(*sim.Proc)
+	grantHook   func(procID int, clock, slice uint64) uint64
+	onGrantHook func(procID int, clock uint64)
+	body        func(*Thread)
 
 	// ring is the flight recorder (nil unless Config.TraceRing > 0).
 	ring *traceRing
@@ -253,7 +268,8 @@ type Machine struct {
 	// stopped records whether the previous Run was watchdog-stopped.
 	stopped bool
 	// txCtx pools each proc's transaction context across Runs (see
-	// txContext): a Thread is new every Run, its hardware context is not.
+	// txContext): a Thread starts afresh every Run, its hardware context
+	// carries over.
 	txCtx []*txState
 
 	// logOneMinusP caches log1p(-SpuriousPerAccess) for the per-begin
@@ -340,7 +356,7 @@ type Checkpoint struct {
 // Checkpoint captures the machine's state. It must not be called while the
 // machine is running.
 func (m *Machine) Checkpoint() *Checkpoint {
-	if m.threads != nil {
+	if m.running {
 		panic("tsx: Checkpoint while the machine is running")
 	}
 	// Machines forked from the checkpoint start fault-free with an empty
@@ -371,11 +387,11 @@ func FromCheckpoint(cp *Checkpoint) *Machine {
 // flight recorder's buffer and the pooled transaction contexts are reused
 // rather than reallocated, so a loop that forks the same image again and
 // again (the model checker's replays) stops allocating once its storage
-// has grown. Threads returned by earlier Runs stay readable; only their
-// transaction contexts move on. Hooks (observer, injector, watchdog,
-// strategy) and the label prefix are cleared, as on a new fork.
+// has grown. Threads returned by the last Run stay readable until the next
+// Run; only their transaction contexts move on. Hooks (observer, injector,
+// watchdog, strategy) and the label prefix are cleared, as on a new fork.
 func (m *Machine) Reset(cp *Checkpoint) {
-	if m.threads != nil {
+	if m.running {
 		panic("tsx: Reset while the machine is running")
 	}
 	m.cfg = cp.cfg
@@ -420,7 +436,7 @@ func copyMap[M ~map[K]V, K comparable, V any](dst, src M) M {
 // independent seed per point, so a point's results depend only on its own
 // declaration — never on which host worker ran it or in what order.
 func (m *Machine) Reseed(seed int64) {
-	if m.threads != nil {
+	if m.running {
 		panic("tsx: Reseed while the machine is running")
 	}
 	m.cfg.Seed = seed
@@ -429,42 +445,65 @@ func (m *Machine) Reseed(seed int64) {
 // Run simulates n hardware threads, each executing body, and returns the
 // threads (whose clocks and statistics the caller may inspect). Run may be
 // called repeatedly; simulated memory contents persist between calls.
+//
+// The returned threads belong to the machine: the next Run resets and
+// reuses them (and the scheduler procs they embed), so a caller must read
+// what it needs from them before running the machine again. A thread whose
+// body never started (a stopped run) is nil. Runs on one machine are
+// sequential: a body must not start a Run on its own machine.
 func (m *Machine) Run(n int, body func(t *Thread)) []*Thread {
 	if n <= 0 || n > 64 {
 		panic("tsx: Run requires 1..64 threads (line metadata is a 64-bit mask)")
 	}
-	m.threads = make([]*Thread, n)
-	m.stopped = false
+	if m.running {
+		panic("tsx: Run while the machine is running")
+	}
+	if m.procBody == nil {
+		m.procBody = m.runThread
+		m.grantHook = func(id int, clock, slice uint64) uint64 { return m.inj.Grant(id, clock, slice) }
+		m.onGrantHook = func(id int, clock uint64) { m.obs.Grant(id, clock) }
+	}
+	if len(m.threadStore) < n {
+		m.threadStore = make([]Thread, n)
+		m.threads = make([]*Thread, n)
+	}
+	m.threads = m.threads[:n]
+	clear(m.threads)
+	m.running, m.stopped, m.body = true, false, body
+	defer func() { m.running, m.body = false, nil }()
 	simCfg := sim.Config{Procs: n, Seed: m.cfg.Seed, Quantum: m.cfg.Quantum}
 	if m.inj != nil {
-		simCfg.Grant = m.inj.Grant
+		simCfg.Grant = m.grantHook
 	}
 	if m.obs != nil {
-		simCfg.OnGrant = m.obs.Grant
+		simCfg.OnGrant = m.onGrantHook
 	}
 	simCfg.Watchdog = m.watchdog
 	simCfg.Strategy = m.strategy
-	sim.Run(simCfg, n, func(p *sim.Proc) {
-		t := &Thread{Proc: p, m: m, bit: 1 << uint(p.ID), jitterState: uint64(m.cfg.Seed)*0x9e3779b97f4a7c15 + uint64(p.ID+1)*0xbf58476d1ce4e5b9}
-		if m.cfg.CacheLines > 0 {
-			t.cache = newLineCache(m.cfg.CacheLines)
-		}
-		m.threads[p.ID] = t
-		body(t)
-		if t.tx != nil {
-			panic("tsx: thread finished inside a transaction")
-		}
-		t.flushFreeCache()
-	})
-	threads := m.threads
-	m.threads = nil
-	for _, t := range threads {
+	m.runner.Run(simCfg, n, m.procBody)
+	for _, t := range m.threads {
 		if t != nil && t.Stopped() {
 			m.stopped = true
 			break
 		}
 	}
-	return threads
+	return m.threads
+}
+
+// runThread is every proc's body: it starts the proc's thread afresh in the
+// machine's table and runs the current workload on it.
+func (m *Machine) runThread(p *sim.Proc) {
+	t := &m.threadStore[p.ID]
+	*t = Thread{Proc: p, m: m, bit: 1 << uint(p.ID), jitterState: uint64(m.cfg.Seed)*0x9e3779b97f4a7c15 + uint64(p.ID+1)*0xbf58476d1ce4e5b9}
+	if m.cfg.CacheLines > 0 {
+		t.cache = newLineCache(m.cfg.CacheLines)
+	}
+	m.threads[p.ID] = t
+	m.body(t)
+	if t.tx != nil {
+		panic("tsx: thread finished inside a transaction")
+	}
+	t.flushFreeCache()
 }
 
 // RunOne simulates a single thread; a convenience for setup code that
