@@ -175,9 +175,7 @@ func (a *rtm) elide(t *tsx.Thread, cs func()) Result {
 	var r Result
 	for {
 		if a.check == checkEntry && !a.main.Fair() {
-			for a.main.Held(t) {
-				t.Pause()
-			}
+			locks.WaitWhileHeld(t, a.main, -1)
 		}
 		if ok, _ := a.try(t, cs, &r); ok {
 			return r
@@ -251,9 +249,7 @@ func (a *rtm) manage(t *tsx.Thread, cs func()) Result {
 			// A thread that gave up holds the main lock; eliding is
 			// futile until it releases (Intel's recommended elision
 			// retry discipline).
-			for i := 0; (a.heldWait < 0 || i < a.heldWait) && a.main.Held(t); i++ {
-				t.Pause()
-			}
+			locks.WaitWhileHeld(t, a.main, a.heldWait)
 		}
 	}
 	if held >= 0 {

@@ -100,51 +100,13 @@ var goldenSchemes = map[string]uint64{
 // recorded before the RTM-based schemes were folded onto one speculative
 // attempt and three recovery loops.
 func TestGoldenSchemeFingerprint(t *testing.T) {
-	type variant struct {
-		key   string
-		spec  harness.SchemeSpec
-		tight bool
-	}
-	var cases []variant
-	for _, name := range harness.SchemeNames() {
-		// NoLock is single-threaded only.
-		if name == "NoLock" {
-			continue
-		}
-		for _, lock := range []string{"TTAS", "MCS"} {
-			specs := map[string]harness.SchemeSpec{name: {Scheme: name, Lock: lock}}
-			if name == "Adaptive" {
-				// Starting on the floor walks the ladder back up, so
-				// the Serial rung and both promotions run too.
-				specs[name+"-from-serial"] = harness.SchemeSpec{Scheme: name, Lock: lock,
-					Adapt: &adapt.Config{Start: adapt.Serial}}
-			}
-			// The tight machine's 4-line write set makes rebalancing
-			// updates overflow, so the give-up paths run: capacity
-			// aborts that clear the retry bit, exhausted SCM retry
-			// budgets, and waits on a main lock a giver-up holds.
-			for key, spec := range specs {
-				key += "/" + lock
-				cases = append(cases, variant{key, spec, false}, variant{key + "/tight", spec, true})
-			}
-		}
-	}
+	cases := goldenSchemeCases()
 	for _, c := range cases {
 		t.Run(c.key, func(t *testing.T) {
-			mcfg := machineCfg(4, 5)
-			if c.tight {
-				mcfg.WriteSetLines = 4
-			}
-			res := runPoint(mcfg, c.spec,
-				func(th *tsx.Thread) harness.Workload {
-					return harness.NewRBTree(th, 64, harness.MixExtensive)
-				},
-				// The naive lazy variants run on deliberately unsound
-				// hardware whose commits can corrupt the tree or the
-				// lock word and wedge the run; the watchdog stops it at
-				// a deterministic cycle, and the stop is hashed too.
+			// A watchdog stop is hashed too.
+			res := runPoint(c.machine(), c.spec, goldenSchemeWorkload,
 				harness.Config{Threads: 4, CycleBudget: 300_000, Profile: &obs.Options{},
-					Watchdog: &harness.WatchdogConfig{LivelockWindow: 2_000_000}})
+					Watchdog: goldenSchemeWatchdog})
 			stop := ""
 			if res.Failure != nil {
 				stop = res.Failure.Reason
@@ -170,3 +132,62 @@ func TestGoldenSchemeFingerprint(t *testing.T) {
 		t.Errorf("ran %d scheme/lock cases, golden table has %d", len(cases), len(goldenSchemes))
 	}
 }
+
+// schemeCase is one TestGoldenSchemeFingerprint point: a scheme on a lock,
+// keyed "Scheme/Lock" plus "/tight" for the small-write-set machine.
+type schemeCase struct {
+	key   string
+	spec  harness.SchemeSpec
+	tight bool
+}
+
+// goldenSchemeCases lists every scheme on TTAS and MCS, on the default and
+// the tight machine.
+func goldenSchemeCases() []schemeCase {
+	var cases []schemeCase
+	for _, name := range harness.SchemeNames() {
+		// NoLock is single-threaded only.
+		if name == "NoLock" {
+			continue
+		}
+		for _, lock := range []string{"TTAS", "MCS"} {
+			specs := map[string]harness.SchemeSpec{name: {Scheme: name, Lock: lock}}
+			if name == "Adaptive" {
+				// Starting on the floor walks the ladder back up, so
+				// the Serial rung and both promotions run too.
+				specs[name+"-from-serial"] = harness.SchemeSpec{Scheme: name, Lock: lock,
+					Adapt: &adapt.Config{Start: adapt.Serial}}
+			}
+			// The tight machine's 4-line write set makes rebalancing
+			// updates overflow, so the give-up paths run: capacity
+			// aborts that clear the retry bit, exhausted SCM retry
+			// budgets, and waits on a main lock a giver-up holds.
+			for key, spec := range specs {
+				key += "/" + lock
+				cases = append(cases, schemeCase{key, spec, false}, schemeCase{key + "/tight", spec, true})
+			}
+		}
+	}
+	return cases
+}
+
+// machine is the case's machine configuration, before the scheme's own
+// hardware needs (SchemeSpec.Machine).
+func (c schemeCase) machine() tsx.Config {
+	mcfg := machineCfg(4, 5)
+	if c.tight {
+		mcfg.WriteSetLines = 4
+	}
+	return mcfg
+}
+
+// goldenSchemeWorkload is the golden points' contended rbtree: 64 keys at
+// 50/50 updates.
+func goldenSchemeWorkload(th *tsx.Thread) harness.Workload {
+	return harness.NewRBTree(th, 64, harness.MixExtensive)
+}
+
+// goldenSchemeWatchdog stops the naive lazy variants, which run on
+// deliberately unsound hardware whose commits can corrupt the tree or the
+// lock word and wedge the run, at a deterministic cycle.
+var goldenSchemeWatchdog = &harness.WatchdogConfig{LivelockWindow: 2_000_000}

@@ -47,9 +47,7 @@ func (l *BackoffTTAS) backoff(t *tsx.Thread, delay *uint64) {
 func (l *BackoffTTAS) Acquire(t *tsx.Thread) {
 	delay := l.MinDelay
 	for {
-		for t.Load(l.word) == 1 {
-			t.Pause()
-		}
+		t.SpinWhile(l.word, 1)
 		if t.Swap(l.word, 1) == 0 {
 			return
 		}
@@ -72,10 +70,8 @@ func (l *BackoffTTAS) Release(t *tsx.Thread) {
 func (l *BackoffTTAS) SpecAcquire(t *tsx.Thread) {
 	delay := l.MinDelay
 	for {
-		if !t.ReissuePending() {
-			for !t.InTx() && t.Load(l.word) == 1 {
-				t.Pause()
-			}
+		if !t.ReissuePending() && !t.InTx() {
+			t.SpinWhile(l.word, 1)
 		}
 		if t.XAcquireSwap(l.word, 1) == 0 {
 			return
@@ -96,3 +92,5 @@ func (l *BackoffTTAS) SpecRelease(t *tsx.Thread) {
 func (l *BackoffTTAS) Held(t *tsx.Thread) bool {
 	return t.Load(l.word) == 1
 }
+
+func (l *BackoffTTAS) heldWord() (mem.Addr, uint64, bool) { return l.word, 1, true }

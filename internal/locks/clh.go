@@ -53,9 +53,7 @@ func (l *CLH) Acquire(t *tsx.Thread) {
 	t.Store(n, 1)
 	pred := mem.Addr(t.Swap(l.tail, uint64(n)))
 	l.pred[t.ID] = pred
-	for t.Load(pred) == 1 {
-		t.Pause()
-	}
+	t.SpinWhile(pred, 1)
 }
 
 // TryAcquire enqueues and waits its turn.
@@ -129,9 +127,7 @@ func (l *AdjustedCLH) Acquire(t *tsx.Thread) {
 	t.Store(n, 1)
 	pred := mem.Addr(t.Swap(l.tail, uint64(n)))
 	l.pred[t.ID] = pred
-	for t.Load(pred) == 1 {
-		t.Pause()
-	}
+	t.SpinWhile(pred, 1)
 }
 
 // TryAcquire enqueues and waits its turn.
@@ -165,9 +161,7 @@ func (l *AdjustedCLH) SpecAcquire(t *tsx.Thread) {
 	t.Store(n, 1)
 	pred := mem.Addr(t.XAcquireSwap(l.tail, uint64(n)))
 	l.pred[t.ID] = pred
-	for t.Load(pred) == 1 {
-		t.Pause()
-	}
+	t.SpinWhile(pred, 1)
 }
 
 // SpecRelease is Algorithm 7's unlock with an XRELEASE-prefixed CAS: under

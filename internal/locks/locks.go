@@ -20,7 +20,10 @@
 // (Chapter 6).
 package locks
 
-import "hle/internal/tsx"
+import (
+	"hle/internal/mem"
+	"hle/internal/tsx"
+)
 
 // MaxThreads bounds per-thread lock state (matches the TSX engine's
 // 64-thread limit).
@@ -57,6 +60,31 @@ type Lock interface {
 	// transaction this places the lock state in the read set, which is
 	// exactly what the SLR and SCM schemes need.
 	Held(t *tsx.Thread) bool
+}
+
+// WaitWhileHeld pauses while l is held, checking at most rounds times
+// unless rounds is negative:
+//
+//	for i := 0; (rounds < 0 || i < rounds) && l.Held(t); i++ {
+//		t.Pause()
+//	}
+//
+// A lock whose Held is one load of one word waits through tsx.Thread.Spin.
+func WaitWhileHeld(t *tsx.Thread, l Lock, rounds int) {
+	if w, ok := l.(heldWord); ok {
+		a, v, eq := w.heldWord()
+		t.Spin(a, v, eq, rounds)
+		return
+	}
+	for i := 0; (rounds < 0 || i < rounds) && l.Held(t); i++ {
+		t.Pause()
+	}
+}
+
+// heldWord is implemented by the locks whose Held is a single load: the
+// lock is held while the word at a equals v (eq) or differs from it (!eq).
+type heldWord interface {
+	heldWord() (a mem.Addr, v uint64, eq bool)
 }
 
 // Maker constructs a lock in the simulated memory reachable from t.

@@ -63,9 +63,7 @@ func (l *MCS) Acquire(t *tsx.Thread) {
 	pred := mem.Addr(t.Swap(l.tail, uint64(n)))
 	if pred != mem.Nil {
 		t.Store(pred+mcsNext, uint64(n))
-		for t.Load(n+mcsLocked) == 1 {
-			t.Pause()
-		}
+		t.SpinWhile(n+mcsLocked, 1)
 	}
 }
 
@@ -82,9 +80,7 @@ func (l *MCS) Release(t *tsx.Thread) {
 		if t.CAS(l.tail, uint64(n), 0) {
 			return
 		}
-		for t.Load(n+mcsNext) == 0 {
-			t.Pause()
-		}
+		t.SpinWhile(n+mcsNext, 0)
 	}
 	t.Store(mem.Addr(t.Load(n+mcsNext))+mcsLocked, 0)
 }
@@ -101,9 +97,7 @@ func (l *MCS) SpecAcquire(t *tsx.Thread) {
 	pred := mem.Addr(t.XAcquireSwap(l.tail, uint64(n)))
 	if pred != mem.Nil {
 		t.Store(pred+mcsNext, uint64(n))
-		for t.Load(n+mcsLocked) == 1 {
-			t.Pause()
-		}
+		t.SpinWhile(n+mcsLocked, 1)
 	}
 }
 
@@ -116,9 +110,7 @@ func (l *MCS) SpecRelease(t *tsx.Thread) {
 		if t.XReleaseCAS(l.tail, uint64(n), 0) {
 			return
 		}
-		for t.Load(n+mcsNext) == 0 {
-			t.Pause()
-		}
+		t.SpinWhile(n+mcsNext, 0)
 	}
 	t.Store(mem.Addr(t.Load(n+mcsNext))+mcsLocked, 0)
 }
@@ -127,3 +119,5 @@ func (l *MCS) SpecRelease(t *tsx.Thread) {
 func (l *MCS) Held(t *tsx.Thread) bool {
 	return t.Load(l.tail) != 0
 }
+
+func (l *MCS) heldWord() (mem.Addr, uint64, bool) { return l.tail, 0, false }

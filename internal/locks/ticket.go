@@ -40,9 +40,7 @@ func (l *Ticket) Prepare(t *tsx.Thread) {}
 func (l *Ticket) Acquire(t *tsx.Thread) {
 	cur := t.FetchAdd(l.next, 1)
 	l.tickets[t.ID] = cur
-	for t.Load(l.next+ticketOwnerOff) != cur {
-		t.Pause()
-	}
+	t.Spin(l.next+ticketOwnerOff, cur, false, -1)
 }
 
 // TryAcquire draws a ticket and waits its turn (fair locks remember the
@@ -102,9 +100,7 @@ func (l *AdjustedTicket) Addr() mem.Addr { return l.next }
 func (l *AdjustedTicket) Acquire(t *tsx.Thread) {
 	cur := t.FetchAdd(l.next, 1)
 	l.tickets[t.ID] = cur
-	for t.Load(l.next+ticketOwnerOff) != cur {
-		t.Pause()
-	}
+	t.Spin(l.next+ticketOwnerOff, cur, false, -1)
 }
 
 // TryAcquire draws a ticket and waits its turn.
@@ -128,9 +124,7 @@ func (l *AdjustedTicket) Release(t *tsx.Thread) {
 func (l *AdjustedTicket) SpecAcquire(t *tsx.Thread) {
 	cur := t.XAcquireFetchAdd(l.next, 1)
 	l.tickets[t.ID] = cur
-	for t.Load(l.next+ticketOwnerOff) != cur {
-		t.Pause()
-	}
+	t.Spin(l.next+ticketOwnerOff, cur, false, -1)
 }
 
 // SpecRelease is Algorithm 5's unlock with an XRELEASE-prefixed CAS, which

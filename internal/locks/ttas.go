@@ -35,9 +35,7 @@ func (l *TTAS) Addr() mem.Addr { return l.word }
 // Acquire spins until the lock reads free, then swaps 1 in.
 func (l *TTAS) Acquire(t *tsx.Thread) {
 	for {
-		for t.Load(l.word) == 1 {
-			t.Pause()
-		}
+		t.SpinWhile(l.word, 1)
 		if t.Swap(l.word, 1) == 0 {
 			return
 		}
@@ -66,10 +64,8 @@ func (l *TTAS) SpecAcquire(t *tsx.Thread) {
 		// itself (no pre-test): it usually fails against the aborter
 		// holding the lock, and the loop then spins and re-elides —
 		// the recovery behaviour Chapter 3 credits TTAS with.
-		if !t.ReissuePending() {
-			for !t.InTx() && t.Load(l.word) == 1 {
-				t.Pause()
-			}
+		if !t.ReissuePending() && !t.InTx() {
+			t.SpinWhile(l.word, 1)
 		}
 		if t.XAcquireSwap(l.word, 1) == 0 {
 			return
@@ -87,3 +83,5 @@ func (l *TTAS) SpecRelease(t *tsx.Thread) {
 func (l *TTAS) Held(t *tsx.Thread) bool {
 	return t.Load(l.word) == 1
 }
+
+func (l *TTAS) heldWord() (mem.Addr, uint64, bool) { return l.word, 1, true }

@@ -443,46 +443,88 @@ func TestHookPanicAfterFinishReachesCaller(t *testing.T) {
 
 // TestRunLeavesNoGoroutines: every way out of Run — a normal finish, a
 // watchdog stop cascade, a body panic and a strategy Stop — parks every
-// coroutine it took and leaves no goroutine behind.
+// coroutine it took and leaves no goroutine behind. The parked cases stop
+// the run, or panic in a hook, while procs wait parked on a lock that is
+// never released, so grants are being served in place when it happens:
+// the parked procs must unwind like any other, and the panic must reach
+// the caller.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	spin := func(p *Proc) {
 		for {
 			p.Step(3)
 		}
 	}
+	// holdForever: proc 0 takes the lock and never lets go; every other
+	// proc parks on it.
+	var lock uint64
+	var procs [4]*Proc
+	holdForever := func(p *Proc) {
+		procs[p.ID] = p
+		if p.ID == 0 {
+			lock = 1
+			spin(p)
+		}
+		waitWhile(p, &lock, 1, true)
+		t.Errorf("proc %d got past a lock that is never released", p.ID)
+	}
+	// parkedGrantPanic panics on the first grant to a parked proc, while
+	// that grant is being served in place.
+	var panicked bool
+	parkedGrantPanic := func(id int, clock uint64) {
+		if !panicked && procs[id] != nil && procs[id].wait != nil {
+			panicked = true
+			panic("hook boom")
+		}
+	}
 	cases := []struct {
-		name string
-		cfg  Config
-		body func(p *Proc)
+		name      string
+		cfg       Config
+		body      func(p *Proc)
+		wantPanic bool
 	}{
 		{"finish", Config{Seed: 1}, func(p *Proc) {
 			for i := 0; i < 100; i++ {
 				p.Step(uint64(1 + p.ID))
 			}
-		}},
-		{"watchdog", Config{Seed: 2, Watchdog: func(minClock uint64) bool { return minClock > 5_000 }}, spin},
+		}, false},
+		{"watchdog", Config{Seed: 2, Watchdog: func(minClock uint64) bool { return minClock > 5_000 }}, spin, false},
 		{"body panic", Config{Seed: 3}, func(p *Proc) {
 			p.Step(5)
 			if p.ID == 2 {
 				panic("boom")
 			}
 			p.Step(5)
-		}},
+		}, true},
 		{"strategy stop", Config{Seed: 4, Strategy: pickFunc(func(c []Choice) Decision {
 			last := len(c) - 1
 			if c[last].Clock > 300 {
 				return Decision{Stop: true}
 			}
 			return Decision{Index: last, Steps: 2}
-		})}, spin},
+		})}, spin, false},
+		{"parked watchdog", Config{Seed: 5, Watchdog: func(minClock uint64) bool { return minClock > 5_000 }}, holdForever, false},
+		{"parked strategy stop", Config{Strategy: pickFunc(func(c []Choice) Decision {
+			sum := clockSum(c)
+			if sum > 8_000 {
+				return Decision{Stop: true}
+			}
+			return Decision{Index: int(sum) % len(c), Steps: 3}
+		})}, holdForever, false},
+		{"parked hook panic", Config{Seed: 6, OnGrant: parkedGrantPanic,
+			Watchdog: func(minClock uint64) bool { return minClock > 5_000 }}, holdForever, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			lock, procs, panicked = 0, [4]*Proc{}, false
 			goroutines, parked := poolCounts(4)
+			var r any
 			func() {
-				defer func() { recover() }()
+				defer func() { r = recover() }()
 				Run(tc.cfg, 4, tc.body)
 			}()
+			if (r != nil) != tc.wantPanic {
+				t.Errorf("Run panicked with %v, want a panic: %v", r, tc.wantPanic)
+			}
 			checkPoolCounts(t, goroutines, parked)
 		})
 	}

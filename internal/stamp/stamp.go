@@ -113,9 +113,7 @@ func (b *Barrier) Wait(t *tsx.Thread) {
 		t.Store(b.sense, gen+1)
 		return
 	}
-	for t.Load(b.sense) == gen {
-		t.Pause()
-	}
+	t.SpinWhile(b.sense, gen)
 }
 
 // Apps enumerates constructors for the seven paper workloads in Figure 5.4

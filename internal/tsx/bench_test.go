@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hle/internal/mem"
+	"hle/internal/sim"
 )
 
 // benchMachine builds a 1-thread machine with the noise sources disabled,
@@ -82,5 +83,44 @@ func BenchmarkWriteBuf(b *testing.B) {
 			}
 		}
 		tx.reset()
+	}
+}
+
+// BenchmarkSpinGrant measures what a grant costs the host when one proc
+// spins on a held lock word while another works: ns/grant over both procs'
+// grants. In "served" the spinner's grants are served in place (Spin parks
+// it) and only the worker's grants resume a coroutine; in "switched" a
+// do-nothing injector keeps every spin on its coroutine, so every grant
+// switches, as every grant did before waits could park. served/grant is
+// the share of grants served in place.
+func BenchmarkSpinGrant(b *testing.B) {
+	for _, mode := range []string{"served", "switched"} {
+		b.Run(mode, func(b *testing.B) {
+			m := NewMachine(DefaultConfig(2))
+			var word mem.Addr
+			m.RunOne(func(t *Thread) {
+				word = t.AllocLines(1)
+				t.Store(word, 1)
+			})
+			if mode == "switched" {
+				m.SetInjector(&testInjector{})
+			}
+			grants, served := sim.Grants(), sim.ServedGrants()
+			b.ResetTimer()
+			m.Run(2, func(t *Thread) {
+				if t.ID == 1 {
+					t.SpinWhile(word, 1)
+					return
+				}
+				for i := 0; i < b.N; i++ {
+					t.Work(1)
+				}
+				t.Store(word, 0)
+			})
+			b.StopTimer()
+			grants, served = sim.Grants()-grants, sim.ServedGrants()-served
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(grants), "ns/grant")
+			b.ReportMetric(float64(served)/float64(grants), "served/grant")
+		})
 	}
 }

@@ -561,6 +561,9 @@ type Thread struct {
 	// until a scheme's Setup selects lazy).
 	sub Subscription
 
+	// spin is the state of the thread's current Spin wait.
+	spin spinWait
+
 	// Stats accumulates transaction outcomes for this thread.
 	Stats Stats
 }
@@ -636,16 +639,37 @@ func (t *Thread) Memory() *mem.Memory { return t.m.Mem }
 // identical loops on different threads phase-lock into artificial
 // conflict-free schedules.
 func (t *Thread) Step(cost uint64) {
+	t.Proc.Step(t.jitter(cost))
+}
+
+// tick is Step without the yield (sim.Proc.Tick), for Spin's state machine:
+// it reports whether the jittered cost ran the thread's grant out.
+func (t *Thread) tick(cost uint64) bool {
+	return t.Proc.Tick(t.jitter(cost))
+}
+
+// jitter returns cost plus its draw of the machine's configured noise.
+func (t *Thread) jitter(cost uint64) uint64 {
 	if j := t.m.cfg.CostJitter; j > 0 && cost > 0 {
 		span := uint64(float64(cost) * j)
 		if span > 0 {
 			// A cheap LCG suffices for noise; math/rand on every
 			// access would dominate the simulator's own runtime.
 			t.jitterState = t.jitterState*6364136223846793005 + 1442695040888963407
-			cost += (t.jitterState >> 33) % (span + 1)
+			cost += jitterRem(t.jitterState>>33, span)
 		}
 	}
-	t.Proc.Step(cost)
+	return cost
+}
+
+// jitterRem returns r % (span+1) for the jitter draw r < 1<<31. Below a
+// span of 1<<31 both operands fit in 32 bits, and a 32-bit division is
+// cheaper than a 64-bit one on amd64; the value is the same.
+func jitterRem(r, span uint64) uint64 {
+	if span < 1<<31 {
+		return uint64(uint32(r) % uint32(span+1))
+	}
+	return r % (span + 1)
 }
 
 // Work advances the thread's clock by n cycles of pure computation.

@@ -448,10 +448,7 @@ func (t *Thread) Load(a mem.Addr) uint64 {
 	t.inject(line, false)
 	tx := t.tx
 	if tx == nil {
-		t.m.requestLine(line, t, false)
-		v := t.m.Mem.Read(a)
-		t.trace(EvLoad, a, v)
-		return v
+		return t.loadShared(a, line)
 	}
 	t.txPreAccess(tx)
 	if v, ok := tx.writeBuf.get(a); ok {
@@ -473,6 +470,16 @@ func (t *Thread) Load(a mem.Addr) uint64 {
 	t.txTouchRead(tx, line)
 	v := t.m.Mem.Read(a)
 	t.trace(EvLoadTx, a, v)
+	return v
+}
+
+// loadShared is the non-transactional load of the word at a, on line, after
+// its cost is charged: a read request that dooms transactional writers,
+// then the read.
+func (t *Thread) loadShared(a mem.Addr, line int) uint64 {
+	t.m.requestLine(line, t, false)
+	v := t.m.Mem.Read(a)
+	t.trace(EvLoad, a, v)
 	return v
 }
 
