@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -349,6 +350,44 @@ func TestStarvationTrip(t *testing.T) {
 	}
 }
 
+// TestSoakFailureOutlivesItsMachine: a tripped soak's failure holds
+// nothing of the machine it ran on. A second soak from the same image
+// recycles the machine the first released — memory, thread table and
+// trace ring — and the first failure comes through it unchanged.
+func TestSoakFailureOutlivesItsMachine(t *testing.T) {
+	spec := SoakSpec{
+		Scheme:       harness.SchemeSpec{Scheme: "HLE", Lock: "TTAS"},
+		Seed:         3,
+		Threads:      4,
+		OpsPerThread: 400,
+		Schedule: []Fault{
+			{Kind: Preempt, At: 0, Proc: 0, Arg: 1 << 40},
+		},
+		LivelockWindow:   1 << 40,
+		StarvationWindow: 50_000,
+	}
+	img := BuildSoakImage(spec)
+	f := RunSoakFrom(img, spec).Failure
+	if f == nil || len(f.Threads) == 0 || len(f.Events) == 0 {
+		t.Fatalf("the first soak must trip with thread states and events: %+v", f)
+	}
+	want := *f
+	want.Cycle = slices.Clone(f.Cycle)
+	want.Threads = slices.Clone(f.Threads)
+	want.Events = slices.Clone(f.Events)
+
+	// The fault-free second soak runs every operation, overwriting all of
+	// the recycled machine's trace ring.
+	next := spec
+	next.Schedule = []Fault{}
+	if r := RunSoakFrom(img, next); r.Failure != nil || r.CheckErr != nil || r.Ops != spec.Threads*spec.OpsPerThread {
+		t.Fatalf("the second soak must complete: %+v", r)
+	}
+	if !reflect.DeepEqual(*f, want) {
+		t.Errorf("failure changed after the next soak:\n%s\nwas\n%s", f.Dump(), want.Dump())
+	}
+}
+
 // TestSnapshotRestoreUnderChaos: simulated memory survives a fault-riddled
 // run and restores exactly, with mem.DebugChecks auditing every access. The
 // round trip proves injected aborts and capacity squeezes never leak
@@ -403,8 +442,10 @@ func TestSnapshotRestoreUnderChaos(t *testing.T) {
 		t.Error("restore did not round-trip the word array")
 	}
 	// An independent memory from the same snapshot agrees word-for-word.
-	if !reflect.DeepEqual(mem.FromSnapshot(snap).Snapshot().Words(), snap.Words()) {
-		t.Error("FromSnapshot disagrees with source snapshot")
+	fresh := new(mem.Memory)
+	fresh.Restore(snap)
+	if !reflect.DeepEqual(fresh.Snapshot().Words(), snap.Words()) {
+		t.Error("a new memory restored from the snapshot disagrees with it")
 	}
 	// The restored tree reads back exactly the populated contents.
 	m.RunOne(func(th *tsx.Thread) {

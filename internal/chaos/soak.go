@@ -167,6 +167,7 @@ func BuildSoakImage(spec SoakSpec) *SoakImage {
 		}
 	})
 	img.cp = m.Checkpoint()
+	m.Release()
 	return img
 }
 
@@ -218,8 +219,9 @@ func RunSoak(spec SoakSpec) SoakResult {
 // machine state is copied from the checkpoint (skipping the fill phase),
 // the scheme is constructed on the fork, and the measured run proceeds
 // exactly as a scratch run would — a fork and a scratch run of the same
-// spec return identical results. Panics if the image's coordinates do not
-// match the spec's.
+// spec return identical results. The fork is released once the result
+// holds everything it needs from it. Panics if the image's coordinates do
+// not match the spec's.
 func RunSoakFrom(img *SoakImage, spec SoakSpec) SoakResult {
 	spec.defaults()
 	if _, k := soakMachine(spec); img.key != k {
@@ -297,6 +299,9 @@ func RunSoakFrom(img *SoakImage, spec SoakSpec) SoakResult {
 	}
 	if m.Stopped() {
 		res.Failure = wd.Failure(m, threads)
+	}
+	m.Release()
+	if res.Failure != nil {
 		return res
 	}
 	// The sequential witness starts from the populated state.

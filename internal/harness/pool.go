@@ -12,15 +12,15 @@ import (
 )
 
 // WarmTemplate shares one populated machine image across many points. The
-// first Fork builds the machine, populates the workload, and captures a
-// checkpoint of the warm state; every later Fork only copies the
-// checkpoint. Compared to cloning a live template machine per point, a
-// fork skips the fill phase entirely and costs one memory copy instead of
-// two (a clone re-snapshots its source every time), made into the arrays
-// released by the template and by ended points (mem.Memory.Release). Forks are
-// deterministic: every forked machine starts from the identical image, so
-// results do not depend on how many points shared the template or in what
-// order workers claimed them.
+// first Fork builds the machine, populates the workload, captures a
+// checkpoint of the warm state and releases the machine; every Fork then
+// takes a machine from tsx.FromCheckpoint, which resets a released one
+// (the template's, or one an ended point handed back) to the checkpoint.
+// A point therefore skips the fill phase and costs one memory copy into
+// storage a worker already owns. Forks are deterministic: every forked
+// machine starts from the identical image, so results do not depend on
+// how many points shared the template, in what order workers claimed
+// them, or which machine each was recycled from.
 type WarmTemplate struct {
 	// Machine configures the template machine.
 	Machine tsx.Config
@@ -36,6 +36,7 @@ type WarmTemplate struct {
 // shared workload handle (workload Go-side state is immutable after
 // Populate, so sharing it across concurrent forks is safe). The first call
 // pays the build-and-populate cost; concurrent first calls serialize on it.
+// Release the machine when the point ends.
 func (wt *WarmTemplate) Fork() (*tsx.Machine, Workload) {
 	wt.once.Do(func() {
 		m := tsx.NewMachine(wt.Machine)
@@ -44,7 +45,7 @@ func (wt *WarmTemplate) Fork() (*tsx.Machine, Workload) {
 			wt.w.Populate(t)
 		})
 		wt.cp = m.Checkpoint()
-		m.Mem.Release()
+		m.Release()
 	})
 	return tsx.FromCheckpoint(wt.cp), wt.w
 }
@@ -123,7 +124,6 @@ func (p PointSpec) Run() Result {
 			break
 		}
 	}
-	m.Mem.Release()
 	acc.MaxClock /= uint64(runs)
 	acc.Throughput /= float64(runs)
 	if acc.Profile = prof.Profile(); acc.Profile != nil {
@@ -132,6 +132,9 @@ func (p PointSpec) Run() Result {
 		// alongside the abort attribution that drove them.
 		acc.Profile.Controller = controllerEvents(transitions)
 	}
+	// The profile resolves line labels through the machine, so it is
+	// exported first; nothing in acc refers to the machine after this.
+	m.Release()
 	pointsRun.Add(1)
 	return acc
 }

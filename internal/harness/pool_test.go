@@ -1,11 +1,14 @@
 package harness_test
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"hle/internal/harness"
+	"hle/internal/obs"
 	"hle/internal/tsx"
 )
 
@@ -129,4 +132,72 @@ func TestParallelForPanicPropagates(t *testing.T) {
 		}
 	})
 	t.Fatal("ParallelFor returned despite panicking job")
+}
+
+// TestResultsOutliveTheirMachine: a point's result holds nothing of the
+// machine it ran on. A point whose watchdog fires is followed by a second
+// point on the same template, whose fork recycles the machine the first
+// point released — memory, thread table and trace ring — and the first
+// result's failure, timeline and profile come through it unchanged.
+func TestResultsOutliveTheirMachine(t *testing.T) {
+	mcfg := machineCfg(4, 5)
+	mcfg.TraceRing = 1 << 12
+	wt := &harness.WarmTemplate{
+		Machine: mcfg,
+		MkWorkload: func(th *tsx.Thread) harness.Workload {
+			return harness.NewRBTree(th, 128, harness.MixModerate)
+		},
+	}
+	point := func(seed int64, wd *harness.WatchdogConfig) harness.PointSpec {
+		return harness.PointSpec{
+			Warm:   wt,
+			Scheme: harness.SchemeSpec{Scheme: "HLE", Lock: "TTAS"},
+			Seed:   seed,
+			Cfg: harness.Config{Threads: 4, CycleBudget: 400_000, SliceCycles: 10_000,
+				Watchdog: wd, Profile: &obs.Options{}},
+		}
+	}
+	first := point(1, &harness.WatchdogConfig{StarvationWindow: 2_000}).Run()
+	f := first.Failure
+	if f == nil || len(f.Threads) == 0 || len(f.Events) == 0 || first.Timeline == nil || len(first.Timeline.Slots) == 0 || first.Profile == nil {
+		t.Fatalf("the first point must trip with thread states, events, a timeline and a profile: %+v", first)
+	}
+	wantFailure := *f
+	wantFailure.Cycle = slices.Clone(f.Cycle)
+	wantFailure.Threads = slices.Clone(f.Threads)
+	wantFailure.Events = slices.Clone(f.Events)
+	wantTimeline := *first.Timeline
+	wantTimeline.Slots = slices.Clone(first.Timeline.Slots)
+	wantProfile := first.Profile.JSON()
+
+	// The second point runs its whole budget, overwriting all of the
+	// recycled machine's trace ring.
+	if second := point(2, nil).Run(); second.Failure != nil || second.Ops.Ops <= first.Ops.Ops {
+		t.Fatalf("the second point must run its whole budget: %+v", second)
+	}
+	if !reflect.DeepEqual(*first.Failure, wantFailure) {
+		t.Errorf("failure changed after the next point:\n%s\nwas\n%s", first.Failure.Dump(), wantFailure.Dump())
+	}
+	if !reflect.DeepEqual(*first.Timeline, wantTimeline) {
+		t.Error("timeline changed after the next point")
+	}
+	if got := first.Profile.JSON(); !bytes.Equal(got, wantProfile) {
+		t.Errorf("profile changed after the next point:\n%s\nwas\n%s", got, wantProfile)
+	}
+}
+
+// TestRecycledForkAllocatesNothing: once a released machine has held a
+// default-layout rbtree image, forking the image and releasing the fork
+// again allocates nothing.
+func TestRecycledForkAllocatesNothing(t *testing.T) {
+	m := tsx.NewMachine(machineCfg(4, 7))
+	m.RunOne(func(th *tsx.Thread) {
+		harness.NewRBTree(th, 1024, harness.MixModerate).Populate(th)
+	})
+	cp := m.Checkpoint()
+	m.Release()
+	tsx.FromCheckpoint(cp).Release()
+	if n := testing.AllocsPerRun(20, func() { tsx.FromCheckpoint(cp).Release() }); n != 0 {
+		t.Fatalf("FromCheckpoint and Release allocated %.1f times per fork", n)
+	}
 }

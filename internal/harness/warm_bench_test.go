@@ -30,7 +30,8 @@ func BenchmarkPointSetupCold(b *testing.B) {
 }
 
 // BenchmarkPointSetupClone is fork's comparison point: one populated live
-// machine checkpointed and forked per point (two memory copies).
+// machine checkpointed and forked per point (two memory copies), each fork
+// released as a point releases its machine.
 func BenchmarkPointSetupClone(b *testing.B) {
 	const elems = 32768
 	tmpl := tsx.NewMachine(benchCfg(elems))
@@ -40,12 +41,13 @@ func BenchmarkPointSetupClone(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tsx.FromCheckpoint(tmpl.Checkpoint())
+		tsx.FromCheckpoint(tmpl.Checkpoint()).Release()
 	}
 }
 
 // BenchmarkPointSetupFork measures the warm-template mode: the populated
-// image is checkpointed once and every point copies the checkpoint.
+// image is checkpointed once and every point copies the checkpoint into a
+// recycled machine, which it releases when done.
 func BenchmarkPointSetupFork(b *testing.B) {
 	const elems = 32768
 	wt := &WarmTemplate{
@@ -54,10 +56,12 @@ func BenchmarkPointSetupFork(b *testing.B) {
 			return NewRBTree(t, elems, MixModerate)
 		},
 	}
-	wt.Fork() // pay the one-time populate outside the measured loop
+	m, _ := wt.Fork() // pay the one-time populate outside the measured loop
+	m.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wt.Fork()
+		m, _ := wt.Fork()
+		m.Release()
 	}
 }

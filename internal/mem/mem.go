@@ -13,9 +13,7 @@ import (
 	"fmt"
 	"maps"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
 )
 
 // LineWords is the number of 64-bit words per cache line (64-byte lines).
@@ -430,9 +428,9 @@ func (m *Memory) grow(need int) {
 
 // Snapshot is an immutable deep copy of a Memory's complete state — word
 // array, line metadata, bump pointer, and free lists. The experiment pool
-// snapshots a populated workload once and builds an independent Memory per
-// concurrent point from it (via Restore or FromSnapshot) instead of
-// repopulating, which dominates point cost for large structures.
+// snapshots a populated workload once and restores it into an independent
+// Memory per concurrent point instead of repopulating, which dominates
+// point cost for large structures.
 type Snapshot struct {
 	words    []uint64
 	lines    []LineMeta
@@ -471,8 +469,9 @@ func (m *Memory) Snapshot() *Snapshot {
 
 // Restore resets m to a previously captured snapshot, in m's own storage:
 // the word and line arrays and the free lists are overwritten, not
-// reallocated, once they are large enough. The snapshot is not consumed:
-// it can seed any number of memories.
+// reallocated, once they are large enough — whatever size of image they
+// last held. Restoring into new(Memory) builds an independent copy. The
+// snapshot is not consumed: it can seed any number of memories.
 func (m *Memory) Restore(s *Snapshot) {
 	m.words = append(m.words[:0], s.words...)
 	m.lines = append(m.lines[:0], s.lines...)
@@ -484,46 +483,4 @@ func (m *Memory) Restore(s *Snapshot) {
 	m.cursors = maps.Clone(s.cursors)
 	m.colorSeq = s.colorSeq
 	m.shadow = s.shadow
-}
-
-// FromSnapshot builds a new independent Memory from a snapshot, in the
-// arrays of a released memory of the same size when one is spare.
-func FromSnapshot(s *Snapshot) *Memory {
-	m := takeSpare(len(s.words))
-	m.Restore(s)
-	return m
-}
-
-// Release hands m's arrays to a later FromSnapshot of an image of the same
-// size and empties m, which must not be used again. A sweep releasing each
-// point's fork allocates arrays per host worker, not per point, so its peak
-// heap does not depend on when the garbage collector runs.
-func (m *Memory) Release() {
-	spares.Lock()
-	defer spares.Unlock()
-	if over := len(spares.list) + 1 - runtime.GOMAXPROCS(0); over > 0 {
-		spares.list = slices.Delete(spares.list, 0, over)
-	}
-	spares.list = append(spares.list, &Memory{words: m.words, lines: m.lines})
-	*m = Memory{}
-}
-
-// spares holds released memories' arrays, oldest first, one per host worker.
-var spares struct {
-	sync.Mutex
-	list []*Memory
-}
-
-// takeSpare removes and returns the newest released memory of n words, or
-// a new empty Memory when there is none.
-func takeSpare(n int) *Memory {
-	spares.Lock()
-	defer spares.Unlock()
-	for i := len(spares.list) - 1; i >= 0; i-- {
-		if m := spares.list[i]; len(m.words) == n {
-			spares.list = slices.Delete(spares.list, i, i+1)
-			return m
-		}
-	}
-	return &Memory{}
 }

@@ -304,7 +304,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	m.Write(b, 1000)
 
-	r := FromSnapshot(snap)
+	r := restored(snap)
 	if r.Read(a) != 7 || r.Read(b) != 9 {
 		t.Fatal("snapshot did not preserve word contents")
 	}
@@ -342,7 +342,7 @@ func TestSnapshotIndependentFreeLists(t *testing.T) {
 		m.Free(b, 6)
 	}
 	snap := m.Snapshot()
-	r1, r2 := FromSnapshot(snap), FromSnapshot(snap)
+	r1, r2 := restored(snap), restored(snap)
 	// Both copies must hand out the same sequence from their own lists.
 	for i := 0; i < 4; i++ {
 		x, y := r1.Alloc(6), r2.Alloc(6)
@@ -350,6 +350,13 @@ func TestSnapshotIndependentFreeLists(t *testing.T) {
 			t.Fatalf("clone free lists diverged at %d: %d vs %d", i, x, y)
 		}
 	}
+}
+
+// restored returns a new Memory restored from s.
+func restored(s *Snapshot) *Memory {
+	m := new(Memory)
+	m.Restore(s)
+	return m
 }
 
 func withDebugChecks(t *testing.T) *Memory {

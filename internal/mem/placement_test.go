@@ -181,9 +181,10 @@ func TestAutoPadDiversion(t *testing.T) {
 }
 
 // TestSnapshotRestorePerPolicy proves fork ≡ continuation for every
-// placement policy: a restored memory and a FromSnapshot rebuild make the
-// same allocator decisions as each other when the post-snapshot history is
-// replayed, including cursor and color-sequence state.
+// placement policy: a memory restored in place and a new memory restored
+// from the snapshot make the same allocator decisions as each other when
+// the post-snapshot history is replayed, including cursor and
+// color-sequence state.
 func TestSnapshotRestorePerPolicy(t *testing.T) {
 	for _, p := range Placements() {
 		l := Layout{Placement: p, Colors: 3, ChunkLines: 4,
@@ -214,8 +215,8 @@ func TestSnapshotRestorePerPolicy(t *testing.T) {
 
 		cont := replay(m) // continuation on the original
 		m.Restore(snap)
-		rest := replay(m)                  // after in-place restore
-		fork := replay(FromSnapshot(snap)) // on a forked image
+		rest := replay(m)              // after in-place restore
+		fork := replay(restored(snap)) // on a forked image
 		for i := range cont {
 			if cont[i] != rest[i] || cont[i] != fork[i] {
 				t.Fatalf("%v: replay addr %d diverges: cont %d, restored %d, fork %d",

@@ -1,7 +1,11 @@
 package tsx
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"hle/internal/mem"
@@ -162,70 +166,238 @@ func TestCloneDeterminism(t *testing.T) {
 	}
 }
 
-// TestReleasedForkMatchesFresh: a machine forked into the memory arrays of
-// a released, mutated fork holds exactly the checkpoint's image.
-func TestReleasedForkMatchesFresh(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.Seed = 3
-	tmpl := NewMachine(cfg)
+// emptyReleased empties the list of released machines for one test and
+// restores the list it held afterwards.
+func emptyReleased(t *testing.T) {
+	t.Helper()
+	released.Lock()
+	saved := released.list
+	released.list = nil
+	released.Unlock()
+	t.Cleanup(func() {
+		released.Lock()
+		released.list = saved
+		released.Unlock()
+	})
+}
+
+// cellImage builds a machine of cfg holding one line-padded cell per
+// simulated thread, each set to its index, the first labelled a lock line,
+// and returns it with its checkpoint.
+func cellImage(cfg Config) (*Machine, *Checkpoint, []mem.Addr) {
+	m := NewMachine(cfg)
 	var cells []mem.Addr
-	tmpl.RunOne(func(th *Thread) {
-		for i := 0; i < 4; i++ {
+	m.RunOne(func(th *Thread) {
+		for i := 0; i < cfg.Procs; i++ {
 			cells = append(cells, th.AllocLines(1))
 			th.Store(cells[i], uint64(i))
 		}
+		th.LabelLockLines(cells[0], 1, "cell-lock")
 	})
-	cp := tmpl.Checkpoint()
-	want := templateFingerprint(FromCheckpoint(cp))
+	return m, m.Checkpoint(), cells
+}
 
-	used := FromCheckpoint(cp)
-	used.Run(4, func(th *Thread) {
-		for i := 0; i < 50; i++ {
-			th.RTM(func() { th.Store(cells[th.ID], th.Load(cells[th.ID])+7) })
-		}
-		th.Store(th.AllocLines(3), 0xdead)
-	})
-	used.Mem.Release()
-	if got := templateFingerprint(FromCheckpoint(cp)); got != want {
-		t.Fatalf("fork over released arrays: fingerprint %#016x, fresh fork %#016x", got, want)
+// TestReleasedForkMatchesFresh: FromCheckpoint over a released machine —
+// whatever image it last held and however its last run ended — returns a
+// machine holding exactly the checkpoint's image, whose next run matches a
+// new machine's grant for grant.
+func TestReleasedForkMatchesFresh(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.Seed = 3
+	// A ring the next run does not fill, so its events show where the
+	// ring's write position starts.
+	cfg.TraceRing = 1024
+	_, cp, cells := cellImage(cfg)
+	newFork := func() *Machine {
+		m := &Machine{}
+		m.Reset(cp)
+		return m
 	}
+	want := templateFingerprint(newFork())
 
-	// Reset in place: a machine stopped mid-transaction — line metadata
-	// torn, a label and its prefix registered, memory grown past the
-	// image — holds exactly the checkpoint's image after Reset(cp), and
-	// its next run matches a fresh fork's.
-	torn := FromCheckpoint(cp)
-	torn.SetLabelPrefix("torn/")
-	grants := 0
-	torn.SetWatchdog(func(uint64) bool { grants++; return grants > 40 })
-	ths := torn.Run(4, func(th *Thread) {
-		th.LabelLockLines(cells[th.ID], 1, "torn")
-		th.Memory().AllocLines(cfg.MemWords)
-		for {
-			th.RTM(func() {
-				th.Store(cells[th.ID], th.Load(cells[th.ID])+7)
-				th.Work(100)
+	// dirty builds an image of c the way a template does and runs its
+	// cells transactionally on the template machine, growing memory.
+	dirty := func(c Config) *Machine {
+		m, _, dcells := cellImage(c)
+		m.Run(c.Procs, func(th *Thread) {
+			for i := 0; i < 50; i++ {
+				th.RTM(func() { th.Store(dcells[th.ID], th.Load(dcells[th.ID])+7) })
+			}
+			th.Store(th.AllocLines(3), 0xdead)
+		})
+		return m
+	}
+	larger, smaller := cfg, cfg
+	larger.Procs, larger.MemWords, larger.TraceRing = 8, 4*cfg.MemWords, 64
+	smaller.Procs, smaller.MemWords, smaller.TraceRing = 2, cfg.MemWords/16, 0
+	cases := []struct {
+		name string
+		used func(t *testing.T) *Machine
+	}{
+		{"same image", func(*testing.T) *Machine { return dirty(cfg) }},
+		{"larger image", func(*testing.T) *Machine { return dirty(larger) }},
+		{"smaller image", func(*testing.T) *Machine { return dirty(smaller) }},
+		// A machine stopped mid-transaction — line metadata torn, a label
+		// and its prefix registered, hooks installed, memory grown past
+		// the image.
+		{"torn by a watchdog stop", func(t *testing.T) *Machine {
+			m := newFork()
+			m.SetLabelPrefix("torn/")
+			grants := 0
+			m.SetWatchdog(func(uint64) bool { grants++; return grants > 40 })
+			m.SetInjector(&testInjector{})
+			ths := m.Run(4, func(th *Thread) {
+				th.LabelLockLines(cells[th.ID], 1, "torn")
+				th.Memory().AllocLines(cfg.MemWords)
+				for {
+					th.RTM(func() {
+						th.Store(cells[th.ID], th.Load(cells[th.ID])+7)
+						th.Work(100)
+					})
+				}
 			})
-		}
-	})
-	if !torn.Stopped() || !slices.ContainsFunc(ths, (*Thread).InTx) {
-		t.Fatal("no thread stopped mid-transaction; the Reset case is vacuous")
-	}
-	torn.Reset(cp)
-	if got := templateFingerprint(torn); got != want {
-		t.Fatalf("Reset after a torn run: fingerprint %#016x, fresh fork %#016x", got, want)
+			if !m.Stopped() || !slices.ContainsFunc(ths, (*Thread).InTx) {
+				t.Fatal("no thread stopped mid-transaction; the case is vacuous")
+			}
+			return m
+		}},
 	}
 	body := func(th *Thread) {
 		for i := 0; i < 20; i++ {
 			th.RTM(func() { th.Store(cells[th.ID], th.Load(cells[th.ID])+1) })
 		}
+		th.Free(th.Alloc(5), 5)
 	}
-	fresh := FromCheckpoint(cp)
-	fresh.Run(4, body)
-	torn.Run(4, body)
-	if got, want := templateFingerprint(torn), templateFingerprint(fresh); got != want {
-		t.Fatalf("run after Reset: fingerprint %#016x, fresh fork's run %#016x", got, want)
+	// after runs body and digests the machine and the run's threads and
+	// engine events.
+	after := func(m *Machine) string {
+		ths := m.Run(4, body)
+		var clocks []uint64
+		var stats []Stats
+		for _, th := range ths {
+			clocks, stats = append(clocks, th.Clock()), append(stats, th.Stats)
+		}
+		return fmt.Sprintf("%#x %v %v %v", templateFingerprint(m), clocks, stats, m.TraceEvents())
 	}
+	wantAfter := after(newFork())
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			emptyReleased(t)
+			used := c.used(t)
+			used.Release()
+			m := FromCheckpoint(cp)
+			if m != used {
+				t.Fatal("FromCheckpoint did not recycle the released machine")
+			}
+			if got := templateFingerprint(m); got != want {
+				t.Fatalf("fingerprint %#016x, new machine's %#016x", got, want)
+			}
+			if !reflect.DeepEqual(m.Config(), cfg) || m.obs != nil || m.inj != nil || m.watchdog != nil || m.labelPrefix != "" {
+				t.Fatal("recycled machine kept its last configuration, hooks or label prefix")
+			}
+			if got := after(m); got != wantAfter {
+				t.Fatalf("run on the recycled machine:\n%s\nnew machine's run:\n%s", got, wantAfter)
+			}
+		})
+	}
+}
+
+// TestReleasedListBounded: the list keeps at most GOMAXPROCS machines and
+// drops the oldest, FromCheckpoint takes the newest, no slot of the list's
+// backing array keeps a taken or dropped machine reachable, and misuse
+// panics.
+func TestReleasedListBounded(t *testing.T) {
+	emptyReleased(t)
+	cfg := DefaultConfig(2)
+	cfg.MemWords = 1 << 9
+	_, cp, _ := cellImage(cfg)
+	n := runtime.GOMAXPROCS(0)
+	var ms []*Machine
+	for i := 0; i < n+2; i++ {
+		ms = append(ms, FromCheckpoint(cp))
+	}
+	for _, m := range ms {
+		m.Release()
+	}
+	if len(released.list) != n || released.list[0] != ms[2] {
+		t.Fatalf("%d machines kept (oldest %p), want the newest %d", len(released.list), released.list[0], n)
+	}
+	pinned := func(m *Machine) bool {
+		released.Lock()
+		defer released.Unlock()
+		return slices.Contains(released.list[len(released.list):cap(released.list)], m)
+	}
+	for _, dropped := range ms[:2] {
+		if pinned(dropped) {
+			t.Fatal("a dropped machine is still in the list's backing array")
+		}
+	}
+	for i := len(ms) - 1; i >= 2; i-- {
+		m := FromCheckpoint(cp)
+		if m != ms[i] {
+			t.Fatalf("FromCheckpoint took machine %d, want the newest, %d", slices.Index(ms, m), i)
+		}
+		if pinned(m) {
+			t.Fatalf("taken machine %d is still in the list's backing array", i)
+		}
+	}
+	if m := FromCheckpoint(cp); slices.Contains(ms, m) {
+		t.Fatal("FromCheckpoint on an empty list returned a machine it handed out before")
+	}
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	m := ms[0]
+	m.Release()
+	mustPanic("a second Release", m.Release)
+	m = FromCheckpoint(cp)
+	mustPanic("Release while running", func() { m.RunOne(func(*Thread) { m.Release() }) })
+}
+
+// TestReleaseConcurrent: host workers forking and releasing at once never
+// share a machine, and every fork holds the image and runs like a new
+// machine (run under -race).
+func TestReleaseConcurrent(t *testing.T) {
+	emptyReleased(t)
+	cfg := DefaultConfig(2)
+	cfg.MemWords = 1 << 10
+	_, cp, cells := cellImage(cfg)
+	newFork := &Machine{}
+	newFork.Reset(cp)
+	want := templateFingerprint(newFork)
+	body := func(th *Thread) {
+		th.RTM(func() { th.Store(cells[th.ID], th.Load(cells[th.ID])+uint64(th.ID)+1) })
+	}
+	newFork.Run(2, body)
+	wantAfter := templateFingerprint(newFork)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				m := FromCheckpoint(cp)
+				if got := templateFingerprint(m); got != want {
+					t.Errorf("fork fingerprint %#016x, want %#016x", got, want)
+					return
+				}
+				m.Run(2, body)
+				if got := templateFingerprint(m); got != wantAfter {
+					t.Errorf("fork's run fingerprint %#016x, want %#016x", got, wantAfter)
+					return
+				}
+				m.Release()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestResetAllocatesNothing: resetting an explore-sized machine (small

@@ -26,6 +26,9 @@ package tsx
 import (
 	"maps"
 	"math"
+	"runtime"
+	"slices"
+	"sync"
 
 	"hle/internal/mem"
 	"hle/internal/sim"
@@ -334,7 +337,8 @@ func (m *Machine) Config() Config { return m.cfg }
 // checkpoint can seed any number of independent machines, concurrently —
 // which is what makes it a fork point: capture once after an expensive
 // phase (workload population, a soak's fill run), then FromCheckpoint per
-// experiment instead of re-executing the phase.
+// experiment instead of re-executing the phase, and Release each fork when
+// the experiment ends so the next FromCheckpoint recycles it.
 //
 // A checkpoint can only be captured while the machine is quiescent
 // (between Run calls). Mid-run machine state lives partly in goroutine
@@ -373,33 +377,80 @@ func (m *Machine) Checkpoint() *Checkpoint {
 	}
 }
 
-// FromCheckpoint builds an independent machine from a checkpoint. The
-// checkpoint is not consumed.
+// FromCheckpoint returns a machine holding the checkpoint's image: the
+// newest machine handed back by Release, Reset to cp, or a new one when
+// none is waiting. Either way the result is indistinguishable from a new
+// machine restored to cp. The checkpoint is not consumed.
 func FromCheckpoint(cp *Checkpoint) *Machine {
-	m := &Machine{}
+	m := takeReleased()
 	m.Reset(cp)
 	return m
 }
 
+// Release hands the machine to a later FromCheckpoint, which resets it to
+// its own checkpoint; the caller must not use the machine, or any Thread
+// its last Run returned, again. A sweep that releases each point's fork
+// reuses memory arrays, thread table, scheduler and transaction contexts
+// per host worker rather than building them per point, so its peak heap
+// does not depend on when the garbage collector runs.
+func (m *Machine) Release() {
+	if m.running {
+		panic("tsx: Release while the machine is running")
+	}
+	released.Lock()
+	defer released.Unlock()
+	if slices.Contains(released.list, m) {
+		panic("tsx: machine released twice")
+	}
+	if over := len(released.list) + 1 - runtime.GOMAXPROCS(0); over > 0 {
+		released.list = slices.Delete(released.list, 0, over)
+	}
+	released.list = append(released.list, m)
+}
+
+// released holds the machines handed back by Release, oldest first, at
+// most one per host worker; older ones are dropped for the collector.
+var released struct {
+	sync.Mutex
+	list []*Machine
+}
+
+// takeReleased removes and returns the newest released machine, or a new
+// empty one when there is none. slices.Delete clears the vacated slot: a
+// pointer left behind in the backing array would keep the taken machine's
+// memory image reachable after it is released again and dropped.
+func takeReleased() *Machine {
+	released.Lock()
+	defer released.Unlock()
+	n := len(released.list)
+	if n == 0 {
+		return &Machine{}
+	}
+	m := released.list[n-1]
+	released.list = slices.Delete(released.list, n-1, n)
+	return m
+}
+
 // Reset restores the machine to a checkpoint's image in place: afterwards
-// it is indistinguishable from FromCheckpoint(cp), which is an empty
-// machine plus Reset. Memory arrays, free lists, the line-label maps, the
-// flight recorder's buffer and the pooled transaction contexts are reused
-// rather than reallocated, so a loop that forks the same image again and
-// again (the model checker's replays) stops allocating once its storage
-// has grown. Threads returned by the last Run stay readable until the next
-// Run; only their transaction contexts move on. Hooks (observer, injector,
-// watchdog, strategy) and the label prefix are cleared, as on a new fork.
+// it is indistinguishable from a new machine restored to cp, whatever it
+// ran before — a larger or smaller image, a watchdog-stopped run. Memory
+// arrays, free lists, the line-label maps, the flight recorder's buffer,
+// the thread table, the scheduler and the pooled transaction contexts are
+// reused rather than reallocated, so a loop that forks image after image
+// (the model checker's replays, FromCheckpoint over released machines)
+// stops allocating once its storage has grown. Threads returned by the
+// last Run stay readable until the next Run; only their transaction
+// contexts move on. Hooks (observer, injector, watchdog, strategy) and the
+// label prefix are cleared, as on a new fork.
 func (m *Machine) Reset(cp *Checkpoint) {
 	if m.running {
 		panic("tsx: Reset while the machine is running")
 	}
 	m.cfg = cp.cfg
 	if m.Mem == nil {
-		m.Mem = mem.FromSnapshot(cp.snap)
-	} else {
-		m.Mem.Restore(cp.snap)
+		m.Mem = new(mem.Memory)
 	}
+	m.Mem.Restore(cp.snap)
 	m.logOneMinusP = cp.logOneMinusP
 	switch {
 	case m.cfg.TraceRing <= 0:

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Tier-1 verification: build, vet, full test suite, then the race detector
-# over the host-parallel machinery (the pool, machine clone/snapshot, and
-# allocator free lists are the only code that runs on concurrent host
-# goroutines). Explicit -timeout: the liveness watchdogs turn simulated
+# over the host-parallel machinery (the pool, machine checkpoint/fork, the
+# list of released machines that forks recycle, and allocator free lists
+# are the only code that runs on concurrent host goroutines). Explicit -timeout: the liveness watchdogs turn simulated
 # hangs into structured failures, so a genuinely hung test is a bug worth
 # a bounded wait, not go test's default 10 minutes per package.
 set -eux
@@ -11,7 +11,9 @@ go build ./...
 go vet ./...
 go test -timeout 300s ./...
 # Race detector over every package the parallel runner shares across host
-# goroutines: the pool, machine fork/checkpoint and allocator free lists;
+# goroutines: the pool, machine fork/checkpoint, tsx's list of released
+# machines (every point's FromCheckpoint takes from it and its Release
+# hands back to it) and allocator free lists;
 # internal/sim, whose iter.Pull switches are all that orders one simulated
 # proc's accesses before the next proc's; the profiler, one collector per
 # point, and the adaptive controller riding its windowed feed; and the
