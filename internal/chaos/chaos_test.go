@@ -44,18 +44,13 @@ func TestSoakMatrix(t *testing.T) {
 			}
 		}
 	}
-	// All points at one seed share a filled image (per machine-flag
-	// class), so the fill phase runs once per image instead of once per
-	// point; forked runs are identical to scratch runs by
-	// TestSoakForkMatchesScratch.
-	var cache ImageCache
 	results := make([]SoakResult, len(pts))
 	harness.ParallelFor(0, len(pts), func(i int) {
 		spec := SoakSpec{
 			Scheme: harness.SchemeSpec{Scheme: pts[i].scheme, Lock: pts[i].lock},
 			Seed:   pts[i].seed,
 		}
-		results[i] = RunSoakFrom(cache.For(spec), spec)
+		results[i] = RunSoak(spec)
 	})
 	injected := 0
 	for i, r := range results {
@@ -74,39 +69,6 @@ func TestSoakMatrix(t *testing.T) {
 	if injected == 0 {
 		t.Error("soak injected no faults at all — schedules never landed")
 	}
-}
-
-// TestSoakForkMatchesScratch: a soak run forked from a prebuilt image is
-// identical to the scratch run of the same spec — for each machine-flag
-// class an image can carry — and reusing an image for a second fork
-// changes nothing (forks never write back into the image).
-func TestSoakForkMatchesScratch(t *testing.T) {
-	for _, sch := range []string{"HLE-SCM", "HLE-HWExt", "HLE-SCM-ideal", "Standard"} {
-		spec := SoakSpec{Scheme: harness.SchemeSpec{Scheme: sch, Lock: "MCS"}, Seed: 5}
-		cold := RunSoak(spec)
-		img := BuildSoakImage(spec)
-		for rep := 0; rep < 2; rep++ {
-			warm := RunSoakFrom(img, spec)
-			if !reflect.DeepEqual(cold, warm) {
-				t.Errorf("%s fork %d differs from scratch:\ncold: %+v\nwarm: %+v",
-					sch, rep, cold, warm)
-			}
-		}
-	}
-}
-
-// TestSoakImageMismatchPanics: forking an image for a spec with different
-// fill coordinates must refuse loudly rather than run on the wrong state.
-func TestSoakImageMismatchPanics(t *testing.T) {
-	spec := SoakSpec{Scheme: harness.SchemeSpec{Scheme: "HLE", Lock: "TTAS"}, Seed: 5}
-	img := BuildSoakImage(spec)
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched image accepted")
-		}
-	}()
-	spec.Seed = 6
-	RunSoakFrom(img, spec)
 }
 
 // TestSoakDeterministic: one soak point replayed gives byte-identical
@@ -351,7 +313,7 @@ func TestStarvationTrip(t *testing.T) {
 }
 
 // TestSoakFailureOutlivesItsMachine: a tripped soak's failure holds
-// nothing of the machine it ran on. A second soak from the same image
+// nothing of the machine it ran on. The next soak's measured phase
 // recycles the machine the first released — memory, thread table and
 // trace ring — and the first failure comes through it unchanged.
 func TestSoakFailureOutlivesItsMachine(t *testing.T) {
@@ -366,8 +328,7 @@ func TestSoakFailureOutlivesItsMachine(t *testing.T) {
 		LivelockWindow:   1 << 40,
 		StarvationWindow: 50_000,
 	}
-	img := BuildSoakImage(spec)
-	f := RunSoakFrom(img, spec).Failure
+	f := RunSoak(spec).Failure
 	if f == nil || len(f.Threads) == 0 || len(f.Events) == 0 {
 		t.Fatalf("the first soak must trip with thread states and events: %+v", f)
 	}
@@ -380,7 +341,7 @@ func TestSoakFailureOutlivesItsMachine(t *testing.T) {
 	// the recycled machine's trace ring.
 	next := spec
 	next.Schedule = []Fault{}
-	if r := RunSoakFrom(img, next); r.Failure != nil || r.CheckErr != nil || r.Ops != spec.Threads*spec.OpsPerThread {
+	if r := RunSoak(next); r.Failure != nil || r.CheckErr != nil || r.Ops != spec.Threads*spec.OpsPerThread {
 		t.Fatalf("the second soak must complete: %+v", r)
 	}
 	if !reflect.DeepEqual(*f, want) {

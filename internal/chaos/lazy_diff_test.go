@@ -26,8 +26,8 @@ func fingerprint(r SoakResult) string {
 }
 
 // TestLazyDifferentialSoak is the eager-vs-fixed-lazy differential: for each
-// scheme pair, fork the SAME filled tree image (lazy subscription needs no
-// machine flags, so the images are shareable) and soak both subscription
+// scheme pair, fill the SAME tree (same seed, and lazy subscription needs no
+// machine flags, so the fills are identical) and soak both subscription
 // modes under the identical fault schedule. Both must reach the identical
 // verdict — survived, serializable, every operation completed — proving the
 // fixed lazy pipeline is observationally as safe as eager subscription under
@@ -41,7 +41,6 @@ func TestLazyDifferentialSoak(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	var cache ImageCache
 	for _, pair := range lazyPairs {
 		for _, lk := range soakLocks {
 			for s := 1; s <= seeds; s++ {
@@ -53,9 +52,8 @@ func TestLazyDifferentialSoak(t *testing.T) {
 					Scheme: harness.SchemeSpec{Scheme: pair[1], Lock: lk},
 					Seed:   int64(s),
 				}
-				img := cache.For(eagerSpec)
-				eager := RunSoakFrom(img, eagerSpec)
-				lazy := RunSoakFrom(img, lazySpec)
+				eager := RunSoak(eagerSpec)
+				lazy := RunSoak(lazySpec)
 
 				name := fmt.Sprintf("%s vs %s / %s seed %d", pair[0], pair[1], lk, s)
 				for _, m := range []struct {
@@ -82,10 +80,10 @@ func TestLazyDifferentialSoak(t *testing.T) {
 				}
 
 				// Fingerprints: each mode replays to an identical result.
-				if fp, fp2 := fingerprint(eager), fingerprint(RunSoakFrom(img, eagerSpec)); fp != fp2 {
+				if fp, fp2 := fingerprint(eager), fingerprint(RunSoak(eagerSpec)); fp != fp2 {
 					t.Errorf("%s: eager fingerprint unstable:\n%s\n%s", name, fp, fp2)
 				}
-				if fp, fp2 := fingerprint(lazy), fingerprint(RunSoakFrom(img, lazySpec)); fp != fp2 {
+				if fp, fp2 := fingerprint(lazy), fingerprint(RunSoak(lazySpec)); fp != fp2 {
 					t.Errorf("%s: lazy fingerprint unstable:\n%s\n%s", name, fp, fp2)
 				}
 			}

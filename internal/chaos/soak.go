@@ -1,8 +1,6 @@
 package chaos
 
 import (
-	"sync"
-
 	"hle/internal/adapt"
 	"hle/internal/check"
 	"hle/internal/core"
@@ -112,122 +110,35 @@ func (s *SoakSpec) defaults() {
 	}
 }
 
-// SoakImage is the scheme-free half of a soak machine: the red-black tree
-// and recorder cell allocated and the tree populated fault-free, captured
-// as a checkpoint. Many soak points share one image — the fill depends
-// only on the image coordinates (seed, threads, keys, and the machine
-// flags some schemes require), not on which scheme or fault schedule the
-// point runs — so a battery builds each distinct image once and forks it
-// per point instead of re-filling.
-type SoakImage struct {
-	cp        *tsx.Checkpoint
-	tree      *rbtree.Tree
-	rec       *check.Recorder
-	populated map[uint64]uint64
-	key       imageKey
-}
-
-// imageKey is an image's fill coordinates. The machine flags are those
-// the scheme's table entry sets (harness.SchemeSpec.Machine); images are
-// only shareable between specs with equal flags.
-type imageKey struct {
-	seed           int64
-	threads, keys  int
-	hwExt, nestHLE bool
-}
-
-// soakMachine returns the soak machine configuration for spec (defaults
-// applied) and the image coordinates it fills.
-func soakMachine(spec SoakSpec) (tsx.Config, imageKey) {
+// RunSoak executes one soak point. It fills the tree fault-free on a new
+// machine, then runs the measured phase on a fork of that machine's
+// checkpoint. The fork is taken before the fill machine is released, so
+// it recycles a machine an earlier point released, and it starts with an
+// empty trace ring, so a failure dump shows only the measured run.
+// Deterministic: equal specs produce equal results, including dump bytes
+// on failure.
+func RunSoak(spec SoakSpec) SoakResult {
+	spec.defaults()
 	cfg := tsx.DefaultConfig(spec.Threads)
 	cfg.Seed = spec.Seed
 	cfg.MemWords = 1 << 18
 	cfg.TraceRing = 256
-	cfg = spec.Scheme.Machine(cfg)
-	return cfg, imageKey{spec.Seed, spec.Threads, spec.Keys, cfg.HWExt, cfg.NestHLEInRTM}
-}
-
-// BuildSoakImage fills a soak machine for the spec's coordinates and
-// checkpoints it. The scheme is NOT constructed here — it allocates per
-// point in RunSoakFrom, after the shared image — so the image serves every
-// scheme/lock/schedule combination with matching coordinates.
-func BuildSoakImage(spec SoakSpec) *SoakImage {
-	spec.defaults()
-	cfg, key := soakMachine(spec)
-	img := &SoakImage{populated: map[uint64]uint64{}, key: key}
-	m := tsx.NewMachine(cfg)
-	m.RunOne(func(th *tsx.Thread) {
-		img.tree = rbtree.New(th)
-		img.rec = check.NewRecorder(th)
+	fill := tsx.NewMachine(spec.Scheme.Machine(cfg))
+	var tree *rbtree.Tree
+	var rec *check.Recorder
+	model := map[uint64]uint64{}
+	fill.RunOne(func(th *tsx.Thread) {
+		tree = rbtree.New(th)
+		rec = check.NewRecorder(th)
 		for i := 0; i < spec.Keys/2; i++ {
 			k := uint64(th.Rand().Intn(spec.Keys))
-			if img.tree.Insert(th, k, k+1) {
-				img.populated[k] = k + 1
+			if tree.Insert(th, k, k+1) {
+				model[k] = k + 1
 			}
 		}
 	})
-	img.cp = m.Checkpoint()
-	m.Release()
-	return img
-}
-
-// ImageCache shares soak images across points keyed by their fill
-// coordinates. A battery sweeping many scheme × lock × schedule points
-// over the same seeds builds each distinct image once; concurrent
-// requests for the same key serialize on its build, different keys build
-// in parallel. The zero value is ready to use.
-type ImageCache struct {
-	mu sync.Mutex
-	m  map[imageKey]*imageSlot
-}
-
-type imageSlot struct {
-	once sync.Once
-	img  *SoakImage
-}
-
-// For returns the image matching spec's fill coordinates, building it on
-// first request.
-func (c *ImageCache) For(spec SoakSpec) *SoakImage {
-	spec.defaults()
-	_, k := soakMachine(spec)
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = map[imageKey]*imageSlot{}
-	}
-	s := c.m[k]
-	if s == nil {
-		s = &imageSlot{}
-		c.m[k] = s
-	}
-	c.mu.Unlock()
-	s.once.Do(func() { s.img = BuildSoakImage(spec) })
-	return s.img
-}
-
-// RunSoak executes one soak point from scratch: build and fill the
-// machine, then run the measured phase. Deterministic: equal specs produce
-// equal results, including dump bytes on failure. Batteries that share
-// coordinates across points should BuildSoakImage once and call
-// RunSoakFrom instead.
-func RunSoak(spec SoakSpec) SoakResult {
-	spec.defaults()
-	return RunSoakFrom(BuildSoakImage(spec), spec)
-}
-
-// RunSoakFrom executes one soak point on a fork of a prebuilt image: the
-// machine state is copied from the checkpoint (skipping the fill phase),
-// the scheme is constructed on the fork, and the measured run proceeds
-// exactly as a scratch run would — a fork and a scratch run of the same
-// spec return identical results. The fork is released once the result
-// holds everything it needs from it. Panics if the image's coordinates do
-// not match the spec's.
-func RunSoakFrom(img *SoakImage, spec SoakSpec) SoakResult {
-	spec.defaults()
-	if _, k := soakMachine(spec); img.key != k {
-		panic("chaos: soak image coordinates do not match spec")
-	}
-	m := tsx.FromCheckpoint(img.cp)
+	m := tsx.FromCheckpoint(fill.Checkpoint())
+	fill.Release()
 
 	mo := locks.NewMonitor()
 	sspec := spec.Scheme
@@ -242,10 +153,6 @@ func RunSoakFrom(img *SoakImage, spec SoakSpec) SoakResult {
 			scheme = sspec.Build(th)
 		}
 	})
-	tree := img.tree
-	rec := img.rec.Fresh()
-	populated := img.populated
-
 	schedule := spec.Schedule
 	if schedule == nil {
 		schedule = RandomSchedule(spec.Seed, spec.Threads, spec.Horizon, spec.Faults)
@@ -305,10 +212,6 @@ func RunSoakFrom(img *SoakImage, spec SoakSpec) SoakResult {
 		return res
 	}
 	// The sequential witness starts from the populated state.
-	model := make(map[uint64]uint64, len(populated))
-	for k, v := range populated {
-		model[k] = v
-	}
 	res.CheckErr = rec.Verify(func(kind string, key uint64) uint64 {
 		switch kind {
 		case "insert":

@@ -168,11 +168,9 @@ func TestStormRecoveryMatrix(t *testing.T) {
 			}
 		}
 	}
-	var cache ImageCache
 	results := make([]SoakResult, len(pts))
 	harness.ParallelFor(0, len(pts), func(i int) {
-		spec := stormSoakSpec(pts[i].sc, pts[i].lock, pts[i].seed)
-		results[i] = RunSoakFrom(cache.For(spec), spec)
+		results[i] = RunSoak(stormSoakSpec(pts[i].sc, pts[i].lock, pts[i].seed))
 	})
 	for i, r := range results {
 		p := pts[i]
@@ -191,10 +189,9 @@ func TestStormRecoveryDeterministic(t *testing.T) {
 	for i, sc := range scenarios {
 		specs[i] = stormSoakSpec(sc, soakLocks[i%len(soakLocks)], 1)
 	}
-	var cache ImageCache
 	par := make([]SoakResult, len(specs))
 	harness.ParallelFor(0, len(specs), func(i int) {
-		par[i] = RunSoakFrom(cache.For(specs[i]), specs[i])
+		par[i] = RunSoak(specs[i])
 	})
 	for i, spec := range specs {
 		seq := RunSoak(spec)

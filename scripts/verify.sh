@@ -48,11 +48,12 @@ cmp "$explore_out/chained.txt" "$explore_out/serial.txt"
 # Lazy lock subscription under the race detector: the ext-lazy sweep fans
 # per-point machines running the lazy commit pipeline (the one tsx commit
 # path that is NOT atomic — it yields mid-commit) across host workers, and
-# the chaos differential forks eager and fixed-lazy soaks from one shared
-# tree image. The naive-hazard reproductions themselves already run under
-# -race via the explore suite above. FuzzLazySubscription's corpus replay
-# (including the fuzzer-found duplicate-update witness) rides the lazy
-# test filter in internal/core.
+# the chaos differential soaks eager and fixed-lazy subscription over
+# identically filled trees (same seed), each measured on a fork that
+# recycles a released machine. The naive-hazard reproductions themselves
+# already run under -race via the explore suite above.
+# FuzzLazySubscription's corpus replay (including the fuzzer-found
+# duplicate-update witness) rides the lazy test filter in internal/core.
 go test -race -count=1 -timeout 300s -run 'TestExtLazyCapacityAsymmetry' ./internal/figures
 go test -race -count=1 -timeout 300s -run 'Lazy' -short ./internal/core ./internal/chaos
 # The host-time benchmark is its own module, so the root ./... never builds
