@@ -81,6 +81,41 @@ func TestSoakDeterministic(t *testing.T) {
 	}
 }
 
+// TestSoakFillMatchesRunOne: the soak's fill, run outside simulated time
+// (tsx.Machine.Fill) as RunSoak runs it, builds the same checkpoint as the
+// same fill in a timed RunOne, and the soak measured on each image gives
+// the same result — on a surviving soak and on a starvation trip, whose
+// result carries the failure dump.
+func TestSoakFillMatchesRunOne(t *testing.T) {
+	runOne := func(m *tsx.Machine, body func(*tsx.Thread)) { m.RunOne(body) }
+	starve := SoakSpec{
+		Scheme:           harness.SchemeSpec{Scheme: "HLE", Lock: "TTAS"},
+		Seed:             3,
+		Threads:          4,
+		OpsPerThread:     400,
+		Schedule:         []Fault{{Kind: Preempt, At: 0, Proc: 0, Arg: 1 << 40}},
+		LivelockWindow:   1 << 40,
+		StarvationWindow: 50_000,
+	}
+	for _, spec := range []SoakSpec{
+		{Scheme: harness.SchemeSpec{Scheme: "HLE-SCM", Lock: "MCS"}, Seed: 7},
+		starve,
+	} {
+		spec.defaults()
+		filled, timed := fillSoak(spec, (*tsx.Machine).Fill), fillSoak(spec, runOne)
+		if !reflect.DeepEqual(filled.fill.Checkpoint(), timed.fill.Checkpoint()) {
+			t.Fatalf("%s: Fill built a different soak image than RunOne", spec.Scheme)
+		}
+		got, want := filled.run(spec), timed.run(spec)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: soak on the Fill image:\n%+v\nsoak on the RunOne image:\n%+v", spec.Scheme, got, want)
+		}
+		if (spec.StarvationWindow == starve.StarvationWindow) != (got.Failure != nil) {
+			t.Fatalf("%s: failure = %v, want one exactly on the starvation spec", spec.Scheme, got.Failure)
+		}
+	}
+}
+
 // TestRandomScheduleDeterministic: schedules are a pure function of the
 // seed.
 func TestRandomScheduleDeterministic(t *testing.T) {

@@ -111,34 +111,54 @@ func (s *SoakSpec) defaults() {
 }
 
 // RunSoak executes one soak point. It fills the tree fault-free on a new
-// machine, then runs the measured phase on a fork of that machine's
-// checkpoint. The fork is taken before the fill machine is released, so
-// it recycles a machine an earlier point released, and it starts with an
-// empty trace ring, so a failure dump shows only the measured run.
-// Deterministic: equal specs produce equal results, including dump bytes
-// on failure.
+// machine, outside simulated time (tsx.Machine.Fill), then runs the
+// measured phase on a fork of that machine's checkpoint. The fork is taken
+// before the fill machine is released, so it recycles a machine an earlier
+// point released, and it starts with an empty trace ring, so a failure
+// dump shows only the measured run. Deterministic: equal specs produce
+// equal results, including dump bytes on failure.
 func RunSoak(spec SoakSpec) SoakResult {
 	spec.defaults()
+	return fillSoak(spec, (*tsx.Machine).Fill).run(spec)
+}
+
+// soakImage is a soak's filled starting state: the fill machine and the
+// Go-side handles into its memory.
+type soakImage struct {
+	fill  *tsx.Machine
+	tree  *rbtree.Tree
+	rec   *check.Recorder
+	model map[uint64]uint64
+}
+
+// fillSoak inserts Keys/2 random keys into a new tree on a new machine,
+// running the fill body with fillWith (Machine.Fill; tests pass a RunOne
+// to check that Fill builds the same image).
+func fillSoak(spec SoakSpec, fillWith func(*tsx.Machine, func(*tsx.Thread))) soakImage {
 	cfg := tsx.DefaultConfig(spec.Threads)
 	cfg.Seed = spec.Seed
 	cfg.MemWords = 1 << 18
 	cfg.TraceRing = 256
-	fill := tsx.NewMachine(spec.Scheme.Machine(cfg))
-	var tree *rbtree.Tree
-	var rec *check.Recorder
-	model := map[uint64]uint64{}
-	fill.RunOne(func(th *tsx.Thread) {
-		tree = rbtree.New(th)
-		rec = check.NewRecorder(th)
+	img := soakImage{fill: tsx.NewMachine(spec.Scheme.Machine(cfg)), model: map[uint64]uint64{}}
+	fillWith(img.fill, func(th *tsx.Thread) {
+		img.tree = rbtree.New(th)
+		img.rec = check.NewRecorder(th)
 		for i := 0; i < spec.Keys/2; i++ {
 			k := uint64(th.Rand().Intn(spec.Keys))
-			if tree.Insert(th, k, k+1) {
-				model[k] = k + 1
+			if img.tree.Insert(th, k, k+1) {
+				img.model[k] = k + 1
 			}
 		}
 	})
-	m := tsx.FromCheckpoint(fill.Checkpoint())
-	fill.Release()
+	return img
+}
+
+// run forks the filled image, releases the fill machine and runs the
+// soak's measured phase on the fork.
+func (img soakImage) run(spec SoakSpec) SoakResult {
+	m := tsx.FromCheckpoint(img.fill.Checkpoint())
+	img.fill.Release()
+	tree, rec, model := img.tree, img.rec, img.model
 
 	mo := locks.NewMonitor()
 	sspec := spec.Scheme

@@ -173,7 +173,7 @@ type replayTemplate struct {
 func (e *explorer) buildTemplate(mcfg tsx.Config) *replayTemplate {
 	tp := &replayTemplate{}
 	m := tsx.NewMachine(mcfg)
-	m.RunOne(func(t *tsx.Thread) {
+	m.Fill(func(t *tsx.Thread) {
 		tp.main = buildLock(e.cfg, t)
 		tp.aux = e.auxLocks(t)
 		tp.rec = check.NewRecorder(t)

@@ -126,7 +126,7 @@ func AblationMultiAux(o Options) []*stats.Table {
 			m := tsx.NewMachine(cfg)
 			var s core.Scheme
 			var cells []mem.Addr
-			m.RunOne(func(t *tsx.Thread) {
+			m.Fill(func(t *tsx.Thread) {
 				s = harness.SchemeSpec{Scheme: variants[vi], Lock: "TTAS"}.Build(t)
 				// Independent hot counters, each fought over by a pair
 				// of threads with long critical sections: conflicts

@@ -120,7 +120,7 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 		var scheme core.Scheme
 		var shared, counter mem.Addr
 		var priv [8 * 16]mem.Addr
-		m.RunOne(func(th *tsx.Thread) {
+		m.Fill(func(th *tsx.Thread) {
 			lock := locks.NewTTAS(th)
 			shared = th.AllocLines(lazyReadLines * mem.LineWords)
 			for id := 0; id < o.Threads; id++ {

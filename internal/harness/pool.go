@@ -40,7 +40,7 @@ type WarmTemplate struct {
 func (wt *WarmTemplate) Fork() (*tsx.Machine, Workload) {
 	wt.once.Do(func() {
 		m := tsx.NewMachine(wt.Machine)
-		m.RunOne(func(t *tsx.Thread) {
+		m.Fill(func(t *tsx.Thread) {
 			wt.w = wt.MkWorkload(t)
 			wt.w.Populate(t)
 		})

@@ -15,17 +15,21 @@ func benchCfg(elems int) tsx.Config {
 	return cfg
 }
 
-// BenchmarkPointSetupCold measures the per-point setup cost a sweep pays
-// without warm templates: build a machine and populate the workload from
-// scratch every time.
+// BenchmarkPointSetupCold measures what a template's first Fork pays, and
+// a sweep without warm templates pays per point: build a machine, fill
+// the workload from scratch, checkpoint it and fork the checkpoint.
 func BenchmarkPointSetupCold(b *testing.B) {
 	const elems = 32768
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m := tsx.NewMachine(benchCfg(elems))
-		m.RunOne(func(t *tsx.Thread) {
-			NewRBTree(t, elems, MixModerate).Populate(t)
-		})
+		wt := &WarmTemplate{
+			Machine: benchCfg(elems),
+			MkWorkload: func(t *tsx.Thread) Workload {
+				return NewRBTree(t, elems, MixModerate)
+			},
+		}
+		m, _ := wt.Fork()
+		m.Release()
 	}
 }
 

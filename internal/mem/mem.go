@@ -432,7 +432,11 @@ func (m *Memory) grow(need int) {
 // Memory per concurrent point instead of repopulating, which dominates
 // point cost for large structures.
 type Snapshot struct {
-	words    []uint64
+	words []uint64
+	// lines is nil when every line's metadata was zero, which it is
+	// outside a live transaction: a quiescent image stores no lines and
+	// Restore clears them instead. Only a torn machine (a watchdog-stopped
+	// run) carries set bits.
 	lines    []LineMeta
 	next     Addr
 	maxWords int
@@ -454,7 +458,6 @@ func (s *Snapshot) Words() []uint64 { return s.words }
 func (m *Memory) Snapshot() *Snapshot {
 	s := &Snapshot{
 		words:    slices.Clone(m.words),
-		lines:    slices.Clone(m.lines),
 		next:     m.next,
 		maxWords: m.maxWords,
 		owner:    maps.Clone(m.owner),
@@ -462,6 +465,12 @@ func (m *Memory) Snapshot() *Snapshot {
 		cursors:  maps.Clone(m.cursors),
 		colorSeq: m.colorSeq,
 		shadow:   m.shadow,
+	}
+	for _, l := range m.lines {
+		if l != (LineMeta{}) {
+			s.lines = slices.Clone(m.lines)
+			break
+		}
 	}
 	s.free.copyFrom(&m.free)
 	return s
@@ -474,7 +483,13 @@ func (m *Memory) Snapshot() *Snapshot {
 // snapshot is not consumed: it can seed any number of memories.
 func (m *Memory) Restore(s *Snapshot) {
 	m.words = append(m.words[:0], s.words...)
-	m.lines = append(m.lines[:0], s.lines...)
+	if s.lines != nil {
+		m.lines = append(m.lines[:0], s.lines...)
+	} else {
+		n := len(s.words) / LineWords
+		m.lines = slices.Grow(m.lines[:0], n)[:n]
+		clear(m.lines)
+	}
 	m.next = s.next
 	m.maxWords = s.maxWords
 	m.free.copyFrom(&s.free)

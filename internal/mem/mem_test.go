@@ -330,6 +330,27 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if d := m.Alloc(4); d != a {
 		t.Fatal("Restore did not reset free lists")
 	}
+
+	// A torn image (line bits left set by a stopped transaction) keeps its
+	// bits through a snapshot; restoring a quiescent snapshot clears them.
+	torn := LineMeta{Readers: 0b101, Writers: 0b10}
+	*m.Line(b) = torn
+	tornSnap := m.Snapshot()
+	*m.Line(b) = LineMeta{Readers: 1 << 63}
+	*m.Line(a) = torn
+	if r := restored(tornSnap); *r.Line(b) != torn || *r.Line(a) != (LineMeta{}) {
+		t.Fatalf("torn snapshot restored lines %+v and %+v into a new memory", *r.Line(b), *r.Line(a))
+	}
+	m.Restore(tornSnap)
+	if *m.Line(b) != torn || *m.Line(a) != (LineMeta{}) {
+		t.Fatalf("torn snapshot restored lines %+v and %+v in place", *m.Line(b), *m.Line(a))
+	}
+	m.Restore(snap)
+	for l := 0; l < m.NumLines(); l++ {
+		if *m.LineByIndex(l) != (LineMeta{}) {
+			t.Fatalf("quiescent snapshot left line %d's bits %+v", l, *m.LineByIndex(l))
+		}
+	}
 }
 
 func TestSnapshotIndependentFreeLists(t *testing.T) {

@@ -453,6 +453,7 @@ func takeCoro() *coro {
 	// Parked coroutines are never stopped, so yield never returns false.
 	c.resume, _ = iter.Pull(func(yield func(bool) bool) {
 		c.yield = yield
+		growProcStack()
 		for {
 			c.run()
 			yield(false)
@@ -472,7 +473,6 @@ func (c *coro) run() {
 			}
 		}
 	}()
-	growProcStack()
 	p.obeyStop()
 	c.body(p)
 }
@@ -678,7 +678,8 @@ var (
 // run deep (scheme -> engine -> memory -> scheduler), and growing the stack
 // mid-run copies every live frame — under short replay-style Runs that
 // copying dominates the profile. One oversized frame at the top of the
-// coroutine moves the growth to the cheapest possible moment.
+// coroutine, once when it starts, moves the growth to the cheapest possible
+// moment; a pooled coroutine keeps its grown stack for every later body.
 //
 //go:noinline
 func growProcStack() {

@@ -64,7 +64,7 @@ func Run(m *tsx.Machine, spec harness.SchemeSpec, mk func(t *tsx.Thread) App, th
 	prof *harness.Profiler) (Result, error) {
 	var app App
 	var scheme core.Scheme
-	m.RunOne(func(t *tsx.Thread) {
+	m.Fill(func(t *tsx.Thread) {
 		app = mk(t)
 		app.Setup(t)
 		scheme = spec.Build(t)

@@ -259,6 +259,12 @@ func TestReleasedForkMatchesFresh(t *testing.T) {
 			if !m.Stopped() || !slices.ContainsFunc(ths, (*Thread).InTx) {
 				t.Fatal("no thread stopped mid-transaction; the case is vacuous")
 			}
+			// The torn image itself round-trips, set line bits included.
+			copied := &Machine{}
+			copied.Reset(m.Checkpoint())
+			if templateFingerprint(copied) != templateFingerprint(m) {
+				t.Fatal("a torn machine's checkpoint did not restore its image")
+			}
 			return m
 		}},
 	}

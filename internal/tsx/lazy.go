@@ -156,6 +156,7 @@ func (t *Thread) commitLazy(tx *txState) {
 	}
 	t.clearLineBits(tx)
 	t.tx = nil
+	t.m.live &^= t.bit
 	t.trace(EvCommit, mem.Nil, uint64(tx.accesses))
 	if o := t.m.obs; o != nil {
 		o.TxCommit(t.ID, t.Clock(), tx.beginClock, tx.accesses)

@@ -115,3 +115,32 @@ func TestRunInsideRunPanics(t *testing.T) {
 	}()
 	m.RunOne(func(*Thread) { m.RunOne(func(*Thread) {}) })
 }
+
+// TestFillRunsOutsideSimulatedTime: a fill's thread charges no cycles,
+// and a fill refuses the hooks that only timed runs may carry.
+func TestFillRunsOutsideSimulatedTime(t *testing.T) {
+	m := newTestMachine(1, 1)
+	m.Fill(func(th *Thread) {
+		th.Store(th.Alloc(4), 1)
+		th.Work(100)
+	})
+	if c := m.threads[0].Clock(); c != 0 {
+		t.Fatalf("fill thread's clock = %d, want 0", c)
+	}
+	for name, install := range map[string]func(*Machine){
+		"observer": func(m *Machine) { m.SetObserver(&grantCounter{}) },
+		"injector": func(m *Machine) { m.SetInjector(&testInjector{}) },
+		"watchdog": func(m *Machine) { m.SetWatchdog(func(uint64) bool { return false }) },
+	} {
+		m := newTestMachine(1, 1)
+		install(m)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Fill with the %s installed did not panic", name)
+				}
+			}()
+			m.Fill(func(*Thread) {})
+		}()
+	}
+}

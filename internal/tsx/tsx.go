@@ -274,6 +274,11 @@ type Machine struct {
 	// txContext): a Thread starts afresh every Run, its hardware context
 	// carries over.
 	txCtx []*txState
+	// live has bit i set while thread i of the current Run is inside a
+	// transaction (its tx is non-nil). requestLine consults it to skip
+	// the line-metadata lookup when no other thread can be doomed. Run
+	// clears it: a watchdog-stopped run leaves its threads' tx behind.
+	live uint64
 
 	// logOneMinusP caches log1p(-SpuriousPerAccess) for the per-begin
 	// geometric draw.
@@ -336,9 +341,11 @@ func (m *Machine) Config() Config { return m.cfg }
 // the symbolic line registry. It is immutable once captured — one
 // checkpoint can seed any number of independent machines, concurrently —
 // which is what makes it a fork point: capture once after an expensive
-// phase (workload population, a soak's fill run), then FromCheckpoint per
-// experiment instead of re-executing the phase, and Release each fork when
-// the experiment ends so the next FromCheckpoint recycles it.
+// phase (workload population by Fill, a soak's fill), then FromCheckpoint
+// per experiment instead of re-executing the phase, and Release each fork
+// when the experiment ends so the next FromCheckpoint recycles it. Threads'
+// clocks and statistics are not part of the image: every Run starts its
+// threads at clock 0.
 //
 // A checkpoint can only be captured while the machine is quiescent
 // (between Run calls). Mid-run machine state lives partly in goroutine
@@ -520,6 +527,7 @@ func (m *Machine) Run(n int, body func(t *Thread)) []*Thread {
 	}
 	m.threads = m.threads[:n]
 	clear(m.threads)
+	m.live = 0
 	m.running, m.stopped, m.body = true, false, body
 	defer func() { m.running, m.body = false, nil }()
 	simCfg := sim.Config{Procs: n, Seed: m.cfg.Seed, Quantum: m.cfg.Quantum}
@@ -557,10 +565,33 @@ func (m *Machine) runThread(p *sim.Proc) {
 	t.flushFreeCache()
 }
 
-// RunOne simulates a single thread; a convenience for setup code that
-// populates data structures non-transactionally.
+// RunOne simulates a single thread in simulated time and returns it, for
+// timed single-thread runs and probes whose thread clock or statistics
+// the caller reads. Code that only builds a machine image uses Fill.
 func (m *Machine) RunOne(body func(t *Thread)) *Thread {
 	return m.Run(1, body)[0]
+}
+
+// Fill runs body as the machine's only thread, outside simulated time, to
+// build a machine image (populate a workload, construct locks and
+// schemes): Thread.Step charges no cycles and draws no cost jitter, so the
+// thread's clock stays at 0. Everything else is what RunOne would do — the
+// same loads, stores, allocations and t.Rand() draws, in the same order —
+// so the memory words, line metadata, allocator state and line labels
+// come out byte-identical to RunOne's. A sole thread without a watchdog
+// holds an unbounded grant, so the body never yields either way; only the
+// clock and the coherence requests no other thread receives are skipped.
+//
+// Fill panics if an observer, injector, watchdog or strategy is installed:
+// those belong to timed runs.
+func (m *Machine) Fill(body func(t *Thread)) {
+	if m.obs != nil || m.inj != nil || m.watchdog != nil || m.strategy != nil {
+		panic("tsx: Fill with a hook installed")
+	}
+	m.Run(1, func(t *Thread) {
+		t.untimed = true
+		body(t)
+	})
 }
 
 // Thread is one simulated hardware thread with TSX state. It embeds the
@@ -577,6 +608,9 @@ type Thread struct {
 
 	// jitterState drives the per-step cost noise (seeded per thread).
 	jitterState uint64
+
+	// untimed marks a Fill's thread: Step charges nothing.
+	untimed bool
 
 	// cache approximates the thread's private cache for cost accounting
 	// (nil unless Config.CacheLines > 0).
@@ -688,8 +722,11 @@ func (t *Thread) Memory() *mem.Memory { return t.m.Mem }
 // machine's configured jitter. It shadows sim.Proc.Step so that every
 // engine-charged cost carries microarchitectural noise; without noise,
 // identical loops on different threads phase-lock into artificial
-// conflict-free schedules.
+// conflict-free schedules. Under Fill it does nothing.
 func (t *Thread) Step(cost uint64) {
+	if t.untimed {
+		return
+	}
 	t.Proc.Step(t.jitter(cost))
 }
 

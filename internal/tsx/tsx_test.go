@@ -197,6 +197,90 @@ func TestRequestorWinsReadDoomsWriter(t *testing.T) {
 	}
 }
 
+// checkLive fails unless the machine's live-transaction mask holds exactly
+// the threads of the current Run that are inside a transaction.
+func checkLive(t *testing.T, m *Machine) {
+	t.Helper()
+	var want uint64
+	for _, th := range m.threads {
+		if th != nil && th.tx != nil {
+			want |= th.bit
+		}
+	}
+	if m.live != want {
+		t.Errorf("live-transaction mask %#x, want %#x", m.live, want)
+	}
+}
+
+// TestPlainAccessDoomsTransaction: every kind of non-transactional access
+// dooms another thread's transaction holding the line in its write set,
+// with the flight recorder off (where a request finding no other live
+// transaction skips the line lookup) and on. Each machine first has a run
+// stopped while a thread is inside a transaction, which leaves that
+// thread's context behind; the next Run must not count it as live.
+func TestPlainAccessDoomsTransaction(t *testing.T) {
+	accesses := map[string]func(th *Thread, a mem.Addr){
+		"load":  func(th *Thread, a mem.Addr) { th.Load(a) },
+		"store": func(th *Thread, a mem.Addr) { th.Store(a, 1) },
+		"cas":   func(th *Thread, a mem.Addr) { th.CAS(a, 7, 8) },
+		"swap":  func(th *Thread, a mem.Addr) { th.Swap(a, 1) },
+		"add":   func(th *Thread, a mem.Addr) { th.FetchAdd(a, 1) },
+	}
+	for _, ring := range []int{0, 64} {
+		for name, access := range accesses {
+			cfg := DefaultConfig(2)
+			cfg.Seed = 3
+			cfg.SpuriousPerAccess = 0
+			cfg.TraceRing = ring
+			m := NewMachine(cfg)
+			var a, b mem.Addr
+			m.RunOne(func(th *Thread) {
+				a = th.AllocLines(1)
+				b = th.AllocLines(1)
+			})
+
+			m.SetWatchdog(func(minClock uint64) bool { return minClock > 300 })
+			stopped := m.Run(2, func(th *Thread) {
+				if th.ID == 0 {
+					th.RTM(func() {
+						th.Store(b, 1)
+						for {
+							th.Load(b)
+						}
+					})
+				}
+				th.Work(1 << 20)
+			})
+			m.SetWatchdog(nil)
+			if !m.Stopped() || !stopped[0].InTx() {
+				t.Fatalf("ring %d, %s: the watchdog did not stop thread 0 inside its transaction", ring, name)
+			}
+
+			doomed := false
+			m.Run(2, func(th *Thread) {
+				checkLive(t, m)
+				if th.ID == 0 {
+					ok, st := th.RTM(func() {
+						th.Store(a, 99)
+						checkLive(t, m)
+						for i := 0; i < 100; i++ {
+							th.Load(b)
+						}
+					})
+					doomed = !ok && st.Cause == CauseConflict && mem.LineOf(st.ConflictAddr) == mem.LineOf(a)
+				} else {
+					th.Work(100) // let thread 0 enter its transaction
+					access(th, a)
+				}
+				checkLive(t, m)
+			})
+			if !doomed {
+				t.Errorf("ring %d: a plain %s did not doom the transaction writing its line", ring, name)
+			}
+		}
+	}
+}
+
 // TestNoLostUpdates: concurrent transactional increments with a retry loop
 // must be serializable.
 func TestNoLostUpdates(t *testing.T) {

@@ -139,6 +139,7 @@ func (t *Thread) beginTx() *txState {
 	tx.evictAt = t.m.cfg.L1ReadLines
 	tx.beginClock = t.Clock()
 	t.tx = tx
+	t.m.live |= t.bit
 	t.Stats.Begun++
 	t.trace(EvBegin, mem.Nil, 0)
 	if o := t.m.obs; o != nil {
@@ -213,6 +214,7 @@ func (t *Thread) finishAbort() Status {
 	}
 	t.clearLineBits(tx)
 	t.tx = nil
+	t.m.live &^= t.bit
 	t.Stats.Aborted[tx.abortCause]++
 	t.trace(EvAbort, mem.LineAddr(tx.conflictLine), uint64(tx.abortCause))
 	if o := t.m.obs; o != nil {
@@ -252,6 +254,7 @@ func (t *Thread) commit() {
 	}
 	t.clearLineBits(tx)
 	t.tx = nil
+	t.m.live &^= t.bit
 	t.trace(EvCommit, mem.Nil, uint64(tx.accesses))
 	if o := t.m.obs; o != nil {
 		o.TxCommit(t.ID, t.Clock(), tx.beginClock, tx.accesses)
@@ -400,20 +403,23 @@ func (t *Thread) hwextMissCheck(tx *txState) {
 }
 
 // requestLine models a coherence request for a cache line arriving from
-// thread req (or from outside the simulation when req is nil). Under the
-// requestor-wins policy, a write request dooms every other transaction
-// holding the line in either set; a read request dooms other transactional
-// writers.
+// thread req. Under the requestor-wins policy, a write request dooms every
+// other transaction holding the line in either set; a read request dooms
+// other transactional writers. When no other thread is in a transaction
+// the request can doom nobody, so it returns before the line-metadata
+// lookup — unless the flight recorder is on, which records every
+// request's victim mask.
 func (m *Machine) requestLine(line int, req *Thread, isWrite bool) {
+	if m.live&^req.bit == 0 && m.ring == nil {
+		return
+	}
 	lm := m.Mem.LineByIndex(line)
 	victims := lm.Writers
 	if isWrite {
 		victims |= lm.Readers
 	}
-	if req != nil {
-		req.trace(EvReqLine, mem.LineAddr(line), victims)
-		victims &^= uint64(1) << uint(req.ID)
-	}
+	req.trace(EvReqLine, mem.LineAddr(line), victims)
+	victims &^= req.bit
 	for victims != 0 {
 		id := bits.TrailingZeros64(victims)
 		victims &^= uint64(1) << uint(id)
@@ -424,11 +430,7 @@ func (m *Machine) requestLine(line int, req *Thread, isWrite bool) {
 		v.tx.doomed = true
 		v.tx.abortCause = CauseConflict
 		v.tx.conflictLine = line
-		if req != nil {
-			v.tx.aggressor = int8(req.ID)
-		} else {
-			v.tx.aggressor = -1
-		}
+		v.tx.aggressor = int8(req.ID)
 		v.trace(EvDoomed, mem.LineAddr(line), 0)
 	}
 }
