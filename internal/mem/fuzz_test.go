@@ -10,7 +10,9 @@ import (
 // FuzzSnapshotRestore drives a random allocate/write/free history against
 // a Memory under a fuzz-chosen placement policy, snapshots it mid-stream,
 // keeps mutating, and then checks the round trip: Restore must erase every
-// post-snapshot effect, and a new Memory restored from the snapshot must be
+// post-snapshot effect, a memory that last held the end-of-history image
+// must restore to the same arrays as a new one (and the other way round),
+// and a new Memory restored from the snapshot must be
 // behaviorally identical to the restored one — same words, same bump
 // pointer, and same allocator decisions (including chunk cursors, color
 // sequence, and the auto-pad shadow) when the rest of the history is
@@ -95,9 +97,21 @@ func FuzzSnapshotRestore(f *testing.F) {
 			live = apply(m, live, b, split+i)
 		}
 
+		end := m.Snapshot()
 		m.Restore(snap)
 		m2 := new(mem.Memory)
 		m2.Restore(snap)
+		// A memory that last held the other image must come out exactly
+		// as a new one restored to the image, over the whole arrays: the
+		// end image is larger or smaller than snap depending on the ops.
+		swapped := new(mem.Memory)
+		swapped.Restore(snap)
+		swapped.Restore(end)
+		want := new(mem.Memory)
+		want.Restore(end)
+		sameMemory(t, "snapshot image, then the end image", swapped, want)
+		swapped.Restore(snap)
+		sameMemory(t, "end image, then the snapshot image", swapped, m2)
 		if !slices.Equal(m.Snapshot().Words(), snap.Words()) {
 			t.Fatal("Restore did not reproduce the snapshot's words")
 		}

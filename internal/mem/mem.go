@@ -226,6 +226,14 @@ type allocKind struct {
 }
 
 // Memory is a simulated physical memory. It grows on demand up to maxWords.
+//
+// Every word and line past the bump pointer (next) is zero, over the whole
+// capacity of both arrays and not just their length: nothing allocates or
+// writes there, grow starts from zeroed arrays, and Restore clears what a
+// larger image left behind. Snapshot therefore stores only the words in use
+// and Restore clears only up to the larger of the two bump pointers.
+// Memories made under DebugChecks panic in Snapshot when the invariant is
+// broken.
 type Memory struct {
 	words    []uint64
 	lines    []LineMeta
@@ -418,25 +426,33 @@ func (m *Memory) grow(need int) {
 	if newLen > m.maxWords {
 		newLen = m.maxWords
 	}
+	// Only the used prefix is copied: the rest is zero on both sides.
 	words := make([]uint64, newLen)
-	copy(words, m.words)
+	copy(words, m.words[:m.next])
 	m.words = words
 	lines := make([]LineMeta, newLen/LineWords)
-	copy(lines, m.lines)
+	copy(lines, m.lines[:m.usedLines()])
 	m.lines = lines
 }
 
+// usedLines returns the number of lines holding words below the bump
+// pointer; every line from there on is zero.
+func (m *Memory) usedLines() int { return lineClass(int(m.next)) }
+
 // Snapshot is an immutable deep copy of a Memory's complete state — word
-// array, line metadata, bump pointer, and free lists. The experiment pool
+// contents, line metadata, bump pointer, and free lists. The experiment pool
 // snapshots a populated workload once and restores it into an independent
 // Memory per concurrent point instead of repopulating, which dominates
-// point cost for large structures.
+// point cost for large structures. It holds only the words in use (those
+// below the bump pointer) and the array length to restore them into: the
+// zero tail is implied.
 type Snapshot struct {
-	words []uint64
+	words []uint64 // the in-use prefix, len == next
+	size  int      // the word array's length
 	// lines is nil when every line's metadata was zero, which it is
 	// outside a live transaction: a quiescent image stores no lines and
 	// Restore clears them instead. Only a torn machine (a watchdog-stopped
-	// run) carries set bits.
+	// run) carries set bits, and then only the used lines are stored.
 	lines    []LineMeta
 	next     Addr
 	maxWords int
@@ -449,15 +465,22 @@ type Snapshot struct {
 	shadow   Addr
 }
 
-// Words exposes the snapshot's word-array copy (tests compare snapshots to
-// detect unwanted mutation).
+// Words exposes the snapshot's copy of the words in use, the prefix below
+// the bump pointer (tests compare snapshots to detect unwanted mutation).
 func (s *Snapshot) Words() []uint64 { return s.words }
 
-// Snapshot captures the memory's current state. The caller must ensure no
-// simulated threads are running (line metadata must be quiescent).
+// Snapshot captures the memory's current state: the words below the bump
+// pointer, the array length, the line metadata when any is set, and the
+// allocator state. The caller must ensure no simulated threads are running
+// (line metadata must be quiescent). Under DebugChecks it panics when a
+// word or line past the bump pointer is non-zero, since the image would
+// silently drop it.
 func (m *Memory) Snapshot() *Snapshot {
+	m.checkZeroTail()
+	used := m.usedLines()
 	s := &Snapshot{
-		words:    slices.Clone(m.words),
+		words:    slices.Clone(m.words[:m.next]),
+		size:     len(m.words),
 		next:     m.next,
 		maxWords: m.maxWords,
 		owner:    maps.Clone(m.owner),
@@ -466,9 +489,9 @@ func (m *Memory) Snapshot() *Snapshot {
 		colorSeq: m.colorSeq,
 		shadow:   m.shadow,
 	}
-	for _, l := range m.lines {
+	for _, l := range m.lines[:used] {
 		if l != (LineMeta{}) {
-			s.lines = slices.Clone(m.lines)
+			s.lines = slices.Clone(m.lines[:used])
 			break
 		}
 	}
@@ -476,20 +499,38 @@ func (m *Memory) Snapshot() *Snapshot {
 	return s
 }
 
-// Restore resets m to a previously captured snapshot, in m's own storage:
-// the word and line arrays and the free lists are overwritten, not
-// reallocated, once they are large enough — whatever size of image they
-// last held. Restoring into new(Memory) builds an independent copy. The
-// snapshot is not consumed: it can seed any number of memories.
-func (m *Memory) Restore(s *Snapshot) {
-	m.words = append(m.words[:0], s.words...)
-	if s.lines != nil {
-		m.lines = append(m.lines[:0], s.lines...)
-	} else {
-		n := len(s.words) / LineWords
-		m.lines = slices.Grow(m.lines[:0], n)[:n]
-		clear(m.lines)
+// checkZeroTail panics, for memories made under DebugChecks, when a word or
+// line past the bump pointer is non-zero anywhere in the arrays' capacity.
+func (m *Memory) checkZeroTail() {
+	if m.owner == nil {
+		return
 	}
+	words := m.words[:cap(m.words)]
+	for a := int(m.next); a < len(words); a++ {
+		if words[a] != 0 {
+			panic(fmt.Sprintf("mem: word %d past the bump pointer %d is %#x", a, m.next, words[a]))
+		}
+	}
+	lines := m.lines[:cap(m.lines)]
+	for l := m.usedLines(); l < len(lines); l++ {
+		if lines[l] != (LineMeta{}) {
+			panic(fmt.Sprintf("mem: line %d past the bump pointer %d has bits %+v", l, m.next, lines[l]))
+		}
+	}
+}
+
+// Restore resets m to a previously captured snapshot, in m's own storage:
+// the word and line arrays are resized to the image's length and the free
+// lists overwritten, reusing their storage once it is large enough —
+// whatever size of image it last held. Only what the image stores is
+// copied, and only what m held beyond it, up to m's own bump pointer, is
+// cleared: past the larger of the two bump pointers, the arrays are
+// already zero over their whole capacity. Restoring into
+// new(Memory) builds an independent copy. The snapshot is not consumed: it
+// can seed any number of memories.
+func (m *Memory) Restore(s *Snapshot) {
+	m.words = refill(m.words, s.words, s.size, int(m.next))
+	m.lines = refill(m.lines, s.lines, s.size/LineWords, m.usedLines())
 	m.next = s.next
 	m.maxWords = s.maxWords
 	m.free.copyFrom(&s.free)
@@ -498,4 +539,22 @@ func (m *Memory) Restore(s *Snapshot) {
 	m.cursors = maps.Clone(s.cursors)
 	m.colorSeq = s.colorSeq
 	m.shadow = s.shadow
+}
+
+// refill returns dst holding src followed by zeros, n elements long,
+// reusing dst's storage when its capacity allows. dirty bounds dst's
+// non-zero elements over its whole capacity, so only dst[len(src):dirty]
+// needs clearing; that range may lie past n, where a later, larger image
+// would otherwise find it.
+func refill[T any](dst, src []T, n, dirty int) []T {
+	if cap(dst) < n {
+		dst = make([]T, n)
+	} else {
+		if dirty > len(src) {
+			clear(dst[len(src):dirty])
+		}
+		dst = dst[:n]
+	}
+	copy(dst, src)
+	return dst
 }

@@ -85,7 +85,9 @@ func FuzzCheckpointFork(f *testing.F) {
 			m := NewMachine(cfg)
 			var base mem.Addr
 			m.RunOne(func(th *Thread) {
-				base = th.AllocLines(8)
+				// The four lines fuzzProgram touches: a checkpoint
+				// holds only the words below the bump pointer.
+				base = th.AllocLines(4 * mem.LineWords)
 				th.Store(base, 1)
 			})
 			return m, base

@@ -336,8 +336,9 @@ func NewMachine(cfg Config) *Machine {
 // Config returns the machine's effective configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// Checkpoint is a frozen machine image: configuration, a deep copy of the
-// simulated memory (word contents, line metadata, allocator state), and
+// Checkpoint is a frozen machine image: configuration, a copy of the
+// simulated memory (the words below its bump pointer, which is all the
+// memory holds, line metadata when any is set, allocator state), and
 // the symbolic line registry. It is immutable once captured — one
 // checkpoint can seed any number of independent machines, concurrently —
 // which is what makes it a fork point: capture once after an expensive
