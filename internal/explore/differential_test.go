@@ -181,6 +181,10 @@ func TestForkCountersPinned(t *testing.T) {
 // previous one left stopped mid-run, often mid-transaction; each mutant's
 // counterexample schedule is among its prefixes, so a rig also serves a
 // replay right after one that found a violation.
+//
+// It is also the differential for finish-out: the same replay stopped at
+// its last outcome (testStopAtEnd) must report the same outcome and the
+// same banked chain as the one that finished its threads out.
 func TestReusedRigMatchesFresh(t *testing.T) {
 	for _, cfg := range append(Battery(true), Mutants()...) {
 		c := cfg.withDefaults()
@@ -194,7 +198,7 @@ func TestReusedRigMatchesFresh(t *testing.T) {
 			prefixes = append(prefixes[:len(prefixes)/2:len(prefixes)/2],
 				append([][]uint8{v.Schedule}, prefixes[len(prefixes)/2:]...)...)
 		}
-		var gotChain chainBuf
+		var gotChain, stopChain chainBuf
 		for _, p := range prefixes {
 			got := e.replayNode(&node{prefix: p}, nil, 2, &gotChain)
 			rig := e.rigs.free[len(e.rigs.free)-1]
@@ -208,6 +212,12 @@ func TestReusedRigMatchesFresh(t *testing.T) {
 			}
 			if a, b := rig.scheme.TotalStats(), f.scheme.TotalStats(); a != b {
 				t.Errorf("%s: prefix %s: reused rig's scheme stats %+v, fresh fork's %+v", cfg.Label(), FormatSchedule(p), a, b)
+				break
+			}
+			var stopped runOutcome
+			withStopAtEnd(func() { stopped = e.replayNode(&node{prefix: p}, nil, 2, &stopChain) })
+			if !outcomesEqual(&got, &stopped) || !chainsEqual(gotChain.outs, stopChain.outs) {
+				t.Errorf("%s: prefix %s: finish-out changed what the replay reports", cfg.Label(), FormatSchedule(p))
 				break
 			}
 		}

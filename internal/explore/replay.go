@@ -205,13 +205,14 @@ func (e *explorer) diagTemplate() *replayTemplate {
 	return e.diagTmpl
 }
 
-// fpHash accumulates a state fingerprint one word at a time. Each mix is a
-// splitmix64-style avalanche round over the running state xor the input
-// word — order-dependent like the FNV chain it replaced, but one round of
-// multiply-shift instead of eight byte steps, since fingerprinting every
-// memory word of every explored state is the single hottest loop in a
-// sweep. Values are never persisted or compared across binaries; only
-// distinctness within one search matters.
+// fpHash is one chain of a state fingerprint (see fingerprint, which runs
+// four lanes and a fold chain), accumulated one word at a time. Each mix
+// is a splitmix64-style avalanche round over the running state xor the
+// input word — order-dependent like the FNV chain it replaced, but one
+// round of multiply-shift instead of eight byte steps, since
+// fingerprinting every memory word of every explored state is a hot loop
+// of a sweep. Values are never persisted or compared across binaries;
+// only distinctness within one search matters.
 type fpHash uint64
 
 func newFpHash() fpHash { return 0x9E3779B97F4A7C15 }
@@ -316,7 +317,17 @@ type replayer struct {
 	lastEdge  edge
 
 	soloGrants int
-	stopped    bool
+	// done marks that the replay has emitted its last outcome: the rest
+	// of the run is never observed, and terminalChecks does not run.
+	// finishing marks that the rest is a finish-out (see finishOut), with
+	// finishLeft grants left before the fallback stop; while it is set,
+	// the monitor, the access tap and setViolation ignore everything.
+	// stopAtEnd skips the finish-out: diagnose reads the machine after
+	// the run, so its replay must end where it stopped.
+	done       bool
+	finishing  bool
+	finishLeft int
+	stopAtEnd  bool
 
 	// vio is the first property failure observed anywhere in the run;
 	// every outcome emitted from then on carries it.
@@ -448,7 +459,7 @@ func (r *replayer) run() {
 	m.SetStrategy(nil)
 	m.SetInjector(nil)
 	m.SetObserver(nil)
-	if !r.stopped {
+	if !r.done {
 		// Every thread finished during the last grant: the run is
 		// terminal at the prefix consumed so far (which a chained replay
 		// may have extended past its own node).
@@ -516,6 +527,7 @@ func (e *explorer) replayNode(nd *node, visited map[uint64]uint64, chainDepth in
 // decided from edge footprints, not from inside a replay).
 func (e *explorer) diagnose(prefix []uint8, kind, detail string) *Violation {
 	r := e.newReplayer(e.diagTemplate(), prefix)
+	r.stopAtEnd = true
 	r.run()
 	r.setViolation(kind, detail)
 	return r.vio
@@ -621,8 +633,12 @@ func adjustedLockWords(l locks.Lock) []mem.Addr {
 // and saves a token handoff per batched decision. After capturing its own
 // frontier a chain-budgeted replay keeps going: it predicts the merge
 // loop's first child, plays it as one more single-step grant, and banks
-// the next frontier too (see specNext).
+// the next frontier too (see specNext). After its last outcome a replay
+// finishes out (see finishOut).
 func (r *replayer) Pick(choices []sim.Choice) sim.Decision {
+	if r.finishing {
+		return r.finishOut(choices)
+	}
 	r.closeEdge()
 	if len(choices) == 1 {
 		// Endgame: with one unfinished thread there is nothing to
@@ -636,7 +652,7 @@ func (r *replayer) Pick(choices []sim.Choice) sim.Decision {
 				"thread %d cannot finish alone within %d large slices (every other thread is done: a correct scheme must terminate)",
 				choices[0].ProcID, soloBound))
 			r.emit(&runOutcome{truncated: true})
-			r.stopped = true
+			r.done = true
 			return sim.Decision{Stop: true}
 		}
 		r.openEdge(choices[0].ProcID)
@@ -689,8 +705,54 @@ func (r *replayer) Pick(choices []sim.Choice) sim.Decision {
 		r.openEdge(int(o.enabled[i]))
 		return sim.Decision{Index: i, Target: choices[i].Clock + 1}
 	}
-	r.stopped = true
-	return sim.Decision{Stop: true}
+	r.done = true
+	if r.stopAtEnd || testStopAtEnd != nil && testStopAtEnd() {
+		return sim.Decision{Stop: true}
+	}
+	r.finishing = true
+	r.finishLeft = finishGrants * len(choices)
+	return r.finishOut(choices)
+}
+
+// Finish-out bounds: a replay past its last outcome grants the
+// minimum-clock started thread finishSlice cycles at a time, at most
+// finishGrants times per thread still running at that outcome. Most
+// tails finish well inside the bound; a longer one (HLE-HWExt's solo
+// waits run ~2.1e7 cycles, a mutant may never finish) falls back to the
+// stop order. Larger slices cost more than the stops they save.
+const (
+	finishSlice  = 256
+	finishGrants = 8
+)
+
+// testStopAtEnd, when non-nil and returning true, makes a replay stop at
+// its last outcome instead of finishing out, as replays did before
+// finish-out existed. Production leaves it nil; the differential tests
+// compare the two endings.
+var testStopAtEnd func() bool
+
+// finishOut plays one grant of a finished replay's tail. Once the replay
+// has emitted its last outcome nothing it does is observed, and the rig is
+// reset before the next replay, so the tail only has to end the run: a
+// thread that returns from its body needs no unwind, where a stop order
+// panics through every unfinished thread's stack. Only threads that have
+// started are granted: a stop order reaching a thread before its body
+// starts costs no unwind, so once every started thread has returned the
+// replay stops the rest. Granting the minimum-clock thread lets a waiter's
+// holder run before the waiter; the bound keeps a tail that will not end
+// cheap.
+func (r *replayer) finishOut(choices []sim.Choice) sim.Decision {
+	i := -1
+	for j, c := range choices {
+		if r.threads[c.ProcID] != nil && (i < 0 || c.Clock < choices[i].Clock) {
+			i = j
+		}
+	}
+	if i < 0 || r.finishLeft == 0 {
+		return sim.Decision{Stop: true}
+	}
+	r.finishLeft--
+	return sim.Decision{Index: i, Target: choices[i].Clock + finishSlice}
 }
 
 // specNext decides whether a chained replay keeps executing past the
@@ -748,20 +810,53 @@ func (r *replayer) closeEdge() {
 // (every engine step advances it deterministically with jitter disabled);
 // the approximation is exact for schemes whose critical sections are
 // properly isolated and is validated empirically by the mutation tests.
+//
+// The state is hashed in four independent lanes, folded at the end. One
+// chain over every value serializes on its multiply latency; four chains
+// overlap. Word w goes to lane w mod 4; line l's Readers and Writers go to
+// lanes 0 and 1 for even l and to lanes 2 and 3 for odd l; each thread's
+// fixed-size state is spread over the lanes in a fixed order. The fold
+// chain takes the word count, each thread's presence mark and
+// variable-length transaction state, and the checker's counts, which fix
+// where every thread's lane values begin, and then the four lanes in
+// order. Which state is hashed is what one chain would hash.
 func (r *replayer) fingerprint() uint64 {
-	h := newFpHash()
 	mm := r.m.Mem
 	words := mm.WordsInUse()
-	h.mix(uint64(words))
-	for i := 0; i < words; i++ {
-		h.mix(mm.Read(mem.Addr(i)))
+	seed := newFpHash()
+	l0, l1, l2, l3 := seed, seed+1, seed+2, seed+3
+	w := 0
+	for ; w+4 <= words; w += 4 {
+		l0.mix(mm.Read(mem.Addr(w)))
+		l1.mix(mm.Read(mem.Addr(w + 1)))
+		l2.mix(mm.Read(mem.Addr(w + 2)))
+		l3.mix(mm.Read(mem.Addr(w + 3)))
+	}
+	if w < words {
+		l0.mix(mm.Read(mem.Addr(w)))
+	}
+	if w+1 < words {
+		l1.mix(mm.Read(mem.Addr(w + 1)))
+	}
+	if w+2 < words {
+		l2.mix(mm.Read(mem.Addr(w + 2)))
 	}
 	lines := (words + mem.LineWords - 1) / mem.LineWords
-	for l := 0; l < lines; l++ {
-		lm := mm.LineByIndex(l)
-		h.mix(lm.Readers)
-		h.mix(lm.Writers)
+	n := 0
+	for ; n+2 <= lines; n += 2 {
+		a, b := mm.LineByIndex(n), mm.LineByIndex(n+1)
+		l0.mix(a.Readers)
+		l1.mix(a.Writers)
+		l2.mix(b.Readers)
+		l3.mix(b.Writers)
 	}
+	if n < lines {
+		a := mm.LineByIndex(n)
+		l0.mix(a.Readers)
+		l1.mix(a.Writers)
+	}
+	h := newFpHash()
+	h.mix(uint64(words))
 	for i := 0; i < r.cfg.Threads; i++ {
 		t := r.threads[i]
 		if t == nil {
@@ -769,33 +864,44 @@ func (r *replayer) fingerprint() uint64 {
 			continue
 		}
 		h.mix(1)
-		h.mix(t.Clock())
-		st := t.Stats
-		h.mix(st.Begun)
-		h.mix(st.Committed)
-		for _, a := range st.Aborted {
-			h.mix(a)
-		}
-		h.mix(st.CommittedReadLines)
-		h.mix(st.CommittedWriteLines)
-		h.mix(st.CommittedAccesses)
-		if t.ReissuePending() {
-			h.mix(1)
-		} else {
-			h.mix(0)
-		}
 		t.MixTxState(h.mix)
-		h.mix(uint64(r.opsDone[i]))
-		h.mix(r.seqScratch[i])
-		h.mix(r.resScratch[i])
-		if r.incon[i] {
-			h.mix(1)
-		} else {
-			h.mix(0)
+		st := &t.Stats
+		l0.mix(t.Clock())
+		l1.mix(st.Begun)
+		l2.mix(st.Committed)
+		l3.mix(st.CommittedAccesses)
+		for k, a := range st.Aborted {
+			switch k & 3 {
+			case 0:
+				l0.mix(a)
+			case 1:
+				l1.mix(a)
+			case 2:
+				l2.mix(a)
+			default:
+				l3.mix(a)
+			}
 		}
+		var flags uint64
+		if t.ReissuePending() {
+			flags |= 1
+		}
+		if r.incon[i] {
+			flags |= 2
+		}
+		l0.mix(st.CommittedReadLines)
+		l1.mix(st.CommittedWriteLines)
+		l2.mix(uint64(r.opsDone[i]))
+		l3.mix(r.seqScratch[i])
+		l0.mix(r.resScratch[i])
+		l1.mix(flags)
 	}
 	h.mix(uint64(r.rec.Len()))
 	h.mix(uint64(r.nonSpecDepth))
+	h.mix(uint64(l0))
+	h.mix(uint64(l1))
+	h.mix(uint64(l2))
+	h.mix(uint64(l3))
 	return uint64(h)
 }
 
@@ -898,7 +1004,7 @@ func (r *replayer) terminalChecks() {
 // replay, the extended prefix the chain had reached — which is exactly
 // what a scratch replay of that prefix would record.
 func (r *replayer) setViolation(kind, detail string) {
-	if r.vio != nil {
+	if r.vio != nil || r.finishing {
 		return
 	}
 	if r.cfg.OnlyKind != "" && kind != r.cfg.OnlyKind {
@@ -963,6 +1069,9 @@ func (mo *monitor) TxAbort(thread int, _, _ uint64, _ tsx.Cause, _, _ int, _, _ 
 }
 
 func (mo *monitor) boundary(thread int) {
+	if mo.finishing {
+		return
+	}
 	mo.cur.boundary = true
 	mo.txf[thread] = lineSet{}
 }
@@ -977,6 +1086,9 @@ func (mo *monitor) Grant(int, uint64) {}
 type monInj replayer
 
 func (mi *monInj) Access(thread int, _ uint64, line int, write, inTx bool) (uint64, bool) {
+	if mi.finishing {
+		return 0, false
+	}
 	if line >= maxLines {
 		panic(fmt.Sprintf("explore: access to cache line %d, but edge footprints are %d-bit line masks", line, maxLines))
 	}

@@ -463,9 +463,15 @@ func takeCoro() *coro {
 }
 
 // run executes the installed body, recording any panic other than a stop
-// order for Run to re-raise.
+// order for Run to re-raise. A proc whose first grant is a stop order never
+// starts its body, so there is nothing to unwind: it is marked stopped and
+// returns.
 func (c *coro) run() {
 	p := c.p
+	if p.halt {
+		p.stopped, p.wait = true, nil
+		return
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			if _, isStop := r.(stopSignal); !isStop {
@@ -473,7 +479,6 @@ func (c *coro) run() {
 			}
 		}
 	}()
-	p.obeyStop()
 	c.body(p)
 }
 

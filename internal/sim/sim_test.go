@@ -441,6 +441,34 @@ func TestHookPanicAfterFinishReachesCaller(t *testing.T) {
 	checkPoolCounts(t, goroutines, parked)
 }
 
+// TestStopBeforeStartSkipsBody: a proc whose first grant is a stop order
+// is marked stopped without its body ever running, and its coroutine goes
+// back to the pool like any other.
+func TestStopBeforeStartSkipsBody(t *testing.T) {
+	goroutines, parked := poolCounts(3)
+	var started [3]bool
+	procs := Run(Config{Strategy: pickFunc(func(c []Choice) Decision {
+		if started[0] {
+			return Decision{Stop: true}
+		}
+		return Decision{Index: 0, Target: c[0].Clock + 1}
+	})}, 3, func(p *Proc) {
+		started[p.ID] = true
+		for {
+			p.Step(1)
+		}
+	})
+	if started[1] || started[2] {
+		t.Errorf("bodies started after the stop order: %v", started)
+	}
+	for _, p := range procs {
+		if !p.Stopped() {
+			t.Errorf("proc %d not marked stopped", p.ID)
+		}
+	}
+	checkPoolCounts(t, goroutines, parked)
+}
+
 // TestRunLeavesNoGoroutines: every way out of Run — a normal finish, a
 // watchdog stop cascade, a body panic and a strategy Stop — parks every
 // coroutine it took and leaves no goroutine behind. The parked cases stop
