@@ -7,18 +7,25 @@ import (
 
 // BenchmarkStepYield measures the scheduler handoff itself: with Quantum 1
 // and unit step costs, nearly every Step exhausts its grant and passes the
-// token, so ns/op approximates the cost of one yield-reschedule-resume
-// cycle (divided across procs).
+// token, so ns/op approximates the cost of one pick-and-switch handoff.
+// switches/grant is the coroutine switches per grant (one per handoff, plus
+// the procs' starts and finishes); served/grant is the share of grants
+// served in place (none here: no proc parks).
 func BenchmarkStepYield(b *testing.B) {
 	for _, n := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
 			steps := b.N/n + 1
+			grants, served, switches := Grants(), ServedGrants(), Switches()
 			b.ResetTimer()
 			Run(Config{Seed: 1, Quantum: 1}, n, func(p *Proc) {
 				for i := 0; i < steps; i++ {
 					p.Step(1)
 				}
 			})
+			b.StopTimer()
+			grants = Grants() - grants
+			b.ReportMetric(float64(ServedGrants()-served)/float64(grants), "served/grant")
+			b.ReportMetric(float64(Switches()-switches)/float64(grants), "switches/grant")
 		})
 	}
 }

@@ -12,21 +12,21 @@
 // time behaves like parallel wall time on a real machine, while the host
 // needs only a single CPU and every run is reproducible from a seed.
 //
-// Each proc body runs on an iter.Pull coroutine and Run's own goroutine is
-// the only scheduler loop. The proc that exhausts its grant runs the
-// scheduling decision inline — one fused min/runner-up clock scan, one RNG
-// draw — installs the grant on the chosen proc and suspends back to Run,
-// which resumes the chosen proc. Those two coroutine switches are direct
-// stack switches that never enter the Go scheduler, so they cost less than
-// one goroutine park/ready pair and leave no idle P spinning for work. A
-// proc that picks itself (a sole runner under an armed watchdog, mainly)
-// keeps running with no switch at all. A proc waiting on a lock word parks
-// its wait (a Waiter) instead of switching: later grants to it are served
-// in place by whichever goroutine holds the token, and its coroutine is
-// resumed only when the wait ends or a stop order arrives. Coroutines are
-// pooled: each runs one body per Run and parks between Runs. A Runner keeps the scheduler
-// state, the procs and their buffers between Runs too, so a loop of many
-// short Runs (the model checker's replays) allocates nothing once warm.
+// Each proc body runs on an iter.Pull coroutine. The proc that exhausts its
+// grant runs the scheduling decision inline — one fused min/runner-up clock
+// scan, one RNG draw — installs the grant on the chosen proc and resumes it
+// directly: one coroutine switch, a direct stack switch that never enters
+// the Go scheduler, so it costs less than one goroutine park/ready pair and
+// leaves no idle P spinning for work. Run's own goroutine makes the first
+// decision and the one after each body returns. A proc that picks itself
+// (a sole runner under an armed watchdog, mainly) keeps running with no
+// switch at all. A proc waiting on a lock word parks its wait (a Waiter)
+// instead of switching: later grants to it are served in place by whichever
+// goroutine holds the token, and its coroutine is resumed only when the
+// wait ends or a stop order arrives. Coroutines are pooled: each runs one
+// body per Run and parks between Runs. A Runner keeps the scheduler state,
+// the procs and their buffers between Runs too, so a loop of many short
+// Runs (the model checker's replays) allocates nothing once warm.
 // See DESIGN.md for why this preserves byte-identical schedules with the
 // central-scheduler formulation the simulator started from.
 //
@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -149,7 +150,7 @@ type Proc struct {
 	steps   int  // remaining cost>0 steps of a step-counted grant (0: clock-targeted)
 	halt    bool // the installed grant is a stop order
 	sched   *sched
-	coro    *coro // runs the body; its yield suspends the proc back to Run
+	coro    *coro // the goroutine that runs the body
 	rngSeed int64
 	rng     *rand.Rand // nil until the Run's first Rand(), then rngBuf seeded from rngSeed
 	rngBuf  *rand.Rand // the generator's storage, kept across Runs
@@ -192,8 +193,9 @@ var grantHook func(procID int, target uint64, stop bool)
 
 // grantCount counts scheduler grants process-wide, flushed once per Run.
 // hle-bench reads it to report grants/sec alongside wall time.
-// servedCount counts the grants served in place to parked procs.
-var grantCount, servedCount atomic.Uint64
+// servedCount counts the grants served in place to parked procs, and
+// switchCount the coroutine switches.
+var grantCount, servedCount, switchCount atomic.Uint64
 
 // Grants returns the total number of scheduler grants issued by completed
 // Run calls in this process. The difference across a workload, divided by
@@ -204,10 +206,16 @@ func Grants() uint64 { return grantCount.Load() }
 // parked proc and were served in place, without a coroutine switch.
 func ServedGrants() uint64 { return servedCount.Load() }
 
+// Switches returns the number of coroutine switches made by completed Run
+// calls in this process: one per grant that resumes a proc other than the
+// one that yielded, one per body that returns, and none for a grant served
+// in place or a proc that picks itself.
+func Switches() uint64 { return switchCount.Load() }
+
 // sched is the shared scheduling state of one Run. It has no lock: only the
-// running proc's coroutine or Run's driver loop touches it, and the
-// coroutine switches between them order those accesses. A Runner resets it
-// for every Run, keeping its buffers.
+// goroutine holding the token — a proc's coroutine or Run's own — touches
+// it, and the coroutine switches that pass the token order those accesses.
+// A Runner resets it for every Run, keeping its buffers.
 type sched struct {
 	quantum  uint64
 	grantFn  func(procID int, clock, slice uint64) uint64
@@ -219,10 +227,13 @@ type sched struct {
 	rng      *rand.Rand // nil until the Run's first default-policy pick, then rngBuf seeded from rngSeed
 	rngBuf   *rand.Rand // the generator's storage, kept across Runs
 	running  []*Proc
-	next     *Proc // the proc the driver loop resumes next
+	caller   coro  // Run's goroutine, parked while the procs hold the token
+	exited   *Proc // the proc whose body returned last
+	goexit   bool  // a body called runtime.Goexit
 	stopping bool
 	grants   uint64
 	served   uint64 // grants served in place to parked procs
+	switches uint64
 	panics   []any
 }
 
@@ -385,19 +396,18 @@ func (s *sched) serve(p *Proc, msg grantMsg) *Proc {
 	}
 }
 
-// drive is Run's scheduler loop. It picks a proc and resumes it, then keeps
-// resuming whichever proc the last yield granted (the yielding proc picked
-// it inline) until a body returns. That proc leaves the run queue and its
-// coroutine goes back to the pool; the loop ends when no proc is left.
-func (s *sched) drive() {
+// dispatch is the part of the schedule that runs on Run's goroutine: the
+// first grant, and the next one after each body returns. It resumes the
+// proc that grant ends on and suspends until a body returns — the procs
+// hand the token among themselves in between — then takes the finished
+// proc off the run queue and returns its coroutine to the pool. A body that
+// called runtime.Goexit leaves its coroutine parked for good instead, and
+// turns the rest of the Run into the stop cascade, hooks silenced, after
+// which Run passes the Goexit on to its caller.
+func (s *sched) dispatch() {
 	for len(s.running) > 0 {
-		p := s.serve(s.pick())
-		s.next = p
-		yielded, alive := p.coro.resume()
-		for yielded {
-			p = s.next
-			yielded, alive = p.coro.resume()
-		}
+		s.switchTo(&s.caller, s.serve(s.pick()).coro)
+		p := s.exited
 		running := s.running
 		for i, q := range running {
 			if q == p {
@@ -406,29 +416,54 @@ func (s *sched) drive() {
 				break
 			}
 		}
-		// Only a body that called runtime.Goexit leaves its coroutine
-		// dead: resuming it passed the Goexit on to Run's goroutine, and
-		// Run's deferred stop cascade retires it here. It is not parked.
-		if alive {
-			p.coro.park()
+		if p.coro.goexit {
+			s.goexit, s.stopping, s.onGrant = true, true, nil
+		} else {
+			putCoro(p.coro)
 		}
 	}
 }
 
-// coro is a proc coroutine: an iter.Pull coroutine that runs one proc body
-// per Run and waits in the idle pool in between. Reuse matters under the
-// race detector, where the runtime (as of Go 1.24) never releases an exited
-// coroutine goroutine's race state: a fresh coroutine per proc per Run
-// leaked about 5 KB each, which ran the model checker's -race suite out of
-// memory. It also spares every Run the goroutine start-ups.
+// switchTo parks from's goroutine and resumes to's with one coroutine
+// switch. Every goroutine that is not running is parked in exactly one
+// iter.Pull, and each Pull holds exactly one: to's goroutine leaves the
+// Pull it is parked in and from's takes its place. A Pull alternates next
+// and yield, so from is resumed by the opposite of the call that parks it.
+func (s *sched) switchTo(from, to *coro) {
+	at, byYield := to.at, to.byYield
+	from.at, from.byYield = at, !byYield
+	to.at = nil
+	s.switches++
+	if byYield {
+		at.yield(struct{}{})
+	} else {
+		at.next()
+	}
+}
+
+// pull is one iter.Pull coroutine's pair of resume functions. Whichever
+// goroutine calls one of them parks in the Pull and resumes the goroutine
+// parked there: the one that Pull started, or any other that parked in it
+// since.
+type pull struct {
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+}
+
+// coro is a goroutine that can hold the token: a pooled proc coroutine,
+// which runs one proc body per Run and waits in the idle pool in between,
+// or Run's own goroutine (sched.caller). It records where the goroutine is
+// parked while it is not running. Reuse matters under the race detector,
+// where the runtime (as of Go 1.24) never releases an exited coroutine
+// goroutine's race state: a fresh coroutine per proc per Run leaked about
+// 5 KB each, which ran the model checker's -race suite out of memory. It
+// also spares every Run the goroutine start-ups.
 type coro struct {
-	// resume runs the coroutine until it yields: true when its proc
-	// yielded, false when its body returned. ok is false once the
-	// coroutine is dead.
-	resume func() (yielded, ok bool)
-	yield  func(bool) bool
-	p      *Proc
-	body   func(*Proc)
+	at      *pull // the Pull the goroutine is parked in (nil: running)
+	byYield bool  // at resumes it by yield, not next
+	goexit  bool  // its body called runtime.Goexit: parked for good
+	p       *Proc
+	body    func(*Proc)
 }
 
 // idle holds the parked coroutines that Runs take their procs from. It
@@ -439,7 +474,10 @@ var idle struct {
 	coros []*coro
 }
 
-// takeCoro returns a parked coroutine, or a new one if none is parked.
+// takeCoro returns a parked coroutine, or a new one if none is parked. A
+// new one's goroutine waits at the start of its own Pull, for next. Its
+// goroutine never exits: exiting would resume whichever goroutine is parked
+// in its own Pull by then, which may belong to another Run.
 func takeCoro() *coro {
 	idle.Lock()
 	if n := len(idle.coros); n > 0 {
@@ -449,41 +487,59 @@ func takeCoro() *coro {
 		return c
 	}
 	idle.Unlock()
-	c := new(coro)
-	// Parked coroutines are never stopped, so yield never returns false.
-	c.resume, _ = iter.Pull(func(yield func(bool) bool) {
-		c.yield = yield
+	c, at := new(coro), new(pull)
+	// No Pull is ever stopped, so yield never returns false.
+	at.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		at.yield = yield
 		growProcStack()
 		for {
 			c.run()
-			yield(false)
+			c.handBack()
 		}
 	})
+	c.at = at
 	return c
 }
 
 // run executes the installed body, recording any panic other than a stop
 // order for Run to re-raise. A proc whose first grant is a stop order never
 // starts its body, so there is nothing to unwind: it is marked stopped and
-// returns.
+// returns. A body that calls runtime.Goexit hands the token to Run's
+// goroutine from the Goexit's deferred calls and is never resumed.
 func (c *coro) run() {
 	p := c.p
 	if p.halt {
 		p.stopped, p.wait = true, nil
 		return
 	}
+	returned := false
 	defer func() {
-		if r := recover(); r != nil {
-			if _, isStop := r.(stopSignal); !isStop {
-				p.sched.panics[p.ID] = r
-			}
+		r := recover()
+		if r == nil && !returned {
+			// Nothing holds c once Run sees goexit, so handBack never
+			// returns and the Goexit never finishes.
+			c.goexit = true
+			c.handBack()
+		}
+		if _, isStop := r.(stopSignal); r != nil && !isStop {
+			p.sched.panics[p.ID] = r
 		}
 	}()
 	c.body(p)
+	returned = true
 }
 
-// park returns a coroutine whose body has returned to the pool.
-func (c *coro) park() {
+// handBack passes the token to Run's goroutine once c's body is done.
+func (c *coro) handBack() {
+	s := c.p.sched
+	s.exited = c.p
+	s.switchTo(c, &s.caller)
+}
+
+// putCoro returns a coroutine whose body has returned to the pool. Only
+// the goroutine it handed the token to may put it, once it is parked: a
+// Run that took it earlier would switch into a Pull it has not parked in.
+func putCoro(c *coro) {
 	c.p, c.body = nil, nil
 	idle.Lock()
 	idle.coros = append(idle.coros, c)
@@ -559,16 +615,14 @@ func (p *Proc) Park(w Waiter) {
 }
 
 // yieldToken runs the scheduling decision inline on the yielding proc,
-// serves any parked procs it picks, and suspends back to Run's driver loop,
-// which resumes the proc the decisions end on. When that is the yielder
-// itself (a sole runner under an armed watchdog, mainly, or a parked
-// yielder whose wait ended in place), it keeps running with no switch.
+// serves any parked procs it picks, and switches straight to the proc the
+// decisions end on. When that is the yielder itself (a sole runner under an
+// armed watchdog, mainly, or a parked yielder whose wait ended in place),
+// it keeps running with no switch.
 func (p *Proc) yieldToken() {
 	s := p.sched
-	next := s.serve(s.pick())
-	if next != p {
-		s.next = next
-		p.coro.yield(true)
+	if next := s.serve(s.pick()); next != p {
+		s.switchTo(p.coro, next.coro)
 	}
 	p.obeyStop()
 }
@@ -653,13 +707,17 @@ func (r *Runner) Run(cfg Config, n int, body func(p *Proc)) []*Proc {
 			// unwind them through the stop cascade, hooks silenced, so
 			// their coroutines park before the panic reaches the caller.
 			s.stopping, s.onGrant = true, nil
-			s.drive()
+			s.dispatch()
 		}
 	}()
-	s.drive()
+	s.dispatch()
+	if s.goexit {
+		runtime.Goexit()
+	}
 
 	grantCount.Add(s.grants)
 	servedCount.Add(s.served)
+	switchCount.Add(s.switches)
 	for i, r := range s.panics {
 		if r != nil {
 			panic(fmt.Sprintf("sim: proc %d panicked: %v", i, r))

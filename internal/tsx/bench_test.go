@@ -89,10 +89,12 @@ func BenchmarkWriteBuf(b *testing.B) {
 // BenchmarkSpinGrant measures what a grant costs the host when one proc
 // spins on a held lock word while another works: ns/grant over both procs'
 // grants. In "served" the spinner's grants are served in place (Spin parks
-// it) and only the worker's grants resume a coroutine; in "switched" a
+// it) on the worker's goroutine, and the worker's own grants keep it
+// running, so no grant switches; in "switched" a
 // do-nothing injector keeps every spin on its coroutine, so every grant
 // switches, as every grant did before waits could park. served/grant is
-// the share of grants served in place.
+// the share of grants served in place, switches/grant the coroutine
+// switches per grant.
 func BenchmarkSpinGrant(b *testing.B) {
 	for _, mode := range []string{"served", "switched"} {
 		b.Run(mode, func(b *testing.B) {
@@ -105,7 +107,7 @@ func BenchmarkSpinGrant(b *testing.B) {
 			if mode == "switched" {
 				m.SetInjector(&testInjector{})
 			}
-			grants, served := sim.Grants(), sim.ServedGrants()
+			grants, served, switches := sim.Grants(), sim.ServedGrants(), sim.Switches()
 			b.ResetTimer()
 			m.Run(2, func(t *Thread) {
 				if t.ID == 1 {
@@ -118,9 +120,10 @@ func BenchmarkSpinGrant(b *testing.B) {
 				t.Store(word, 0)
 			})
 			b.StopTimer()
-			grants, served = sim.Grants()-grants, sim.ServedGrants()-served
+			grants = sim.Grants() - grants
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(grants), "ns/grant")
-			b.ReportMetric(float64(served)/float64(grants), "served/grant")
+			b.ReportMetric(float64(sim.ServedGrants()-served)/float64(grants), "served/grant")
+			b.ReportMetric(float64(sim.Switches()-switches)/float64(grants), "switches/grant")
 		})
 	}
 }

@@ -22,6 +22,12 @@ go test -timeout 300s ./...
 # point of a template.
 go test -race -count=1 -timeout 300s ./internal/harness/... ./internal/tsx/... ./internal/mem/... ./internal/sim \
 	./internal/obs ./internal/adapt ./internal/shard ./internal/traffic
+# Procs hand the token to each other directly, each parking in the Pull of
+# the goroutine it resumes, so which Pull a pooled coroutine sits in
+# depends on the order of earlier handoffs, across concurrent Runs too. A
+# bug there (a worker pooled before it has parked, a Pull resumed from the
+# wrong side) shows only under some orders: repeat the handoff tests.
+go test -race -count=20 -timeout 300s -run 'Handoff|Switch|Goexit|HookPanic|NoGoroutines|StopBeforeStart|CrossRunner' ./internal/sim
 # The explorer fans its frontier across host workers; run its suite under
 # the race detector too, but -short (the quick battery alone — the race
 # detector is ~10x, so the deeper two-op configurations stay in plain mode).
