@@ -427,8 +427,10 @@ func MaxAttempts(n int) Option {
 // This implementation is the fixed pipeline: at commit the lock word is
 // subscribed and validated BEFORE the write set drains, and a
 // pessimistic acquisition landing inside the commit window aborts the
-// transaction. internal/explore model-checks both properties — the naive
-// variants exist there only, to reproduce the hazards.
+// transaction. internal/explore model-checks both properties. This option
+// never selects the naive pipeline: only the internal naive-lazy schemes
+// run it, for the model checker's hazard reproductions and the ext-lazy
+// sweep's lost-update counts.
 //
 // Applies to Elide (without WithSCM: SCM's auxiliary-lock protocol
 // subscribes eagerly by construction).

@@ -26,8 +26,7 @@ func BenchmarkReplayNode(b *testing.B) {
 // chained search of one quick-battery configuration on one host worker —
 // replays, forks from the bank, the merge's child selection and the wave
 // bookkeeping. Its allocations are per search (the template, the rigs,
-// the waves' and the bank's storage as they grow, one key per banked
-// outcome), not per node.
+// the waves' and their bank arenas' storage as they grow), not per node.
 func BenchmarkExploreSearch(b *testing.B) {
 	cfg := Config{Scheme: "HLE-SCM", Lock: "MCS", Threads: 2, Ops: 1, MaxReplays: 20000, Parallel: 1}
 	b.ReportAllocs()

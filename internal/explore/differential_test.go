@@ -107,17 +107,17 @@ func TestStaleBankCaught(t *testing.T) {
 
 	corruptions := []struct {
 		name string
-		mut  func(prefix []uint8, o *runOutcome)
+		mut  func(o *runOutcome)
 	}{
 		// A resume that skipped part of the machine image: the state
 		// fingerprint no longer matches what scratch execution reaches.
-		{"skipped-state-field", func(_ []uint8, o *runOutcome) {
+		{"skipped-state-field", func(o *runOutcome) {
 			if !o.terminal && !o.truncated {
 				o.fp ^= 1
 			}
 		}},
 		// A resume that lost an enabled thread at the frontier.
-		{"dropped-enabled-thread", func(_ []uint8, o *runOutcome) {
+		{"dropped-enabled-thread", func(o *runOutcome) {
 			if o.nEnabled > 1 {
 				o.nEnabled--
 				o.enabled[o.nEnabled] = 0
@@ -125,7 +125,7 @@ func TestStaleBankCaught(t *testing.T) {
 		}},
 		// A resume that dropped the final grant's footprint, which feeds
 		// the sleep sets and stutter folding of every child node.
-		{"lost-edge-footprint", func(_ []uint8, o *runOutcome) {
+		{"lost-edge-footprint", func(o *runOutcome) {
 			o.lastEdge = edge{}
 		}},
 	}
@@ -152,16 +152,21 @@ func TestStaleBankCaught(t *testing.T) {
 // above compare verdicts and states, which any prediction preserves, so
 // only these counters notice when chained replays bank different children.
 // A change here means the predictor no longer follows the merge loop's
-// child-selection rule the way it did. peak is the bank's byte estimate
-// (entryBytes), so it also moves when a banked outcome's size does; the
-// other three must not.
+// child-selection rule the way it did. peak is the widest wave's bank
+// arena in bytes, so it also moves when a banked entry's size or the
+// bank's representation does; the other three must not. Depth 8 is the
+// only pin on chains that ride across several waves.
 func TestForkCountersPinned(t *testing.T) {
 	for _, c := range []struct {
 		cfg                          Config
 		forks, scratch, wasted, peak uint64
 	}{
-		{Config{Scheme: "HLE", Lock: "TTAS", Threads: 2, Ops: 1}, 1162, 1344, 1012, 34921},
-		{Config{Scheme: "Standard", Lock: "TTAS", Threads: 3, Ops: 1}, 26761, 32614, 30037, 436235},
+		{Config{Scheme: "HLE", Lock: "TTAS", Threads: 2, Ops: 1}, 1162, 1344, 1012, 9600},
+		{Config{Scheme: "HLE", Lock: "TTAS", Threads: 2, Ops: 1, ChainDepth: 1}, 961, 1545, 411, 4800},
+		{Config{Scheme: "HLE", Lock: "TTAS", Threads: 2, Ops: 1, ChainDepth: 8}, 1303, 1203, 4379, 35760},
+		{Config{Scheme: "Standard", Lock: "TTAS", Threads: 3, Ops: 1}, 26761, 32614, 30037, 97680},
+		{Config{Scheme: "Standard", Lock: "TTAS", Threads: 3, Ops: 1, ChainDepth: 1}, 20209, 39166, 14861, 45200},
+		{Config{Scheme: "Standard", Lock: "TTAS", Threads: 3, Ops: 1, ChainDepth: 8}, 30277, 29098, 139747, 392640},
 	} {
 		r := Run(c.cfg)
 		if r.Forks != c.forks || r.ScratchReplays != c.scratch || r.SpecWasted != c.wasted || r.CachePeakBytes != c.peak {

@@ -46,6 +46,7 @@ package explore
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"hle/internal/harness"
 )
@@ -77,10 +78,6 @@ const (
 	// execution attempts as a progress violation (the paper's schemes
 	// bound retries at 10 before falling back to the lock).
 	attemptsBound = 32
-	// cacheBytes caps the banked-outcome cache's memory. Outcomes that do
-	// not fit are not banked — the node replays from scratch instead. The
-	// quick battery peaks near 1 MB and the full one near 12 MB.
-	cacheBytes = 64 << 20
 )
 
 // Config describes one exploration: a scheme/lock pair, a thread and
@@ -234,9 +231,12 @@ type Result struct {
 	Forks          uint64
 	ScratchReplays uint64
 	// SpecWasted counts banked outcomes that were never consumed (the
-	// merge pruned or reordered away the predicted child).
+	// merge pruned away the predicted child, or a bound ended the search
+	// first): every chained replay's banked outcomes minus Forks, since
+	// each is forked at most once.
 	SpecWasted uint64
-	// CachePeakBytes is the banked-outcome cache's high-water mark.
+	// CachePeakBytes is the most bytes one wave's bank arena held: the
+	// banked outcomes its nodes carry, times the size of one entry.
 	CachePeakBytes uint64
 	// ForkMismatches counts banked outcomes that disagreed with a scratch
 	// replay (only under Config.ValidateForks; always 0 unless the bank
@@ -267,6 +267,11 @@ func (r *Result) Line() string {
 // the merge that enqueued it (see Run), so a node costs no allocation.
 type node struct {
 	prefix []uint8
+	// bank is the chain an earlier replay banked along this node's line:
+	// bank[0] is this node's own outcome, and each later entry belongs
+	// to the previous entry's prefix extended by its proc. A node with a
+	// bank forks from bank[0] instead of replaying.
+	bank []chainOut
 	// inherit is the parent's final sleep set, to be filtered against
 	// this node's own incoming edge. Siblings share one copy.
 	inherit []sleepEntry
@@ -357,14 +362,20 @@ func (c *Config) chooseChildren(nd *node, last *edge, sibs []sleepEntry, enabled
 	return ch
 }
 
+// testCorruptBank, when non-nil, mutates every banked outcome as it is
+// forked. The stale-checkpoint mutation tests install it to prove the
+// fork-validation mode catches a bank that disagrees with scratch replay;
+// production code must leave it nil.
+var testCorruptBank func(o *runOutcome)
+
 // Run explores one configuration exhaustively (up to its bounds) and
 // returns the counts and the first violation, if any.
 //
 // The search allocates nothing per node once its buffers have grown.
 // Waves are double-buffered: merging wave d builds wave d+1 in the other
-// buffer, together with that wave's two arenas — the children's prefixes
-// and their shared sleep sets — so reusing a buffer two waves later
-// overwrites only storage that no live node, banked outcome or running
+// buffer, together with that wave's three arenas — the children's
+// prefixes, their shared sleep sets and their banks — so reusing a buffer
+// two waves later overwrites only storage that no live node or running
 // replay still reads.
 func Run(cfg Config) *Result {
 	c := cfg.withDefaults()
@@ -378,16 +389,20 @@ func Run(cfg Config) *Result {
 		waves    [2][]node
 		prefixes [2][]uint8
 		sleeps   [2][]sleepEntry
+		banks    [2][]chainOut
 	)
 	wave := []node{{}}
 	outs := make([]runOutcome, 0, 64)
 	visited := make(map[uint64]uint64) // fingerprint -> expanded-procs mask
 	budget := c.MaxReplays
 	chainDepth := max(c.ChainDepth, 0)
-	cache := newSpecCache()
 	var miss []int
 	var chains []chainBuf
+	// tails[i] is the chain past node i's own outcome: what the merge
+	// hands on to the child it predicted.
+	var tails [][]chainOut
 	var sibs []sleepEntry
+	var banked uint64
 
 	for depth := 0; len(wave) > 0 && depth <= maxDepth; depth++ {
 		if len(wave) > budget {
@@ -398,25 +413,30 @@ func Run(cfg Config) *Result {
 		}
 		budget -= len(wave)
 		outs = zeroed(outs, len(wave))
+		tails = zeroed(tails, len(wave))
 		// Fork nodes whose outcome a chained replay already banked; only
 		// the misses replay. A banked outcome is bit-identical to the
 		// scratch replay it replaces, so forking changes wall clock,
 		// never results (ValidateForks cross-checks the claim per fork).
 		miss = miss[:0]
 		for i := range wave {
-			o, ok := cache.take(wave[i].prefix)
-			if !ok {
+			bank := wave[i].bank
+			if len(bank) == 0 {
 				miss = append(miss, i)
 				continue
 			}
+			outs[i] = bank[0].out
+			if testCorruptBank != nil {
+				testCorruptBank(&outs[i])
+			}
 			if c.ValidateForks {
 				scratch := ex.replayNode(&wave[i], visited, 0, nil)
-				if !outcomesEqual(&o, &scratch) {
+				if !outcomesEqual(&outs[i], &scratch) {
 					res.ForkMismatches++
-					o = scratch
+					outs[i] = scratch
 				}
 			}
-			outs[i] = o
+			tails[i] = bank[1:]
 			res.Forks++
 		}
 		mi := miss
@@ -429,27 +449,20 @@ func Run(cfg Config) *Result {
 		})
 		res.Replays += uint64(len(wave))
 		res.ScratchReplays += uint64(len(mi))
-		// Bank this wave's chained outcomes in replay order — the
-		// deterministic insert order keeps cache contents, and with them
-		// every statistic, identical at any Parallel — then drop the
-		// generation the search has outgrown: breadth-first search visits
-		// each prefix length exactly once, so unconsumed entries at this
-		// wave's length are unreachable forever.
-		for k := range mi {
-			for j := range chains[k].outs {
-				co := &chains[k].outs[j]
-				if testCorruptBank != nil {
-					testCorruptBank(co.prefix, &co.out)
-				}
-				cache.put(co.prefix, &co.out)
-			}
+		for k, i := range mi {
+			tails[i] = chains[k].outs
+			banked += uint64(len(chains[k].outs))
 		}
-		cache.purgeLen(depth, &res.SpecWasted)
 
 		// Sequential merge in declaration order: deterministic at any
 		// Parallel, and breadth-first, so the first violation is minimal.
+		// A node's chain can only be consumed by its child along the
+		// chain's line, so the merge hands it to that child if it
+		// enqueues it, copied into the next wave's bank arena (the
+		// replays' chain buffers serve the next wave too); a chain no
+		// child takes is dropped.
 		nb := (depth + 1) & 1
-		next, pre, sleep := waves[nb][:0], prefixes[nb][:0], sleeps[nb][:0]
+		next, pre, sleep, bk := waves[nb][:0], prefixes[nb][:0], sleeps[nb][:0], banks[nb][:0]
 		for i := range wave {
 			nd := &wave[i]
 			out := &outs[i]
@@ -533,18 +546,27 @@ func Run(cfg Config) *Result {
 			sleep = ch.sleep
 			inherit := sleep[start:len(sleep):len(sleep)]
 			firstSib := len(next)
+			tail := tails[i]
 			for _, p := range children {
 				at := len(pre)
 				pre = append(append(pre, nd.prefix...), p)
+				var bank []chainOut
+				if len(tail) > 0 && tail[0].proc == p {
+					b := len(bk)
+					bk = append(bk, tail...)
+					bank = bk[b:len(bk):len(bk)]
+				}
 				next = append(next, node{
 					prefix:   pre[at:len(pre):len(pre)],
+					bank:     bank,
 					inherit:  inherit,
 					firstSib: firstSib,
 					stutter:  ch.stutter,
 				})
 			}
 		}
-		waves[nb], prefixes[nb], sleeps[nb] = next, pre, sleep
+		waves[nb], prefixes[nb], sleeps[nb], banks[nb] = next, pre, sleep, bk
+		res.CachePeakBytes = max(res.CachePeakBytes, uint64(len(bk))*uint64(unsafe.Sizeof(chainOut{})))
 		if res.Violation != nil {
 			res.Truncated += uint64(len(next))
 			break
@@ -555,8 +577,7 @@ func Run(cfg Config) *Result {
 		}
 		wave = next
 	}
-	cache.drainAll(&res.SpecWasted)
-	res.CachePeakBytes = uint64(cache.peak)
+	res.SpecWasted = banked - res.Forks
 	return res
 }
 

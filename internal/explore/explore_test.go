@@ -16,16 +16,27 @@ import (
 // lines and the reason in CHANGES.md.
 const quickBatteryDigest = "c78ea6bffdefc7c23d551e83b3c834645cbc474872790dcc4ea23ebd5f8e2960"
 
+// quickBatteryForks pins the quick battery's fork accounting, summed over
+// its runs: Forks, ScratchReplays and SpecWasted. Line omits these, so the
+// digest cannot see a bank that forks different nodes; like
+// TestForkCountersPinned's columns they move only when the chain
+// predictor or the bank's hand-on rule does.
+var quickBatteryForks = [3]uint64{192236, 211197, 178136}
+
 // TestQuickBattery is the CI tier of the acceptance sweep: every scheme
 // crossed with every sweep lock at 2 threads x 1 op, plus a three-thread
 // configuration, all with zero violations. The full 2x2 sweep is the
 // hle-bench -explore run recorded in EXPERIMENTS.md.
 func TestQuickBattery(t *testing.T) {
 	h := sha256.New()
+	var forks [3]uint64
 	for _, cfg := range Battery(true) {
 		r := Run(cfg)
 		t.Log(r.Line())
 		fmt.Fprintln(h, r.Line())
+		forks[0] += r.Forks
+		forks[1] += r.ScratchReplays
+		forks[2] += r.SpecWasted
 		if r.Violation != nil {
 			t.Errorf("%s: %s\n%s", cfg.Label(), r.Violation.Error(), r.Violation.Failure.Dump())
 		}
@@ -35,6 +46,9 @@ func TestQuickBattery(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != quickBatteryDigest {
 		t.Errorf("quick battery digest %s, pinned %s: a search statistic moved", got, quickBatteryDigest)
+	}
+	if forks != quickBatteryForks {
+		t.Errorf("quick battery forks/scratch/wasted %v, pinned %v: the bank forked different nodes", forks, quickBatteryForks)
 	}
 }
 

@@ -99,26 +99,24 @@ type runOutcome struct {
 func (o *runOutcome) enabledProcs() []uint8 { return o.enabled[:o.nEnabled] }
 
 // chainOut is one outcome banked by a chained replay beyond its own node:
-// exactly what a scratch replay of prefix would report. A chained replay is
-// the search's stand-in for forking a mid-run machine — goroutine state
-// (open transactions, scheduler positions) cannot be checkpointed, but a
-// live run CAN keep executing past its frontier, and because strategy-mode
-// runs are pure functions of their decision sequence the banked outcome is
-// bit-identical to the replay it saves.
+// exactly what a scratch replay of the previous prefix extended by proc
+// would report. A chained replay is the search's stand-in for forking a
+// mid-run machine — goroutine state (open transactions, scheduler
+// positions) cannot be checkpointed, but a live run CAN keep executing
+// past its frontier, and because strategy-mode runs are pure functions of
+// their decision sequence the banked outcome is bit-identical to the
+// replay it saves.
 type chainOut struct {
-	prefix []uint8
-	out    runOutcome
+	proc uint8
+	out  runOutcome
 }
 
-// chainBuf receives one replay's banked chain outcomes. The search keeps
-// one per replay slot of a wave and reuses it wave after wave: the merge
-// banks its contents (copying each prefix into a cache key) before the
-// next wave's replays overwrite it.
+// chainBuf receives one replay's banked chain outcomes, in chain order.
+// The search keeps one per replay slot of a wave and reuses it wave after
+// wave: the merge copies its contents into the next wave's bank arena
+// before the next wave's replays overwrite it.
 type chainBuf struct {
 	outs []chainOut
-	// prefixes holds the bytes the outs' prefixes slice; a prefix stays
-	// valid when a later append moves the buffer.
-	prefixes []uint8
 }
 
 type explorer struct {
@@ -470,8 +468,8 @@ func (r *replayer) run() {
 
 // emit finishes an outcome — attaching the run's first violation and the
 // closed final-grant footprint — and routes it: the first outcome belongs
-// to the replay's own node, every later one is banked for the prefix the
-// chain had reached.
+// to the replay's own node, every later one is banked under the proc whose
+// grant extended the chain's prefix.
 func (r *replayer) emit(o *runOutcome) {
 	o.violation = r.vio
 	o.lastEdge = r.lastEdge
@@ -480,10 +478,7 @@ func (r *replayer) emit(o *runOutcome) {
 		r.outSet = true
 		return
 	}
-	c := r.chain
-	start := len(c.prefixes)
-	c.prefixes = append(c.prefixes, r.prefix...)
-	c.outs = append(c.outs, chainOut{prefix: c.prefixes[start:len(c.prefixes):len(c.prefixes)], out: *o})
+	r.chain.outs = append(r.chain.outs, chainOut{proc: r.prefix[len(r.prefix)-1], out: *o})
 }
 
 // replayNode replays one frontier node and, chain budget permitting, keeps
@@ -506,7 +501,7 @@ func (e *explorer) replayNode(nd *node, visited map[uint64]uint64, chainDepth in
 
 	e.reset(r, e.tmpl, nd.prefix)
 	if chainDepth > 0 {
-		chain.outs, chain.prefixes = chain.outs[:0], chain.prefixes[:0]
+		chain.outs = chain.outs[:0]
 		r.chain = chain
 	}
 	r.chainLeft = chainDepth
@@ -762,9 +757,9 @@ func (r *replayer) finishOut(choices []sim.Choice) sim.Decision {
 // conservative, not exact: sleep entries contributed by same-wave earlier
 // siblings and visited-mask bits added by nodes merged later in this wave
 // are unknown here, so a prediction can name a child the merge ends up
-// pruning. That never corrupts the search — the bank is consulted by exact
-// prefix, so a child the merge never enqueues is simply never looked up —
-// it only wastes the banked suffix.
+// pruning. That never corrupts the search — the merge hands a chain only
+// to the child whose proc it names, so a child the merge never enqueues
+// simply takes nothing — it only wastes the banked suffix.
 func (r *replayer) specNext(o *runOutcome) (int, bool) {
 	if r.chainLeft <= 0 || r.vio != nil || len(r.prefix) >= maxDepth {
 		return 0, false

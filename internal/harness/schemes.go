@@ -53,7 +53,8 @@ var schemes = map[string]schemeEntry{
 	"RTM-LE-lazy": {assemble: mainOnly(core.NewRTMLELazy)},
 	// The naive variants are the same scheme code on unsound hardware
 	// with both Dice et al. fixes off: the model checker's hazard
-	// reproductions, never experiments.
+	// reproductions, and the ext-lazy sweep's lazy-naive points, which
+	// count the updates they lose.
 	"HLE-lazy-naive":    {assemble: mainOnly(core.NewHLELazy), machine: hwext.EnableLazyNaive},
 	"RTM-LE-lazy-naive": {assemble: mainOnly(core.NewRTMLELazy), machine: hwext.EnableLazyNaive},
 	"HLE-SCM":           {aux: 1, assemble: scmAssembler(core.NewHLESCM, core.SCMConfig{})},

@@ -13,9 +13,11 @@ import "hle/internal/tsx"
 
 // EnableLazyNaive returns cfg with NAIVE lazy subscription: the lock
 // check runs after the drain and dooms arriving during the commit window
-// are ignored — both Dice et al. fixes off. Unsafe by construction; it
-// exists so internal/explore can reproduce the hazard counterexamples.
-// Never use it in experiments.
+// are ignored — both Dice et al. fixes off. Unsafe by construction. The
+// harness's naive-lazy schemes (HLE-lazy-naive, RTM-LE-lazy-naive) run on
+// it: internal/explore reproduces the hazard counterexamples with them,
+// and the ext-lazy sweep's lazy-naive points count the updates it loses.
+// Never use it where a lost update counts as a failure.
 func EnableLazyNaive(cfg tsx.Config) tsx.Config {
 	cfg.Unsound = tsx.UnsoundLazyNaive
 	return cfg

@@ -30,9 +30,10 @@ import "hle/internal/mem"
 //     the fresh subscription — aborts the commit instead of being
 //     ignored.
 //
-// The Unsound lazy variants (Config.Unsound) disable the fixes; they
-// exist only so the model checker can reproduce the hazards and prove the
-// mutation tests sharp.
+// The Unsound lazy variants (Config.Unsound) disable the fixes, so the
+// model checker can reproduce the hazards and prove the mutation tests
+// sharp; the naive one also backs the ext-lazy sweep's lazy-naive points,
+// which count the updates it loses.
 
 // SetSubscription selects the subscription mode of this thread's
 // subsequent transactions (eager until set). Scheme constructors call it

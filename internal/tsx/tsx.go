@@ -96,7 +96,9 @@ func (s Subscription) String() string {
 // Unsound selects a deliberately broken variant of the simulated hardware
 // (Config.Unsound). Each non-zero value removes safety mechanisms so the
 // model checker can reproduce the hazard they exist for and prove its
-// mutation tests sharp.
+// mutation tests sharp. UnsoundLazyNaive is also the hardware of the
+// naive-lazy schemes, which the ext-lazy sweep runs to count the updates
+// the hazard loses.
 type Unsound uint8
 
 const (
@@ -167,9 +169,11 @@ type Config struct {
 	// its cache and suspends on a miss while the lock is held.
 	HWExt bool
 	// Unsound selects a deliberately broken variant of the hardware
-	// (see Unsound). The zero value, Sound, is the hardware as specified;
-	// the others exist solely as seeded faults for the model checker's
-	// mutation tests (internal/explore). Never set it in experiments.
+	// (see Unsound). The zero value, Sound, is the hardware as specified.
+	// The others are seeded faults for the model checker's mutants and
+	// hazard reproductions (internal/explore); UnsoundLazyNaive also backs
+	// the naive-lazy schemes of the ext-lazy sweep. Set it only where a
+	// lost update is the measurement, not a failure.
 	Unsound Unsound
 	// CacheLines enables per-thread cache-locality cost modeling: each
 	// thread's accesses to lines outside its most-recent CacheLines

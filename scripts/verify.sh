@@ -35,9 +35,10 @@ go test -race -short -count=1 -timeout 600s ./internal/explore
 # Capped-depth model-checking smoke: every scheme x sweep lock at two
 # threads x one op with a small replay budget — under a minute, and it
 # exercises the whole replay/branch/check loop through the CLI entry point.
-# Run it chained (replays resume from banked checkpoints) and from scratch
-# (-chain -1: every node replays from the start); the two must print the
-# same output. Run it once more on one worker: replays run on per-worker
+# Run it chained (a node an earlier replay's chain reached reuses the
+# outcome that chain banked instead of replaying; every replay forks the
+# construction checkpoint) and from scratch (-chain -1: every node
+# replays from the start); the two must print the same output. Run it once more on one worker: replays run on per-worker
 # rigs that keep their machine, locks and scheme and reset all three in
 # place, and which rig serves a replay depends on worker timing, so state
 # leaking from one replay into the next — a lock value not copied back, a
