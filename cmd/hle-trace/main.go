@@ -11,8 +11,8 @@
 // and time-sliced serialization dynamics, -mode waterfall charts
 // per-window speculating/serialized occupancy (the avalanche as a time
 // series), and -mode heatmap ranks the cache lines conflict aborts die
-// on, with the lock words named. Each point runs on the machine its
-// scheme needs (HLE-HWExt gets the Chapter 7 extension).
+// on, with the lock words named. Each scheme selects its own elision
+// hardware (HLE-HWExt the Chapter 7 extension) per thread in its Setup.
 //
 // Usage:
 //
@@ -134,7 +134,7 @@ func runTrace(stdout io.Writer, spec harness.SchemeSpec, seed int64, limit int) 
 	cfg.Seed = seed
 	cfg.SpuriousPerAccess = 0
 	cfg.TraceRing = traceRing
-	m := tsx.NewMachine(spec.Machine(cfg))
+	m := tsx.NewMachine(cfg)
 
 	var s core.Scheme
 	var hot, lockAddr mem.Addr
@@ -204,7 +204,6 @@ func runPoint(stdout io.Writer, mode string, spec harness.SchemeSpec, threads, s
 	cfg := tsx.DefaultConfig(threads)
 	cfg.Seed = seed
 	cfg.MemWords = size*16 + 1<<16
-	mcfg := spec.Machine(cfg)
 	mix := harness.Mix{InsertPct: updates / 2, DeletePct: updates / 2}
 	// ~40 slices across the run keep the sparklines and the waterfall
 	// terminal-sized.
@@ -212,7 +211,7 @@ func runPoint(stdout io.Writer, mode string, spec harness.SchemeSpec, threads, s
 	var w harness.Workload
 	res := harness.PointSpec{
 		Warm: &harness.WarmTemplate{
-			Machine: mcfg,
+			Machine: cfg,
 			MkWorkload: func(th *tsx.Thread) harness.Workload {
 				w = harness.NewRBTree(th, size, mix)
 				return w
@@ -223,7 +222,7 @@ func runPoint(stdout io.Writer, mode string, spec harness.SchemeSpec, threads, s
 			Threads:     threads,
 			CycleBudget: budget,
 			SliceCycles: window,
-			Watchdog:    &harness.WatchdogConfig{LivelockWindow: harness.LivelockWindow(mcfg)},
+			Watchdog:    &harness.WatchdogConfig{LivelockWindow: harness.LivelockWindow(spec)},
 			Profile:     &obs.Options{WindowCycles: window},
 		},
 	}.Run()

@@ -22,9 +22,10 @@ func profileLine(t *testing.T, scheme string) string {
 	return ""
 }
 
-// TestHWExtRunsOnItsMachine: HLE-HWExt runs on a machine with the Chapter
-// 7 extension, so its transaction counts differ from plain HLE's. Run on
-// a stock machine it would be plain HLE under another label.
+// TestHWExtRunsOnItsMachine: HLE-HWExt's Setup selects the Chapter 7
+// extension on every thread, so its transaction counts differ from plain
+// HLE's on the same machine. Without it, it would be plain HLE under
+// another label.
 func TestHWExtRunsOnItsMachine(t *testing.T) {
 	hle, ext := profileLine(t, "HLE"), profileLine(t, "HLE-HWExt")
 	if hle == ext {

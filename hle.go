@@ -51,8 +51,7 @@
 //
 //   - machine options (NewSystem): WithSeed, WithMemory, WithPlacement,
 //     WithProfiling (abort attribution, see Profile), WithFaultInjection
-//     (chaos engines), WithHardwareExtension (Chapter 7),
-//     WithNestedElision, WithConfig;
+//     (chaos engines), WithConfig;
 //   - scheme options (Elide / Removal / Adaptive): WithSCM,
 //     WithSCMTuning, Pessimistic, MaxAttempts, WithAdaptiveTuning,
 //     WithSubscription (Elide only);
@@ -65,6 +64,12 @@
 // conflict management, Removal(lock, Pessimistic()) is Pes-SLR, and
 // NewSystem(8, WithPlacement(Arena)) gives every thread a private
 // allocation arena.
+//
+// A scheme brings its own elision hardware: every thread that runs it
+// calls its Setup first, which selects how that thread elides. So
+// ElideWithHardwareExtension(lock) runs the Chapter 7 extension and
+// Elide(lock, WithSCM(aux), WithSCMTuning(SCMConfig{Ideal: true})) nests
+// its elision inside RTM (Algorithm 3 verbatim), both on any System.
 package hle
 
 import (
@@ -74,7 +79,6 @@ import (
 	"hle/internal/chaos"
 	"hle/internal/core"
 	"hle/internal/harness"
-	"hle/internal/hwext"
 	"hle/internal/locks"
 	"hle/internal/mem"
 	"hle/internal/obs"
@@ -242,20 +246,6 @@ func WithPlacement(p Placement) Option {
 		sys:     func(c *tsx.Config) { c.Layout.Placement = p },
 		shd:     func(c *shardCfg) { c.placement, c.placementSet = p, true },
 	}
-}
-
-// WithHardwareExtension enables the paper's Chapter 7 proposal:
-// lock-line conflicts suspend speculative threads instead of aborting
-// them. Applies to NewSystem.
-func WithHardwareExtension() SystemOption {
-	return sysOption("WithHardwareExtension", func(c *tsx.Config) { c.HWExt = true })
-}
-
-// WithNestedElision lets XACQUIRE begin an elision inside an RTM
-// transaction (Algorithm 3 verbatim); real Haswell lacks this. Applies to
-// NewSystem.
-func WithNestedElision() SystemOption {
-	return sysOption("WithNestedElision", func(c *tsx.Config) { c.NestHLEInRTM = true })
 }
 
 // WithConfig applies fn to the underlying machine configuration. Applies
@@ -564,11 +554,13 @@ func Adaptive(lock Lock, opts ...Option) AdaptiveScheme {
 	return core.NewAdaptive(lock, c.aux, core.AdaptiveConfig{Controller: c.adapt, SCM: c.scm})
 }
 
-// ElideWithHardwareExtension pairs with WithHardwareExtension: plain HLE
-// on a machine whose conflict detection distinguishes the lock line from
-// data lines (Chapter 7).
+// ElideWithHardwareExtension is plain HLE on the paper's Chapter 7
+// hardware extension, whose conflict detection distinguishes the lock
+// line from data lines: a lock-line conflict suspends a speculative
+// thread on its next cache miss instead of aborting it. The extension is
+// selected per thread by the scheme's Setup, so it runs on any System.
 func ElideWithHardwareExtension(lock Lock) Scheme {
-	return hwext.New(lock)
+	return core.NewHLEHWExt(lock)
 }
 
 // Profiling re-exports (internal/obs).

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hle"
+	"hle/internal/obs"
 )
 
 // Example demonstrates the package-level quick start: eight threads
@@ -113,9 +114,10 @@ func TestEverySchemeEveryLock(t *testing.T) {
 	}
 }
 
-// TestHardwareExtensionOption wires the Chapter 7 configuration end to end.
+// TestHardwareExtensionOption wires the Chapter 7 scheme end to end on a
+// plain system: the scheme brings the extension.
 func TestHardwareExtensionOption(t *testing.T) {
-	sys := hle.NewSystem(4, hle.WithSeed(3), hle.WithHardwareExtension())
+	sys := hle.NewSystem(4, hle.WithSeed(3))
 	var lock hle.Lock
 	var counter hle.Addr
 	var scheme hle.Scheme
@@ -139,6 +141,73 @@ func TestHardwareExtensionOption(t *testing.T) {
 	}
 	if scheme.Name() != "HLE-HWExt" {
 		t.Errorf("scheme name %q", scheme.Name())
+	}
+}
+
+// TestSchemesBringTheirHardware: on a plain NewSystem each scheme selects
+// its own elision hardware in Setup. ElideWithHardwareExtension runs on
+// the Chapter 7 extension — a non-speculative holder's lock store aborts
+// none of its speculating threads, where plain Elide loses some to
+// lock-line conflicts — and the ideal SCM variant nests its elision
+// inside RTM (Algorithm 3 verbatim), which plain SCM does not.
+func TestSchemesBringTheirHardware(t *testing.T) {
+	lockLineAborts := func(elide func(hle.Lock) hle.Scheme) uint64 {
+		sys := hle.NewSystem(4, hle.WithSeed(3), hle.WithProfiling(hle.ProfileOptions{}))
+		var lock hle.Lock
+		var private [4]hle.Addr
+		var scheme hle.Scheme
+		sys.Init(func(th *hle.Thread) {
+			lock = hle.NewTTASLock(th)
+			for i := range private {
+				private[i] = th.AllocLines(1)
+			}
+			scheme = elide(lock)
+		})
+		sys.Parallel(4, func(th *hle.Thread) {
+			scheme.Setup(th)
+			for i := 0; i < 100; i++ {
+				if th.ID == 0 {
+					// A non-speculative holder: its lock store is the
+					// only conflict the private counters allow.
+					lock.Acquire(th)
+					th.Work(40)
+					lock.Release(th)
+					th.Work(40)
+					continue
+				}
+				scheme.Run(th, func() {
+					c := private[th.ID]
+					th.Store(c, th.Load(c)+1)
+				})
+			}
+		})
+		return sys.Profile().Cause(obs.ClassConflictLockLine)
+	}
+	if n := lockLineAborts(func(l hle.Lock) hle.Scheme { return hle.Elide(l) }); n == 0 {
+		t.Error("Elide: no lock-line conflict aborts; the workload does not exercise the extension")
+	}
+	if n := lockLineAborts(hle.ElideWithHardwareExtension); n != 0 {
+		t.Errorf("ElideWithHardwareExtension: %d lock-line conflict aborts, want 0", n)
+	}
+
+	nests := func(scm hle.SCMConfig) bool {
+		sys := hle.NewSystem(1, hle.WithSeed(3))
+		var scheme hle.Scheme
+		sys.Init(func(th *hle.Thread) {
+			scheme = hle.Elide(hle.NewMCSLock(th), hle.WithSCM(hle.NewMCSLock(th)), hle.WithSCMTuning(scm))
+		})
+		nested := false
+		sys.Parallel(1, func(th *hle.Thread) {
+			scheme.Setup(th)
+			scheme.Run(th, func() { nested = th.InElision() })
+		})
+		return nested
+	}
+	if !nests(hle.SCMConfig{Ideal: true}) {
+		t.Error("Elide(WithSCMTuning(SCMConfig{Ideal: true})) did not nest its elision inside RTM")
+	}
+	if nests(hle.SCMConfig{}) {
+		t.Error("plain SCM nested its elision inside RTM")
 	}
 }
 
@@ -198,19 +267,15 @@ func TestFacadeOptions(t *testing.T) {
 	sys := hle.NewSystem(2,
 		hle.WithSeed(5),
 		hle.WithMemory(1<<17),
-		hle.WithNestedElision(),
 	)
 	if sys.Machine() == nil {
 		t.Fatal("Machine accessor nil")
-	}
-	if !sys.Machine().Config().NestHLEInRTM {
-		t.Fatal("WithNestedElision not applied")
 	}
 	var counter hle.Addr
 	var scheme hle.Scheme
 	sys.Init(func(th *hle.Thread) {
 		counter = th.AllocLines(1)
-		// Ideal Algorithm 3 on the nesting-capable machine, with
+		// Ideal Algorithm 3, which selects nesting itself, with
 		// explicit tuning.
 		scheme = hle.Elide(hle.NewMCSLock(th), hle.WithSCM(hle.NewMCSLock(th)),
 			hle.WithSCMTuning(hle.SCMConfig{MaxRetries: 5, Ideal: true}))

@@ -103,7 +103,7 @@ func (s *SoakSpec) defaults() {
 	}
 	if s.LivelockWindow == 0 {
 		// Soak seeds 6 and 16 exercise the HWExt window's suspension gap.
-		s.LivelockWindow = harness.LivelockWindow(s.Scheme.Machine(tsx.Config{}))
+		s.LivelockWindow = harness.LivelockWindow(s.Scheme)
 	}
 	if s.StarvationWindow == 0 {
 		s.StarvationWindow = 4 * s.LivelockWindow
@@ -139,7 +139,7 @@ func fillSoak(spec SoakSpec, fillWith func(*tsx.Machine, func(*tsx.Thread))) soa
 	cfg.Seed = spec.Seed
 	cfg.MemWords = 1 << 18
 	cfg.TraceRing = 256
-	img := soakImage{fill: tsx.NewMachine(spec.Scheme.Machine(cfg)), model: map[uint64]uint64{}}
+	img := soakImage{fill: tsx.NewMachine(cfg), model: map[uint64]uint64{}}
 	fillWith(img.fill, func(th *tsx.Thread) {
 		img.tree = rbtree.New(th)
 		img.rec = check.NewRecorder(th)

@@ -23,9 +23,8 @@ type AdaptiveConfig struct {
 	// Controller tunes the adapt.Controller (zero fields defaulted).
 	Controller adapt.Config
 	// SCM tunes the software-assisted conflict management rung. Only
-	// MaxRetries is honoured; the Ideal nesting variant needs machine
-	// configuration the adaptive scheme does not assume (hle.Adaptive
-	// rejects it).
+	// MaxRetries is honoured: the rung reads the main lock at entry and
+	// has no nested (Ideal) variant (hle.Adaptive rejects it).
 	SCM SCMConfig
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hle/internal/core"
-	"hle/internal/hwext"
 	"hle/internal/locks"
 	"hle/internal/mem"
 	"hle/internal/tsx"
@@ -47,10 +46,7 @@ func FuzzLazySubscription(f *testing.F) {
 			cfg := tsx.DefaultConfig(threads)
 			cfg.Seed = seed
 			cfg.MemWords = 1 << 12
-			cfg = hwext.LimitSets(cfg, readCap, writeCap)
-			if modeName == "lazy-naive" {
-				cfg = hwext.EnableLazyNaive(cfg)
-			}
+			cfg.L1ReadLines, cfg.ReadSetLines, cfg.WriteSetLines = readCap, readCap, writeCap
 			m := tsx.NewMachine(cfg)
 			var scheme core.Scheme
 			var shared, counter mem.Addr
@@ -62,10 +58,13 @@ func FuzzLazySubscription(f *testing.F) {
 					priv[id] = th.AllocLines(4 * mem.LineWords)
 				}
 				counter = th.AllocLines(1)
-				if modeName == "eager" {
+				switch modeName {
+				case "eager":
 					scheme = core.NewHLE(lock)
-				} else {
+				case "lazy-fixed":
 					scheme = core.NewHLELazy(lock)
+				default:
+					scheme = core.NewHLELazyNaive(lock)
 				}
 			})
 			ths := m.Run(threads, func(th *tsx.Thread) {

@@ -27,10 +27,10 @@ type SCMConfig struct {
 	MaxRetries int
 	// Ideal selects Algorithm 3 verbatim, nesting an HLE elision inside
 	// the RTM transaction so the critical section keeps the
-	// lock-is-held illusion. It requires tsx.Config.NestHLEInRTM, which
-	// real Haswell lacks; the default (false) uses the paper's
-	// implementation remark — read the main lock inside the RTM
-	// transaction and XABORT if it is held.
+	// lock-is-held illusion. Its Setup turns on the nested elision real
+	// Haswell lacks (tsx.Thread.SetNestedElision); the default (false)
+	// uses the paper's implementation remark — read the main lock inside
+	// the RTM transaction and XABORT if it is held.
 	Ideal bool
 }
 
@@ -53,7 +53,7 @@ const (
 	// commit: SLR (Chapter 5).
 	checkCommit
 	// checkNested elides it with an XACQUIRE nested in the RTM
-	// transaction: Algorithm 3 verbatim (needs tsx.Config.NestHLEInRTM).
+	// transaction: Algorithm 3 verbatim (setup turns nesting on).
 	checkNested
 	// checkLazy registers a lock-free predicate that the engine
 	// evaluates at commit: lazy subscription.
@@ -67,6 +67,9 @@ const (
 type rtm struct {
 	main  locks.Lock
 	check lockCheck
+	// sub is checkLazy's subscription mode: tsx.SubLazy, or the naive
+	// pipeline for the naive-lazy scheme.
+	sub tsx.Subscription
 	// feed, when non-nil, sees every commit, abort and non-speculative
 	// completion — the adaptive controller's input.
 	feed *obs.Feed
@@ -88,8 +91,11 @@ type rtm struct {
 }
 
 func (a *rtm) setup(t *tsx.Thread) {
-	if a.check == checkLazy {
-		t.SetSubscription(tsx.SubLazy)
+	switch a.check {
+	case checkNested:
+		t.SetNestedElision(true)
+	case checkLazy:
+		t.SetSubscription(a.sub)
 		id := t.ID
 		a.lazyT[id] = t
 		if a.lazy[id] == nil {
@@ -319,7 +325,13 @@ func NewRTMLE(lock locks.Lock) *RTMScheme {
 // the holder at commit — fewer aborts when critical sections do not
 // overlap in time, a guaranteed CauseSubscription abort when they do.
 func NewRTMLELazy(lock locks.Lock) *RTMScheme {
-	return &RTMScheme{name: "RTM-LE-lazy", rtm: rtm{main: lock, check: checkLazy}, recovery: recoverElide}
+	return &RTMScheme{name: "RTM-LE-lazy", rtm: rtm{main: lock, check: checkLazy, sub: tsx.SubLazy}, recovery: recoverElide}
+}
+
+// NewRTMLELazyNaive is RTM-LE-lazy on the naive commit pipeline
+// (tsx.SubLazyNaive), under RTM-LE-lazy's name; see NewHLELazyNaive.
+func NewRTMLELazyNaive(lock locks.Lock) *RTMScheme {
+	return &RTMScheme{name: "RTM-LE-lazy", rtm: rtm{main: lock, check: checkLazy, sub: tsx.SubLazyNaive}, recovery: recoverElide}
 }
 
 // NewHLESCM is Algorithm 3 over main with one auxiliary lock, which the

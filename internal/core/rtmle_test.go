@@ -87,7 +87,6 @@ func TestSCMIdealMatchesHaswellMode(t *testing.T) {
 		cfg := tsx.DefaultConfig(8)
 		cfg.Seed = 9
 		cfg.SpuriousPerAccess = 0
-		cfg.NestHLEInRTM = ideal
 		m := tsx.NewMachine(cfg)
 		var s core.Scheme
 		var hot mem.Addr

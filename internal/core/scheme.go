@@ -3,8 +3,9 @@
 //
 //   - Standard: plain non-speculative locking (the paper's baseline).
 //   - HLE: Haswell's hardware lock elision as-is (Figure 1.1 / Algorithm 2
-//     behaviour), which suffers the Chapter 3 avalanche effect; HLELazy is
-//     the same with lazy lock subscription.
+//     behaviour), which suffers the Chapter 3 avalanche effect, and the
+//     same scheme with lazy lock subscription (HLE-lazy) or on the
+//     Chapter 7 hardware extension (HLE-HWExt).
 //   - RTMScheme: every RTM-based scheme, built from one speculative
 //     attempt and one recovery loop. The attempt reads the main lock at
 //     entry (RTM-LE, HLE-SCM), at commit (SLR), through a nested
@@ -192,19 +193,44 @@ func (s *NoLock) Run(t *tsx.Thread, cs func()) Result {
 // as Figure 1.1 applies it: the lock's speculative path issues XACQUIRE /
 // XRELEASE, and an abort re-executes the acquiring store non-transactionally
 // — acquiring the lock for real and aborting every concurrent elision.
+// Its variants differ only in the subscription mode Setup selects on each
+// thread (NewHLELazy, NewHLELazyNaive, NewHLEHWExt).
 type HLE struct {
 	statsBase
 	lock locks.Lock
+	name string
+	sub  tsx.Subscription
 }
 
 // NewHLE wraps lock in plain hardware lock elision.
-func NewHLE(lock locks.Lock) *HLE { return &HLE{lock: lock} }
+func NewHLE(lock locks.Lock) *HLE { return &HLE{lock: lock, name: "HLE"} }
+
+// NewHLEHWExt wraps lock in hardware lock elision on the paper's Chapter 7
+// hardware extension (tsx.SubHWExt), which distinguishes conflicts on the
+// elided lock cache line from conflicts on data lines, entirely in
+// hardware and with no cache-coherence protocol changes:
+//
+//   - the elided lock line is not placed in the read set (unless accessed
+//     as data), so a non-speculative lock acquisition does not abort
+//     speculative threads;
+//   - a speculative thread keeps running as long as it accesses lines
+//     already in its read/write sets ("data already in its caches");
+//   - on a miss (a new line, read or write) while the lock is held, the
+//     thread suspends until the lock is released, then resumes. Data
+//     conflicts abort it as usual, which is what makes the scheme safe
+//     against the Lemma 1 inconsistency.
+func NewHLEHWExt(lock locks.Lock) *HLE {
+	return &HLE{lock: lock, name: "HLE-HWExt", sub: tsx.SubHWExt}
+}
 
 // Name implements Scheme.
-func (s *HLE) Name() string { return "HLE" }
+func (s *HLE) Name() string { return s.name }
 
 // Setup implements Scheme.
-func (s *HLE) Setup(t *tsx.Thread) { s.lock.Prepare(t) }
+func (s *HLE) Setup(t *tsx.Thread) {
+	t.SetSubscription(s.sub)
+	s.lock.Prepare(t)
+}
 
 // Run implements Scheme.
 func (s *HLE) Run(t *tsx.Thread, cs func()) Result {

@@ -40,7 +40,6 @@ func TestSchemesSerializable(t *testing.T) {
 			cfg := tsx.DefaultConfig(6)
 			cfg.Seed = 5
 			cfg.SpuriousPerAccess = 0
-			cfg.NestHLEInRTM = true // exercise the ideal SCM variant too
 			m := tsx.NewMachine(cfg)
 			var schemes []core.Scheme
 			var ctr mem.Addr
@@ -101,9 +100,6 @@ func TestConsistentSnapshots(t *testing.T) {
 				y = th.AllocLines(1)
 			})
 			for _, s := range schemes {
-				if s.Name() == "HLE-SCM-ideal" {
-					continue // requires NestHLEInRTM
-				}
 				s := s
 				t.Run(s.Name(), func(t *testing.T) {
 					violations := 0

@@ -24,22 +24,22 @@ const (
 	// lock (lazy subscription), so a transaction can run — and commit —
 	// in the middle of a non-speculative critical section.
 	MutantSCMLazy = "scm-lazy-subscription"
-	// MutantHWExtNoSuspend (tsx.UnsoundHWExtNoSuspend) removes the
+	// MutantHWExtNoSuspend (tsx.SubHWExtNoSuspend) removes the
 	// Chapter 7 extension's suspend-on-miss: an elided reader expands
 	// its footprint mid-critical-section of a real lock holder and can
 	// commit an inconsistent snapshot — exactly the Lemma 1 property.
 	MutantHWExtNoSuspend = "hwext-no-suspend"
-	// MutantLazySkipCheck (tsx.UnsoundLazySkipCheck) removes the
+	// MutantLazySkipCheck (tsx.SubLazySkipCheck) removes the
 	// fixed lazy-subscription pipeline's commit-time lock check entirely:
 	// the transaction never subscribes, so it can commit in the middle of
 	// a pessimistic holder's critical section.
 	MutantLazySkipCheck = "lazy-skip-commit-check"
-	// MutantLazyDrainFirst (tsx.UnsoundLazyDrainFirst) breaks the
+	// MutantLazyDrainFirst (tsx.SubLazyDrainFirst) breaks the
 	// check's ordering against the write-set drain: validation runs after
 	// publication, so a failed check fires its abort too late — the
 	// published writes stand and the retry re-applies them.
 	MutantLazyDrainFirst = "lazy-drain-before-check"
-	// MutantLazyNoWindowAbort (tsx.UnsoundLazyNoWindowAbort) removes the
+	// MutantLazyNoWindowAbort (tsx.SubLazyNoWindowAbort) removes the
 	// commit-window abort: a pessimistic acquirer taking the lock between
 	// the (passed) check and the drain no longer aborts the commit.
 	MutantLazyNoWindowAbort = "lazy-no-window-abort"
@@ -60,15 +60,14 @@ func Mutants() []Config {
 	}
 }
 
-// mutantHardware maps the hardware mutants to the unsound machine variant
-// that seeds their fault (the scheme's table entry supplies the rest of
-// the machine); every other configuration keeps the machine its scheme's
-// table entry asks for.
-var mutantHardware = map[string]tsx.Unsound{
-	MutantHWExtNoSuspend:    tsx.UnsoundHWExtNoSuspend,
-	MutantLazySkipCheck:     tsx.UnsoundLazySkipCheck,
-	MutantLazyDrainFirst:    tsx.UnsoundLazyDrainFirst,
-	MutantLazyNoWindowAbort: tsx.UnsoundLazyNoWindowAbort,
+// mutantHardware maps the hardware mutants to the faulty subscription
+// mode that seeds their fault. Each thread's body selects it right after
+// the scheme's Setup, replacing the sound mode the Setup chose.
+var mutantHardware = map[string]tsx.Subscription{
+	MutantHWExtNoSuspend:    tsx.SubHWExtNoSuspend,
+	MutantLazySkipCheck:     tsx.SubLazySkipCheck,
+	MutantLazyDrainFirst:    tsx.SubLazyDrainFirst,
+	MutantLazyNoWindowAbort: tsx.SubLazyNoWindowAbort,
 }
 
 // brokenCLH is the adjusted CLH lock of Algorithm 7 with the

@@ -145,7 +145,7 @@ type explorer struct {
 
 func newExplorer(cfg *Config) *explorer {
 	e := &explorer{cfg: cfg, spec: harness.SchemeSpec{Scheme: cfg.Scheme, Lock: cfg.Lock}}
-	e.mcfg = machineConfig(cfg, e.spec)
+	e.mcfg = machineConfig(cfg)
 	e.tmpl = e.buildTemplate(e.mcfg)
 	return e
 }
@@ -228,11 +228,9 @@ func (h *fpHash) mix(v uint64) {
 // is exactly a function of the schedule that reached it. The flight
 // recorder is off — it taxes every replay but only matters on the one
 // violating schedule, which the search re-replays ring-enabled
-// (rediagnose) to regenerate the dump with trace events. The scheme's own
-// hardware comes from the harness scheme table; the mutants then seed
-// their faults.
-func machineConfig(c *Config, spec harness.SchemeSpec) tsx.Config {
-	mcfg := tsx.Config{
+// (rediagnose) to regenerate the dump with trace events.
+func machineConfig(c *Config) tsx.Config {
+	return tsx.Config{
 		Procs:         c.Threads,
 		Seed:          1,
 		MemWords:      exploreWords,
@@ -245,11 +243,6 @@ func machineConfig(c *Config, spec harness.SchemeSpec) tsx.Config {
 		CostJitter:    -1, // negative: disabled (zero would select the default)
 		Costs:         tsx.DefaultCosts(),
 	}
-	mcfg = spec.Machine(mcfg)
-	if u, ok := mutantHardware[c.Mutant]; ok {
-		mcfg.Unsound = u
-	}
-	return mcfg
 }
 
 // replayer replays one schedule prefix on a machine forked from a
@@ -907,6 +900,11 @@ func (r *replayer) body(t *tsx.Thread) {
 	id := t.ID
 	r.threads[id] = t
 	r.scheme.Setup(t)
+	if r.cfg.Mutant != "" {
+		if sub, ok := mutantHardware[r.cfg.Mutant]; ok {
+			t.SetSubscription(sub)
+		}
+	}
 	for op := 0; op < r.cfg.Ops; op++ {
 		res := r.scheme.Run(t, r.cs[id])
 		r.rec.Record(check.Op{Seq: r.seqScratch[id], Thread: id, Kind: "inc", Result: r.resScratch[id]})

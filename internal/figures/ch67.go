@@ -75,10 +75,8 @@ func FigCh7(o Options) []*stats.Table {
 	if !o.Quick {
 		sizes = []int{8, 128, 2048, 32768}
 	}
-	// Two groups per (lock, size): the baseline schemes on a standard
-	// machine, and HLE-HWExt on a machine with the extension enabled (the
-	// extension is a hardware property, so it needs its own configuration;
-	// as before it runs without warmup, once).
+	// Two groups per (lock, size): the baseline schemes, and HLE-HWExt,
+	// which runs without warmup, once.
 	var groups []dsGroup
 	for _, lock := range locks {
 		for _, size := range sizes {
@@ -90,12 +88,9 @@ func FigCh7(o Options) []*stats.Table {
 					{Scheme: "HLE-SCM", Lock: lock},
 				},
 			})
-			ext := harness.SchemeSpec{Scheme: "HLE-HWExt", Lock: lock}
-			extCfg := ext.Machine(machineCfg(o, size))
 			groups = append(groups, dsGroup{
 				size: size, mix: harness.MixModerate, mk: mkRBTree, threads: o.Threads,
-				specs: []harness.SchemeSpec{ext},
-				mcfg:  &extCfg,
+				specs: []harness.SchemeSpec{{Scheme: "HLE-HWExt", Lock: lock}},
 				rcfg:  &harness.Config{Threads: o.Threads, CycleBudget: o.Budget},
 				runs:  1,
 			})

@@ -5,7 +5,6 @@ import (
 
 	"hle/internal/core"
 	"hle/internal/harness"
-	"hle/internal/hwext"
 	"hle/internal/locks"
 	"hle/internal/mem"
 	"hle/internal/obs"
@@ -35,6 +34,19 @@ const (
 	lazyReadLines  = 20
 	lazyWriteLines = 5
 )
+
+// limitSets returns cfg with FORTH-style asymmetric transactional set
+// capacities: readLines of precisely-tracked read set (no imprecise
+// overflow tier — reads past the limit abort) and writeLines of write
+// set. The design point trades the big imprecise read tracker for a
+// small exact one, which moves capacity aborts from writes to reads and
+// changes which hazards lazy subscription's savings hide behind.
+func limitSets(cfg tsx.Config, readLines, writeLines int) tsx.Config {
+	cfg.L1ReadLines = readLines
+	cfg.ReadSetLines = readLines
+	cfg.WriteSetLines = writeLines
+	return cfg
+}
 
 // LazyPoint is one measured point of the subscription sweep.
 type LazyPoint struct {
@@ -113,9 +125,7 @@ func LazySweep(o Options) (*LazyBench, []*stats.Table) {
 		cfg := tsx.DefaultConfig(o.Threads)
 		cfg.Seed = harness.DeriveSeed(o.Seed, c.mi, c.ri, c.wi)
 		cfg.MemWords = 1 << 16
-		cfg = hwext.LimitSets(cfg, readCaps[c.ri], writeCaps[c.wi])
-		cfg = spec.Machine(cfg)
-		m := tsx.NewMachine(cfg)
+		m := tsx.NewMachine(limitSets(cfg, readCaps[c.ri], writeCaps[c.wi]))
 
 		var scheme core.Scheme
 		var shared, counter mem.Addr

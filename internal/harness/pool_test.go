@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hle/internal/harness"
+	"hle/internal/mem"
 	"hle/internal/obs"
 	"hle/internal/tsx"
 )
@@ -199,5 +200,53 @@ func TestRecycledForkAllocatesNothing(t *testing.T) {
 	tsx.FromCheckpoint(cp).Release()
 	if n := testing.AllocsPerRun(20, func() { tsx.FromCheckpoint(cp).Release() }); n != 0 {
 		t.Fatalf("FromCheckpoint and Release allocated %.1f times per fork", n)
+	}
+}
+
+// hotCounters is a contended workload no lost update can wedge: every
+// operation increments one of two shared counters. (The naive lazy
+// pipeline loses updates, which could turn a tree into a cycle.)
+type hotCounters struct{ cells mem.Addr }
+
+func (w *hotCounters) Name() string { return "hot-counters" }
+
+func (w *hotCounters) Populate(t *tsx.Thread) { w.cells = t.AllocLines(2 * mem.LineWords) }
+
+func (w *hotCounters) NextOp(t *tsx.Thread) harness.Op {
+	return harness.Op{Kind: harness.OpInsert, Key: uint64(t.Rand().Intn(2))}
+}
+
+func (w *hotCounters) Exec(t *tsx.Thread, op harness.Op) {
+	a := w.cells + mem.Addr(op.Key)*mem.LineWords
+	v := t.Load(a)
+	t.Work(20)
+	t.Store(a, v+1)
+}
+
+// TestModesDoNotLeakAcrossPoints: schemes select their elision hardware
+// per thread in Setup, so a point whose machine is recycled from a point
+// of another scheme must run exactly as on a fresh machine. HLE-HWExt,
+// HLE-lazy-naive and plain HLE run back to back — each point's Release
+// hands its machine to the next point's FromCheckpoint — and each must
+// equal the same point on a fresh machine.
+func TestModesDoNotLeakAcrossPoints(t *testing.T) {
+	template := func() *harness.WarmTemplate {
+		return &harness.WarmTemplate{Machine: machineCfg(4, 3), MkWorkload: func(*tsx.Thread) harness.Workload { return &hotCounters{} }}
+	}
+	point := func(warm *harness.WarmTemplate, scheme string) harness.Result {
+		return harness.PointSpec{
+			Warm:   warm,
+			Scheme: harness.SchemeSpec{Scheme: scheme, Lock: "TTAS"},
+			Seed:   11,
+			Cfg:    harness.Config{Threads: 4, CycleBudget: 100_000},
+		}.Run()
+	}
+	shared := template()
+	for _, scheme := range []string{"HLE-HWExt", "HLE-lazy-naive", "HLE"} {
+		recycled := point(shared, scheme)
+		fresh := point(template(), scheme)
+		if !reflect.DeepEqual(recycled, fresh) {
+			t.Errorf("%s on a recycled machine: %+v; on a fresh one: %+v", scheme, recycled, fresh)
+		}
 	}
 }

@@ -80,7 +80,7 @@ func TestRepeatedPointProfile(t *testing.T) {
 	adaptive := func(runs int) *obs.Profile {
 		return harness.PointSpec{
 			Warm: &harness.WarmTemplate{
-				Machine: spec.Machine(machineCfg(4, 5)),
+				Machine: machineCfg(4, 5),
 				MkWorkload: func(th *tsx.Thread) harness.Workload {
 					return harness.NewRBTree(th, 64, harness.MixExtensive)
 				},

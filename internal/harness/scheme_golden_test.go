@@ -93,7 +93,7 @@ var goldenSchemes = map[string]uint64{
 
 // TestGoldenSchemeFingerprint runs one short, contended rbtree point per
 // scheme, lock and write-set size (4 threads, 64 keys, 50/50 updates,
-// profiling on), each on the machine its SchemeSpec asks for. It hashes
+// profiling on), all on the same machine configuration. It hashes
 // the operation and transaction counts, the final clock, any watchdog
 // stop, and the profile JSON, which carries the serial-mark latencies
 // and, for Adaptive, the controller's transition log. The constants were
@@ -171,8 +171,8 @@ func goldenSchemeCases() []schemeCase {
 	return cases
 }
 
-// machine is the case's machine configuration, before the scheme's own
-// hardware needs (SchemeSpec.Machine).
+// machine is the case's machine configuration; each scheme selects its
+// own elision hardware per thread in Setup.
 func (c schemeCase) machine() tsx.Config {
 	mcfg := machineCfg(4, 5)
 	if c.tight {

@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"reflect"
 	"sort"
 
 	"hle/internal/adapt"
 	"hle/internal/core"
-	"hle/internal/hwext"
 	"hle/internal/locks"
 	"hle/internal/tsx"
 )
@@ -17,12 +15,13 @@ type assembler func(s SchemeSpec, main locks.Lock, aux []locks.Lock) core.Scheme
 
 // schemeEntry declares one scheme: how many MCS auxiliary locks it
 // allocates after its main lock (SCM variants need the starvation-free
-// lock the paper requires), how it assembles from constructed locks, and
-// the machine adjustment it needs (nil: it runs on any machine).
+// lock the paper requires) and how it assembles from constructed locks.
+// Every scheme runs on any machine: one whose elision needs other
+// hardware (the Chapter 7 extension, nested elision, a lazy commit
+// pipeline) selects it per thread in its Setup.
 type schemeEntry struct {
 	aux      int
 	assemble assembler
-	machine  func(tsx.Config) tsx.Config
 }
 
 // mainOnly adapts a constructor that takes the main lock alone.
@@ -40,28 +39,22 @@ func scmAssembler(mk func(main, aux locks.Lock, cfg core.SCMConfig) *core.RTMSch
 // checker, the sharded store, the chaos soaks — reads it through
 // SchemeSpec's methods.
 var schemes = map[string]schemeEntry{
-	"NoLock":   {assemble: func(SchemeSpec, locks.Lock, []locks.Lock) core.Scheme { return core.NewNoLock() }},
-	"Standard": {assemble: mainOnly(core.NewStandard)},
-	"HLE":      {assemble: mainOnly(core.NewHLE)},
-	// The Chapter 7 extension is a hardware property: on a machine without
-	// it the scheme is plain HLE.
-	"HLE-HWExt": {assemble: mainOnly(hwext.New), machine: hwext.EnableOn},
-	"RTM-LE":    {assemble: mainOnly(core.NewRTMLE)},
-	// The fixed lazy schemes select lazy subscription per thread in Setup,
-	// so they run on any machine.
+	"NoLock":      {assemble: func(SchemeSpec, locks.Lock, []locks.Lock) core.Scheme { return core.NewNoLock() }},
+	"Standard":    {assemble: mainOnly(core.NewStandard)},
+	"HLE":         {assemble: mainOnly(core.NewHLE)},
+	"HLE-HWExt":   {assemble: mainOnly(core.NewHLEHWExt)},
+	"RTM-LE":      {assemble: mainOnly(core.NewRTMLE)},
 	"HLE-lazy":    {assemble: mainOnly(core.NewHLELazy)},
 	"RTM-LE-lazy": {assemble: mainOnly(core.NewRTMLELazy)},
-	// The naive variants are the same scheme code on unsound hardware
-	// with both Dice et al. fixes off: the model checker's hazard
-	// reproductions, and the ext-lazy sweep's lazy-naive points, which
-	// count the updates they lose.
-	"HLE-lazy-naive":    {assemble: mainOnly(core.NewHLELazy), machine: hwext.EnableLazyNaive},
-	"RTM-LE-lazy-naive": {assemble: mainOnly(core.NewRTMLELazy), machine: hwext.EnableLazyNaive},
+	// The naive variants are the lazy schemes with both Dice et al. fixes
+	// off: the model checker's hazard reproductions, and the ext-lazy
+	// sweep's lazy-naive points, which count the updates they lose.
+	"HLE-lazy-naive":    {assemble: mainOnly(core.NewHLELazyNaive)},
+	"RTM-LE-lazy-naive": {assemble: mainOnly(core.NewRTMLELazyNaive)},
 	"HLE-SCM":           {aux: 1, assemble: scmAssembler(core.NewHLESCM, core.SCMConfig{})},
 	// Algorithm 3 verbatim nests XACQUIRE inside RTM, which Haswell
-	// ignores; the ideal variant needs the machine that honours it.
-	"HLE-SCM-ideal": {aux: 1, assemble: scmAssembler(core.NewHLESCM, core.SCMConfig{Ideal: true}),
-		machine: func(cfg tsx.Config) tsx.Config { cfg.NestHLEInRTM = true; return cfg }},
+	// ignores; its Setup turns nesting on.
+	"HLE-SCM-ideal": {aux: 1, assemble: scmAssembler(core.NewHLESCM, core.SCMConfig{Ideal: true})},
 	"HLE-SCM-multi": {aux: 4, assemble: func(_ SchemeSpec, main locks.Lock, aux []locks.Lock) core.Scheme {
 		return core.NewHLESCMMulti(main, aux, core.SCMConfig{})
 	}},
@@ -142,33 +135,9 @@ func (s SchemeSpec) Assemble(main locks.Lock, aux []locks.Lock) core.Scheme {
 	return s.entry().assemble(s, main, aux)
 }
 
-// Machine returns cfg adjusted to the hardware the scheme needs (cfg
-// itself for schemes that run on any machine).
-func (s SchemeSpec) Machine(cfg tsx.Config) tsx.Config {
-	if e := s.entry(); e.machine != nil {
-		return e.machine(cfg)
-	}
-	return cfg
-}
-
-// RunsOn reports whether cfg already provides the hardware the scheme
-// needs, that is whether Machine would leave it unchanged.
-func (s SchemeSpec) RunsOn(cfg tsx.Config) bool {
-	e := s.entry()
-	if e.machine == nil {
-		return true
-	}
-	return reflect.DeepEqual(e.machine(cfg), cfg)
-}
-
 // Build constructs the scheme (and its locks) in t's simulated memory:
-// the main lock, then AuxLocks, then Assemble. It panics if t's machine
-// lacks the hardware Machine would enable, so a scheme never runs
-// mislabelled on the wrong machine.
+// the main lock, then AuxLocks, then Assemble.
 func (s SchemeSpec) Build(t *tsx.Thread) core.Scheme {
-	if !s.RunsOn(t.Machine().Config()) {
-		panic("harness: scheme " + s.Scheme + " needs a machine configured by SchemeSpec.Machine")
-	}
 	if s.Scheme == "NoLock" {
 		return core.NewNoLock()
 	}

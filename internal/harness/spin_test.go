@@ -79,7 +79,7 @@ type spinOutcome struct {
 // pass-through injector installed.
 func runSpinCase(c schemeCase, inject bool) spinOutcome {
 	const threads = 4
-	warm := &harness.WarmTemplate{Machine: c.spec.Machine(c.machine()), MkWorkload: goldenSchemeWorkload}
+	warm := &harness.WarmTemplate{Machine: c.machine(), MkWorkload: goldenSchemeWorkload}
 	m, w := warm.Fork()
 	var scheme core.Scheme
 	m.RunOne(func(t *tsx.Thread) { scheme = c.spec.Build(t) })

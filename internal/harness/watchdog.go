@@ -36,16 +36,16 @@ type WatchdogConfig struct {
 	Context string
 }
 
-// LivelockWindow is the livelock window for a run on a machine configured
-// as mcfg: 2e6 cycles, far beyond any legitimate gap between operations
-// and far below a hung test timeout — or 3e7 on a Chapter 7 extension
-// machine. A liveness window must exceed the scheme's longest legitimate
-// progress gap, and the extension suspends a speculative thread for up to
-// maxWaitIters wait steps (~2^20 × Costs.Wait ≈ 2·10^7 cycles) before its
-// spurious-abort escape hatch fires; a fault landing mid-suspension makes
-// gaps of that order, from which the scheme provably recovers.
-func LivelockWindow(mcfg tsx.Config) uint64 {
-	if mcfg.HWExt {
+// LivelockWindow is the livelock window for a run of scheme s: 2e6
+// cycles, far beyond any legitimate gap between operations and far below
+// a hung test timeout — or 3e7 for HLE-HWExt. A liveness window must
+// exceed the scheme's longest legitimate progress gap, and the Chapter 7
+// extension suspends a speculative thread for up to maxWaitIters wait
+// steps (~2^20 × Costs.Wait ≈ 2·10^7 cycles) before its spurious-abort
+// escape hatch fires; a fault landing mid-suspension makes gaps of that
+// order, from which the scheme provably recovers.
+func LivelockWindow(s SchemeSpec) uint64 {
+	if s.Scheme == "HLE-HWExt" {
 		return 30_000_000
 	}
 	return 2_000_000

@@ -21,7 +21,7 @@ func profiledPoint(scheme, lock string, seed int64) harness.Result {
 	spec := harness.SchemeSpec{Scheme: scheme, Lock: lock}
 	return harness.PointSpec{
 		Warm: &harness.WarmTemplate{
-			Machine: spec.Machine(machineCfg(4, seed)),
+			Machine: machineCfg(4, seed),
 			MkWorkload: func(th *tsx.Thread) harness.Workload {
 				return harness.NewRBTree(th, 64, harness.MixExtensive)
 			},

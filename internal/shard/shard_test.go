@@ -171,20 +171,13 @@ func TestGlobalSnapshotsAreConsistent(t *testing.T) {
 // TestSchemeMakerByName checks the name registry and that per-shard
 // instances are distinct.
 func TestSchemeMakerByName(t *testing.T) {
-	for _, name := range []string{"Standard", "HLE", "RTM-LE", "HLE-SCM", "Adaptive"} {
+	for _, name := range harness.SchemeNames() {
 		if shard.SchemeMakerByName(name) == nil {
 			t.Errorf("SchemeMakerByName(%q) = nil", name)
 		}
 	}
 	if shard.SchemeMakerByName("nope") != nil {
 		t.Error("unknown scheme name should return nil")
-	}
-	// A store cannot select machine hardware, so schemes that need it
-	// have no maker.
-	for _, name := range []string{"HLE-HWExt", "HLE-SCM-ideal", "HLE-lazy-naive"} {
-		if shard.SchemeMakerByName(name) != nil {
-			t.Errorf("SchemeMakerByName(%q) != nil", name)
-		}
 	}
 	m := testMachine(1, 256)
 	m.RunOne(func(th *tsx.Thread) {
@@ -194,6 +187,41 @@ func TestSchemeMakerByName(t *testing.T) {
 			t.Error("shards share one scheme instance")
 		}
 	})
+}
+
+// TestShardSchemesSelectTheirHardware: a scheme that selects its elision
+// hardware in Setup (HLE-HWExt the Chapter 7 extension) gets it in every
+// shard, through Store.Setup, on the plain machine every store runs on:
+// on the same seed its run differs from plain HLE's.
+func TestShardSchemesSelectTheirHardware(t *testing.T) {
+	run := func(scheme string) tsx.Stats {
+		tmpl := &harness.WarmTemplate{
+			Machine: func() tsx.Config {
+				cfg := tsx.DefaultConfig(4)
+				cfg.Seed = 1
+				cfg.MemWords = 256*32 + 1<<16
+				return cfg
+			}(),
+			MkWorkload: func(th *tsx.Thread) harness.Workload {
+				return traffic.New(th, shard.DataConfig{Shards: 2}, traffic.Spec{Keys: 64, Mix: harness.MixModerate})
+			},
+		}
+		m, w := tmpl.Fork()
+		var rs traffic.RoutedStore
+		m.RunOne(func(th *tsx.Thread) {
+			rs = traffic.Route(shard.Bind(th, w.(*traffic.Workload).Data(), shard.StoreConfig{
+				MkScheme: shard.SchemeMakerByName(scheme),
+			}))
+		})
+		res := harness.Run(m, rs, w, harness.Config{Threads: 4, CycleBudget: 60_000})
+		if res.Ops.Ops == 0 {
+			t.Fatalf("%s: no operations completed", scheme)
+		}
+		return res.TSX
+	}
+	if hle, ext := run("HLE"), run("HLE-HWExt"); hle == ext {
+		t.Errorf("a 2-shard HLE-HWExt store ran exactly as an HLE store: %+v", ext)
+	}
 }
 
 // TestHarnessRoutesOps runs a traffic workload under the harness with a

@@ -19,14 +19,12 @@ type SchemeMaker func(t *tsx.Thread, main locks.Lock, si int) core.Scheme
 // SchemeMakerByName returns a maker for a harness scheme name, built
 // from the harness scheme table: each shard's auxiliary locks are
 // allocated after its main lock, as harness.SchemeSpec.Build does. It
-// returns nil for an unknown name and for schemes that need machine
-// hardware (HLE-HWExt, HLE-SCM-ideal, the naive lazy variants), which a
-// store cannot select.
+// returns nil for an unknown name.
 func SchemeMakerByName(name string) SchemeMaker {
-	spec := harness.SchemeSpec{Scheme: name}
-	if !slices.Contains(harness.SchemeNames(), name) || !spec.RunsOn(tsx.Config{}) {
+	if !slices.Contains(harness.SchemeNames(), name) {
 		return nil
 	}
+	spec := harness.SchemeSpec{Scheme: name}
 	return func(t *tsx.Thread, main locks.Lock, si int) core.Scheme {
 		return spec.Assemble(main, spec.AuxLocks(t))
 	}

@@ -57,8 +57,7 @@ type Result struct {
 }
 
 // Run executes one application under one scheme with the given thread
-// count on m, a fresh machine with the hardware the scheme needs (see
-// harness.SchemeSpec.Machine), and validates the output. prof, when
+// count on m, a fresh machine, and validates the output. prof, when
 // non-nil, profiles the workers' run (not setup or validation).
 func Run(m *tsx.Machine, spec harness.SchemeSpec, mk func(t *tsx.Thread) App, threads int,
 	prof *harness.Profiler) (Result, error) {

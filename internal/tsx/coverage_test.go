@@ -58,9 +58,9 @@ func TestXAcquireFetchAddPaths(t *testing.T) {
 	// Nested-ideal elision.
 	cfg := DefaultConfig(1)
 	cfg.SpuriousPerAccess = 0
-	cfg.NestHLEInRTM = true
 	m2 := NewMachine(cfg)
 	m2.RunOne(func(th *Thread) {
+		th.SetNestedElision(true)
 		next := th.AllocLines(2)
 		ok, _ := th.RTM(func() {
 			if got := th.XAcquireFetchAdd(next, 1); got != 0 {

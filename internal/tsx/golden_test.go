@@ -159,7 +159,6 @@ var goldenMachines = []struct {
 		run: func(tt *testing.T) uint64 {
 			cfg := tsx.DefaultConfig(4)
 			cfg.Seed = 11
-			cfg.HWExt = true
 			m := tsx.NewMachine(cfg)
 			var lk locks.Lock
 			var counters mem.Addr
@@ -168,6 +167,7 @@ var goldenMachines = []struct {
 				counters = t.AllocLines(2)
 			})
 			threads := m.Run(4, func(t *tsx.Thread) {
+				t.SetSubscription(tsx.SubHWExt)
 				lk.Prepare(t)
 				for i := 0; i < 80; i++ {
 					t.HLERegion(func() {

@@ -65,15 +65,15 @@ func (t *Thread) xacquireStart(a mem.Addr, newVal uint64) (uint64, *txState) {
 	// the Chapter 7 extension the lock line is tracked separately, and
 	// under lazy subscription the entry is deferred to the commit
 	// pipeline (commitLazy) — the entire point of the mode.
-	if !t.m.cfg.HWExt && !t.LazySubscription() {
+	if t.sub == SubEager {
 		t.txTouchRead(tx, mem.LineOf(a))
 	}
 	return old, tx
 }
 
 // xacquireNested begins elision inside an already-running RTM transaction
-// (flat nesting), used by Algorithm 3 when the hardware supports nesting
-// HLE within RTM.
+// (flat nesting), used by Algorithm 3 verbatim on a thread whose scheme
+// turned nesting on (SetNestedElision).
 func (t *Thread) xacquireNested(tx *txState, a mem.Addr, newVal uint64) uint64 {
 	t.txPreAccess(tx)
 	old := t.txLoadValue(tx, a)
@@ -85,10 +85,22 @@ func (t *Thread) xacquireNested(tx *txState, a mem.Addr, newVal uint64) uint64 {
 	// the XRELEASE (before the RTM commit), so there is no commit-time
 	// obligation to defer to. Lazy subscription applies to outer HLE and
 	// to RTM predicates registered via LazySubscribe.
-	if !t.m.cfg.HWExt {
+	if t.sub != SubHWExt && t.sub != SubHWExtNoSuspend {
 		t.txTouchRead(tx, mem.LineOf(a))
 	}
 	return old
+}
+
+// SetNestedElision selects whether an XACQUIRE inside this thread's RTM
+// transactions begins a nested elision (Algorithm 3 verbatim) or, as on
+// Haswell, which does not support it, is ignored: off until set, and off
+// at the start of every Run. Schemes call it from Setup. It must not be
+// called inside a transaction.
+func (t *Thread) SetNestedElision(on bool) {
+	if t.tx != nil {
+		panic("tsx: SetNestedElision inside a transaction")
+	}
+	t.nest = on
 }
 
 // consumeSuppression reports whether the next XAcquire must execute without
@@ -122,7 +134,7 @@ func (t *Thread) XAcquireSwap(a mem.Addr, v uint64) uint64 {
 		return t.Swap(a, v)
 	}
 	if tx := t.tx; tx != nil {
-		if t.m.cfg.NestHLEInRTM && !tx.elided {
+		if t.nest && !tx.elided {
 			t.Step(t.m.cfg.Costs.RMW)
 			return t.xacquireNested(tx, a, v)
 		}
@@ -140,7 +152,7 @@ func (t *Thread) XAcquireFetchAdd(a mem.Addr, delta uint64) uint64 {
 		return t.FetchAdd(a, delta)
 	}
 	if tx := t.tx; tx != nil {
-		if t.m.cfg.NestHLEInRTM && !tx.elided {
+		if t.nest && !tx.elided {
 			t.Step(t.m.cfg.Costs.RMW)
 			old := t.txLoadValue(tx, a)
 			t.xacquireNested(tx, a, old+delta)

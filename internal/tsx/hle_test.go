@@ -120,9 +120,9 @@ func TestReissueSemantics(t *testing.T) {
 func TestNestHLEInRTM(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.SpuriousPerAccess = 0
-	cfg.NestHLEInRTM = true
 	m := NewMachine(cfg)
 	m.RunOne(func(th *Thread) {
+		th.SetNestedElision(true)
 		lock := th.AllocLines(1)
 		data := th.AllocLines(1)
 		ok, st := th.RTM(func() {

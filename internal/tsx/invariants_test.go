@@ -104,7 +104,6 @@ func TestHWExtNoLeakedBits(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Seed = 13
 	cfg.SpuriousPerAccess = 0
-	cfg.HWExt = true
 	m := NewMachine(cfg)
 	var lock mem.Addr
 	var cells [4]mem.Addr
@@ -115,6 +114,7 @@ func TestHWExtNoLeakedBits(t *testing.T) {
 		}
 	})
 	m.Run(4, func(th *Thread) {
+		th.SetSubscription(SubHWExt)
 		for i := 0; i < 100; i++ {
 			if th.ID == 0 && i%5 == 0 {
 				// Non-speculative lock holder.

@@ -30,16 +30,16 @@ import "hle/internal/mem"
 //     the fresh subscription — aborts the commit instead of being
 //     ignored.
 //
-// The Unsound lazy variants (Config.Unsound) disable the fixes, so the
-// model checker can reproduce the hazards and prove the mutation tests
-// sharp; the naive one also backs the ext-lazy sweep's lazy-naive points,
-// which count the updates it loses.
+// The faulty lazy modes (SubLazyNaive and the single-fault variants)
+// disable the fixes, so the model checker can reproduce the hazards and
+// prove the mutation tests sharp; the naive one also backs the ext-lazy
+// sweep's lazy-naive points, which count the updates it loses.
 
 // SetSubscription selects the subscription mode of this thread's
-// subsequent transactions (eager until set). Scheme constructors call it
-// from Setup: the scheme knows whether its lock elides, so the mode is a
-// scheme property, not a machine property. It must not be called inside
-// a transaction.
+// subsequent transactions (eager until set; every Run starts its threads
+// eager). Schemes call it from Setup: the scheme knows how its lock
+// elides, so the mode is a scheme property, not a machine property. It
+// must not be called inside a transaction.
 func (t *Thread) SetSubscription(s Subscription) {
 	if t.tx != nil {
 		panic("tsx: SetSubscription inside a transaction")
@@ -49,7 +49,7 @@ func (t *Thread) SetSubscription(s Subscription) {
 
 // LazySubscription reports whether this thread's transactions defer lock
 // subscription to commit.
-func (t *Thread) LazySubscription() bool { return t.sub == SubLazy }
+func (t *Thread) LazySubscription() bool { return t.sub >= SubLazy }
 
 // LazySubscribe registers check as the current transaction's lock
 // subscription predicate — the RTM analogue of HLE's elided lock word.
@@ -117,12 +117,12 @@ func (t *Thread) lazySubCheck(tx *txState) {
 // subscription obligation. Unlike the eager commit it is NOT atomic: the
 // Commit cost is charged mid-pipeline, opening a scheduler window between
 // the subscription check and the write-set drain — the window whose
-// hazards the two Dice et al. fixes close. On Sound hardware this
-// pipeline is the fixed (safe) design.
+// hazards the two Dice et al. fixes close. Under SubLazy this pipeline is
+// the fixed (safe) design; the faulty lazy modes each drop a fix.
 func (t *Thread) commitLazy(tx *txState) {
-	cfg := &t.m.cfg
-	checkAfterDrain := cfg.Unsound == UnsoundLazyNaive || cfg.Unsound == UnsoundLazyDrainFirst
-	if !checkAfterDrain && cfg.Unsound != UnsoundLazySkipCheck {
+	sub := t.sub
+	checkAfterDrain := sub == SubLazyNaive || sub == SubLazyDrainFirst
+	if !checkAfterDrain && sub != SubLazySkipCheck {
 		// Fix 1: subscription check ordered before the drain. The check
 		// itself yields no scheduler grants for HLE (the touch and the
 		// value test are one atomic step); an RTM predicate's loads may
@@ -132,8 +132,8 @@ func (t *Thread) commitLazy(tx *txState) {
 	}
 	// The drain occupies the commit window: charge the commit cost
 	// before publishing, yielding the scheduler mid-commit.
-	t.Step(cfg.Costs.Commit)
-	if tx.doomed && cfg.Unsound != UnsoundLazyNaive && cfg.Unsound != UnsoundLazyNoWindowAbort {
+	t.Step(t.m.cfg.Costs.Commit)
+	if tx.doomed && sub != SubLazyNaive && sub != SubLazyNoWindowAbort {
 		// Fix 2: a write arriving during the window — a pessimistic
 		// acquirer's lock store (visible through the fresh subscription)
 		// or any data conflict — aborts the commit.

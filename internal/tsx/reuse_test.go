@@ -104,6 +104,32 @@ func TestWarmRunAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestModesResetEveryRun: a thread's elision modes (subscription and
+// nested elision) are set by the scheme whose Setup runs on it and must
+// not outlive the Run: the next Run on the same machine starts every
+// thread eager with nesting off, as does a fork that recycles the
+// machine.
+func TestModesResetEveryRun(t *testing.T) {
+	m := newTestMachine(2, 1)
+	set := func(th *Thread) {
+		th.SetSubscription(SubLazyNaive)
+		th.SetNestedElision(true)
+	}
+	check := func(th *Thread) {
+		if th.sub != SubEager || th.nest {
+			t.Errorf("thread %d starts a Run with subscription %v, nesting %v; want eager, off", th.ID, th.sub, th.nest)
+		}
+	}
+	m.Run(2, set)
+	m.Run(2, check)
+	m.Run(2, set)
+	cp := m.Checkpoint()
+	m.Release()
+	f := FromCheckpoint(cp)
+	f.Run(2, check)
+	f.Release()
+}
+
 // TestRunInsideRunPanics: the machine's scheduler and thread table are
 // reused, so a body may not start a Run on its own machine.
 func TestRunInsideRunPanics(t *testing.T) {

@@ -28,6 +28,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 
 	"hle/internal/mem"
@@ -64,66 +65,73 @@ func DefaultCosts() CostModel {
 	}
 }
 
-// Subscription selects when an elided transaction's lock word enters its
-// read set. It is a per-thread mode (Thread.SetSubscription): the scheme
-// knows whether its lock elides lazily, so eager and lazy schemes share
-// one machine image.
+// Subscription selects how an elided transaction watches its lock word:
+// when the lock line enters its conflict footprint, and which commit
+// pipeline guards it. It is a per-thread mode (Thread.SetSubscription),
+// eager until the eliding scheme's Setup selects another, so every scheme
+// runs on the same machine image. Besides the sound modes (eager, lazy,
+// the Chapter 7 extension) it names deliberately faulty variants: each
+// removes one safety mechanism, so the model checker (internal/explore)
+// can reproduce the hazard the mechanism exists for and prove its
+// mutation tests sharp. SubLazyNaive also backs the naive-lazy schemes,
+// which the ext-lazy sweep runs to count the updates the hazard loses.
 type Subscription uint8
 
 const (
 	// SubEager subscribes at transaction begin: the paper's scheme and
 	// Haswell's HLE, where the lock line joins the read set at XACQUIRE.
 	SubEager Subscription = iota
+	// SubHWExt is the Chapter 7 hardware extension: conflicts on the
+	// elided lock line do not abort; the transaction keeps running from
+	// its cache and suspends on a miss while the lock is held.
+	SubHWExt
+	// SubHWExtNoSuspend is SubHWExt without the suspend-on-miss wait:
+	// elided readers can observe the Lemma 1 inconsistent snapshot.
+	SubHWExtNoSuspend
 	// SubLazy defers the subscription to commit time, removing the lock
 	// line from the conflict footprint for the transaction's whole body —
 	// the lazy-subscription design whose safety Dice et al. analyze in
-	// "Hardware extensions to make lazy subscription safe". On Sound
-	// hardware it models their FIXED pipeline: the commit-time lock check
-	// is ordered before the write-set drain, and a lock-line write
-	// arriving during the commit window aborts the transaction. See
-	// Thread.LazySubscribe for the RTM path.
+	// "Hardware extensions to make lazy subscription safe". It models
+	// their FIXED pipeline: the commit-time lock check is ordered before
+	// the write-set drain, and a lock-line write arriving during the
+	// commit window aborts the transaction. See Thread.LazySubscribe for
+	// the RTM path. Every mode from SubLazy on subscribes lazily.
 	SubLazy
+	// SubLazyNaive turns off both Dice et al. fixes: the commit-time lock
+	// check runs after the write-set drain, and a doom arriving in the
+	// commit window is ignored.
+	SubLazyNaive
+	// SubLazySkipCheck skips the commit-time lock subscription entirely:
+	// the transaction never subscribes at all.
+	SubLazySkipCheck
+	// SubLazyDrainFirst removes the first fix only: the commit-time lock
+	// check runs AFTER the drain, so a failing check aborts too late and
+	// the published writes stand.
+	SubLazyDrainFirst
+	// SubLazyNoWindowAbort removes the second fix only: a conflicting
+	// write (including a pessimistic acquirer taking the lock) that dooms
+	// the transaction during the commit window is ignored.
+	SubLazyNoWindowAbort
 )
+
+var subNames = [...]string{
+	SubEager:             "eager",
+	SubHWExt:             "hwext",
+	SubHWExtNoSuspend:    "hwext-no-suspend",
+	SubLazy:              "lazy",
+	SubLazyNaive:         "lazy-naive",
+	SubLazySkipCheck:     "lazy-skip-commit-check",
+	SubLazyDrainFirst:    "lazy-drain-before-check",
+	SubLazyNoWindowAbort: "lazy-no-window-abort",
+}
 
 // String returns the mode's short name.
 func (s Subscription) String() string {
-	if s == SubLazy {
-		return "lazy"
+	if int(s) < len(subNames) {
+		return subNames[s]
 	}
-	return "eager"
+	return "Subscription(" + strconv.Itoa(int(s)) + ")"
 }
-
-// Unsound selects a deliberately broken variant of the simulated hardware
-// (Config.Unsound). Each non-zero value removes safety mechanisms so the
-// model checker can reproduce the hazard they exist for and prove its
-// mutation tests sharp. UnsoundLazyNaive is also the hardware of the
-// naive-lazy schemes, which the ext-lazy sweep runs to count the updates
-// the hazard loses.
-type Unsound uint8
-
-const (
-	// Sound is the hardware as specified.
-	Sound Unsound = iota
-	// UnsoundHWExtNoSuspend removes the Chapter 7 extension's
-	// suspend-on-miss wait while keeping the rest of HWExt: elided readers
-	// can observe the Lemma 1 inconsistent snapshot.
-	UnsoundHWExtNoSuspend
-	// UnsoundLazyNaive turns off both Dice et al. fixes: the commit-time
-	// lock check runs after the write-set drain, and a doom arriving in
-	// the commit window is ignored.
-	UnsoundLazyNaive
-	// UnsoundLazySkipCheck skips the commit-time lock subscription
-	// entirely: the transaction never subscribes at all.
-	UnsoundLazySkipCheck
-	// UnsoundLazyDrainFirst removes the first fix only: the commit-time
-	// lock check runs AFTER the drain, so a failing check aborts too late
-	// and the published writes stand.
-	UnsoundLazyDrainFirst
-	// UnsoundLazyNoWindowAbort removes the second fix only: a conflicting
-	// write (including a pessimistic acquirer taking the lock) that dooms
-	// the transaction during the commit window is ignored.
-	UnsoundLazyNoWindowAbort
-)
 
 // Config describes the simulated machine and its TSX implementation.
 type Config struct {
@@ -164,17 +172,6 @@ type Config struct {
 	// MaxTxAccesses is a safety bound on accesses per transaction.
 	MaxTxAccesses int
 
-	// HWExt enables the Chapter 7 hardware extension: conflicts on the
-	// elided lock line do not abort; the transaction keeps running from
-	// its cache and suspends on a miss while the lock is held.
-	HWExt bool
-	// Unsound selects a deliberately broken variant of the hardware
-	// (see Unsound). The zero value, Sound, is the hardware as specified.
-	// The others are seeded faults for the model checker's mutants and
-	// hazard reproductions (internal/explore); UnsoundLazyNaive also backs
-	// the naive-lazy schemes of the ext-lazy sweep. Set it only where a
-	// lost update is the measurement, not a failure.
-	Unsound Unsound
 	// CacheLines enables per-thread cache-locality cost modeling: each
 	// thread's accesses to lines outside its most-recent CacheLines
 	// lines pay Costs.Miss extra. Zero (the default) disables the model;
@@ -194,13 +191,6 @@ type Config struct {
 	// it. Each machine owns its ring, so host-parallel experiment points
 	// may record concurrently.
 	TraceRing int
-
-	// NestHLEInRTM, when true, lets an XACQUIRE inside an RTM
-	// transaction start lock elision (Algorithm 3 verbatim). Haswell
-	// does not support this — the paper's experiments emulate elision
-	// with RTM — so the default is false and the prefix is ignored
-	// inside RTM, exactly as on the real hardware.
-	NestHLEInRTM bool
 
 	Costs CostModel
 }
@@ -647,9 +637,12 @@ type Thread struct {
 	// for the profiling observer; the engine never reads it.
 	serial bool
 
-	// sub is the thread's subscription mode (SetSubscription; eager
-	// until a scheme's Setup selects lazy).
-	sub Subscription
+	// sub is the thread's subscription mode and nest its nested-elision
+	// switch (SetSubscription, SetNestedElision): eager and off until
+	// the eliding scheme's Setup selects otherwise, and reset by every
+	// Run.
+	sub  Subscription
+	nest bool
 
 	// spin is the state of the thread's current Spin wait.
 	spin spinWait

@@ -371,20 +371,17 @@ func (t *Thread) txTouchWrite(tx *txState, line int) {
 	tx.writeLines = append(tx.writeLines, line)
 }
 
-// hwextMissCheck implements the Chapter 7 extension: under HWExt, a
+// hwextMissCheck implements the Chapter 7 extension: under SubHWExt, a
 // speculative HLE thread that misses in its cache while the elided lock is
 // held non-speculatively suspends until the lock is released (or the thread
-// suffers a data conflict). Without HWExt this is a no-op; the avalanche
-// dynamics then follow from the lock line sitting in the read set.
+// suffers a data conflict). In every other mode this is a no-op; the
+// avalanche dynamics then follow from the lock line sitting in the read
+// set. SubHWExtNoSuspend is the seeded Lemma 1 fault (mutation testing):
+// it expands the footprint without waiting for the lock. Data conflicts
+// still doom the transaction at the next access, which is exactly why the
+// bug is a one-interleaving unsoundness rather than an obvious one.
 func (t *Thread) hwextMissCheck(tx *txState) {
-	if !t.m.cfg.HWExt || !tx.elided {
-		return
-	}
-	if t.m.cfg.Unsound == UnsoundHWExtNoSuspend {
-		// Seeded Lemma 1 fault (mutation testing): expand the footprint
-		// without waiting for the lock. Data conflicts still doom the
-		// transaction at the next access, which is exactly why the bug is
-		// a one-interleaving unsoundness rather than an obvious one.
+	if t.sub != SubHWExt || !tx.elided {
 		return
 	}
 	const maxWaitIters = 1 << 20
@@ -464,7 +461,7 @@ func (t *Thread) Load(a mem.Addr) uint64 {
 		// data, so this forwarding carries no conflict footprint; under
 		// lazy subscription the forwarding comes from the store buffer
 		// and the subscription stays deferred to commit.
-		if !t.m.cfg.HWExt && !t.LazySubscription() {
+		if t.sub == SubEager {
 			t.txTouchRead(tx, line)
 		}
 		return tx.elidedVal

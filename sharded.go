@@ -93,9 +93,9 @@ func WithShardScheme(mk func(t *Thread, main Lock, shard int) Scheme) ShardOptio
 }
 
 // WithShardSchemeName selects each shard's scheme by harness name
-// (Standard, HLE, RTM-LE, HLE-SCM, Adaptive, ...); unknown names and
-// schemes that need machine hardware (HLE-HWExt, HLE-SCM-ideal) panic at
-// construction. Applies to Sharded; contradicts WithShardScheme.
+// (Standard, HLE, RTM-LE, HLE-SCM, HLE-HWExt, Adaptive, ...); unknown
+// names panic at construction. Applies to Sharded; contradicts
+// WithShardScheme.
 func WithShardSchemeName(name string) ShardOption {
 	mk := shard.SchemeMakerByName(name)
 	if mk == nil {
